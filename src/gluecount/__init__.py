@@ -25,9 +25,7 @@ from .errors import (
     DomainError,
     GluecountError,
     ParityError,
-    SeriesOrderError,
     SignatureError,
-    TruncationError,
 )
 from .exact import compositions, double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed, polygon_size
@@ -52,17 +50,6 @@ from .hz import (
     hz_toric,
 )
 from .recursion import CountTable, count_recursive, memo_store_load, memo_store_save
-from .series import (
-    DEFAULT_ORDER,
-    Poly,
-    TruncatedSeries,
-    coefficient,
-    series_div,
-    series_exp,
-    series_log,
-    series_mul,
-    series_pow,
-)
 
 __version__ = "0.1.0"
 
@@ -75,22 +62,16 @@ __all__ = [
     "ConsistencyError",
     "CountTable",
     "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_ORDER",
     "DomainError",
     "GfIdentityReport",
     "GluecountError",
     "GluedSurface",
     "GluingWord",
     "ParityError",
-    "Poly",
-    "SeriesOrderError",
     "SignatureError",
     "SurfaceSignature",
-    "TruncatedSeries",
-    "TruncationError",
     "canonicalize",
     "catalan",
-    "coefficient",
     "compositions",
     "count_brute",
     "count_closed",
@@ -108,10 +89,5 @@ __all__ = [
     "memo_store_load",
     "memo_store_save",
     "polygon_size",
-    "series_div",
-    "series_exp",
-    "series_log",
-    "series_mul",
-    "series_pow",
     "__version__",
 ]

@@ -7,8 +7,6 @@ __all__ = [
     "AllPuncturesError",
     "ParityError",
     "CapExceededError",
-    "SeriesOrderError",
-    "TruncationError",
     "CacheError",
     "CacheVersionError",
     "ConsistencyError",
@@ -37,14 +35,6 @@ class ParityError(DomainError):
 
 class CapExceededError(DomainError):
     """A brute-force enumeration was requested above the configured cap."""
-
-
-class SeriesOrderError(DomainError):
-    """Truncated-series operands are incompatible or an operation is undefined."""
-
-
-class TruncationError(DomainError):
-    """A series truncation order is too small to hold the requested coefficient."""
 
 
 class CacheError(GluecountError, ValueError):

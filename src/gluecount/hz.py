@@ -4,7 +4,8 @@ eps_g(N) counts complete pairwise gluings of a 2N-gon into a closed
 orientable genus-g surface. Three ways to compute it live here:
 
 * ``hz_sum``          -- a finite sum over genus splittings (the reference route);
-* ``hz_tanh``         -- coefficient extraction from ((x/2)/tanh(x/2))^(N+1);
+* ``hz_tanh``         -- coefficient extraction from ((x/2)/tanh(x/2))^(N+1),
+  by Miller's power recurrence on the exact coefficients of (x/2)/tanh(x/2);
 * ``hz_from_gluing_counts`` -- the boundary specialization: a genus-g surface
   with one 1-gon boundary and N-2g punctures is produced by gluings of the
   same 2N-gon with one edge left free, so the polygon count with signature
@@ -12,6 +13,11 @@ orientable genus-g surface. Three ways to compute it live here:
 
 For N < 2g every route returns 0 (the table's empty cells). All values are
 exact integers.
+
+``gf_identity_check`` tests hz_sum against the bivariate generating function
+((1+x)/(1-x))^y, whose coefficients come from the recurrence of
+(1-x^2) F' = 2y F. Both series routines are private: each computes only the
+coefficients its caller reads, as lists of Fractions.
 """
 
 from __future__ import annotations
@@ -19,19 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError, TruncationError
+from .errors import ConsistencyError, DomainError
 from .exact import compositions, double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed
-from .series import (
-    DEFAULT_ORDER,
-    Poly,
-    TruncatedSeries,
-    coefficient,
-    series_div,
-    series_exp,
-    series_log,
-    series_pow,
-)
 
 __all__ = [
     "hz_sum",
@@ -79,43 +75,45 @@ def hz_sum(genus: int, n: int) -> int:
     return value.numerator
 
 
-def _half_ratio_series(order: int) -> TruncatedSeries:
-    """(x/2)/tanh(x/2) as an exact truncated series.
+def _half_ratio_coeffs(genus: int) -> list[Fraction]:
+    """Coefficients of x^0, x^2, ..., x^(2*genus) in (x/2)/tanh(x/2).
 
-    Built as cosh(x/2) divided by sinh(x/2)/(x/2); the latter is written down
-    directly from factorial coefficients so the x=0 pole never appears and no
-    truncation order is lost.
+    The series is even, so it is kept as a series in x^2. It is cosh(x/2)
+    divided by sinh(x/2)/(x/2); both are written down from factorial
+    coefficients, so the x=0 pole never appears. The divisor's leading
+    coefficient is 1.
     """
-    cosh_half = TruncatedSeries.from_terms(
-        lambda k: Fraction(1, 4 ** (k // 2) * factorial(k)) if k % 2 == 0 else 0,
-        order,
-    )
-    sinh_ratio = TruncatedSeries.from_terms(
-        lambda k: Fraction(1, 4 ** (k // 2) * factorial(k + 1)) if k % 2 == 0 else 0,
-        order,
-    )
-    return series_div(cosh_half, sinh_ratio)
+    cosh_half = [Fraction(1, 4**k * factorial(2 * k)) for k in range(genus + 1)]
+    sinh_ratio = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(genus + 1)]
+    out: list[Fraction] = []
+    for m in range(genus + 1):
+        out.append(cosh_half[m] - sum(sinh_ratio[k] * out[m - k] for k in range(1, m + 1)))
+    return out
 
 
-def hz_tanh(genus: int, n: int, order: int | None = None) -> int:
+def _power_coeff(a: list[Fraction], exponent: int) -> Fraction:
+    """[t^K] a(t)**exponent for K = len(a) - 1 and a[0] == 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,
+    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j). It costs
+    O(K^2) whatever the exponent.
+    """
+    p = [Fraction(1)]
+    for i in range(1, len(a)):
+        acc = sum(((exponent + 1) * j - i) * a[j] * p[i - j] for j in range(1, i + 1))
+        p.append(acc / i)
+    return p[-1]
+
+
+def hz_tanh(genus: int, n: int) -> int:
     """eps_g(N) by series coefficient extraction:
 
         eps_g(N) = (2N)! / ((N+1)! (N-2g)!) * [x^(2g)] ((x/2)/tanh(x/2))^(N+1).
-
-    The truncation must satisfy order >= 2g; a too-small explicit order raises
-    TruncationError rather than ever returning a wrong value.
     """
     _validate(genus, n)
     if n < 2 * genus:
         return 0
-    if order is None:
-        order = max(DEFAULT_ORDER, 2 * genus)
-    if order < 2 * genus:
-        raise TruncationError(
-            f"order {order} cannot hold x^{2 * genus}; need order >= {2 * genus}"
-        )
-    powered = series_pow(_half_ratio_series(order), n + 1)
-    c = coefficient(powered, 2 * genus)
+    c = _power_coeff(_half_ratio_coeffs(genus), n + 1)
     value = Fraction(factorial(2 * n), factorial(n + 1) * factorial(n - 2 * genus)) * c
     if value.denominator != 1:
         raise ConsistencyError(f"hz_tanh produced non-integer {value} at g={genus}, N={n}")
@@ -163,6 +161,24 @@ class GfIdentityReport:
     order: int
 
 
+def _ratio_power_coeffs(order: int) -> list[list[Fraction]]:
+    """((1+x)/(1-x))^y through x^order >= 1: entry k lists the y^0..y^order
+    coefficients of x^k.
+
+    F = ((1+x)/(1-x))^y satisfies (1-x^2) F' = 2y F, so its x^k coefficients
+    obey (k+1) f_(k+1) = 2y f_k + (k-1) f_(k-1), with f_0 = 1 and f_1 = 2y.
+    """
+    width = order + 1
+    f = [[Fraction(0)] * width for _ in range(order + 1)]
+    f[0][0] = Fraction(1)
+    f[1][1] = Fraction(2)
+    for k in range(1, order):
+        for j in range(width):
+            shifted = 2 * f[k][j - 1] if j else 0
+            f[k + 1][j] = (shifted + (k - 1) * f[k - 1][j]) / (k + 1)
+    return f
+
+
 def gf_identity_check(order: int) -> GfIdentityReport:
     """Check the bivariate generating-function identity through x^order:
 
@@ -171,37 +187,25 @@ def gf_identity_check(order: int) -> GfIdentityReport:
 
     The left side is assembled from hz_sum values (the N=0 seed term is the
     empty gluing, eps_0(0)=1, whose 2xy term the identity needs at order 1);
-    the right side is exp(y*log((1+x)/(1-x))) computed on exact bivariate
-    series. Returns whether every coefficient through x^order matches, and if
-    not, the smallest (x_power, y_power) where the two sides differ.
+    the right side comes from the differential equation (1-x^2) F' = 2y F,
+    which does not use hz_sum. Both are exact Fraction coefficients of
+    x^k y^j. Returns whether every coefficient through x^order matches, and
+    if not, the smallest (x_power, y_power) where the two sides differ.
     """
     if order < 1:
         raise DomainError(f"gf_identity_check requires order >= 1, got {order}")
 
-    lhs_coeffs: list[Poly] = [Poly() for _ in range(order + 1)]
-    lhs_coeffs[0] = Poly.const(1)
+    lhs = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
+    lhs[0][0] = Fraction(1)
     for n in range(0, order):
         for g in range(0, n // 2 + 1):
             eps = 1 if n == 0 else hz_sum(g, n)
-            if eps == 0:
-                continue
-            weight = Fraction(2 * eps, double_factorial_odd(n))
-            lhs_coeffs[n + 1] = lhs_coeffs[n + 1] + Poly.monomial(n - 2 * g + 1, weight)
-    lhs = TruncatedSeries(lhs_coeffs, order)
-
-    one_plus = TruncatedSeries((1, 1), order)
-    one_minus = TruncatedSeries((1, -1), order)
-    log_ratio = series_log(series_div(one_plus, one_minus))
-    rhs = series_exp(log_ratio.scale(Poly.symbol()))
+            if eps:
+                lhs[n + 1][n - 2 * g + 1] += Fraction(2 * eps, double_factorial_odd(n))
+    rhs = _ratio_power_coeffs(order)
 
     for xp in range(order + 1):
-        left = lhs.coeffs[xp]
-        right = rhs.coeffs[xp]
-        if left == right:
-            continue
-        for yp in range(order + 2):
-            lv = left.coeff(yp) if isinstance(left, Poly) else (left if yp == 0 else 0)
-            rv = right.coeff(yp) if isinstance(right, Poly) else (right if yp == 0 else 0)
-            if lv != rv:
+        for yp in range(order + 1):
+            if lhs[xp][yp] != rhs[xp][yp]:
                 return GfIdentityReport(False, (xp, yp), order)
     return GfIdentityReport(True, None, order)

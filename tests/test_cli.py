@@ -1,9 +1,14 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gluecount
 from gluecount import memo_store_load
 from gluecount.cli import main
 
@@ -81,6 +86,18 @@ def test_hz_routes(capsys):
     assert run(
         capsys, "hz", "--genus", "1", "--N", "3", "--method", "gluing"
     )[:2] == (0, "10\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gluecount.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gluecount", "hz", "--genus", "2", "--N", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "483\n", "")
 
 
 def test_hz_domain_error(capsys):

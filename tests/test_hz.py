@@ -1,10 +1,11 @@
 """One-vertex map counts eps_g(N): three routes, classical specializations."""
 
+from fractions import Fraction
+
 import pytest
 
 from gluecount import (
     DomainError,
-    TruncationError,
     catalan,
     double_factorial_odd,
     gf_identity_check,
@@ -13,6 +14,7 @@ from gluecount import (
     hz_tanh,
     hz_toric,
 )
+from gluecount.hz import _half_ratio_coeffs, _ratio_power_coeffs
 
 # eps_g(N) for N = 1..5, genus column g = 0, 1, 2, ...
 CLASSICAL = {
@@ -88,15 +90,56 @@ def test_toric_domain():
         catalan(0)
 
 
-def test_tanh_order_control():
-    # An explicit order big enough for x^(2g) works; a too-small one refuses
-    # instead of silently truncating the answer to garbage.
-    assert hz_tanh(1, 3, order=2) == 10
-    assert hz_tanh(2, 4, order=4) == 21
-    with pytest.raises(TruncationError):
-        hz_tanh(2, 5, order=3)
-    # Default order covers genus past the builtin floor.
+def test_tanh_high_genus():
     assert hz_tanh(9, 18) == hz_sum(9, 18)
+
+
+def test_tanh_matches_three_term_recurrence():
+    # Harer & Zagier (Invent. Math. 85, 1986):
+    # (N+1) eps_g(N) = 2(2N-1) eps_g(N-1) + (N-1)(2N-1)(2N-3) eps_{g-1}(N-2).
+    max_genus, max_n = 15, 60
+    eps = [[0] * (max_n + 1) for _ in range(max_genus + 1)]
+    eps[0][0] = 1
+    for n in range(1, max_n + 1):
+        for g in range(max_genus + 1):
+            total = 2 * (2 * n - 1) * eps[g][n - 1]
+            if g and n >= 2:
+                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1][n - 2]
+            assert total % (n + 1) == 0
+            eps[g][n] = total // (n + 1)
+    for g in range(max_genus + 1):
+        for n in range(1, max_n + 1):
+            assert hz_tanh(g, n) == eps[g][n], (g, n)
+
+
+def test_half_angle_expansion():
+    # (x/2)/tanh(x/2) = 1 + x^2/12 - x^4/720 + x^6/30240 - ..., kept in x^2.
+    assert _half_ratio_coeffs(3) == [1, Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240)]
+
+
+def test_ratio_power_coefficients():
+    # ((1+x)/(1-x))^y: x^1 carries 2y, x^2 carries 2y^2, x^3 carries
+    # (2/3)y + (4/3)y^3.
+    f = _ratio_power_coeffs(6)
+    assert f[0] == [1, 0, 0, 0, 0, 0, 0]
+    assert f[1] == [0, 2, 0, 0, 0, 0, 0]
+    assert f[2] == [0, 0, 2, 0, 0, 0, 0]
+    assert f[3] == [0, Fraction(2, 3), 0, Fraction(4, 3), 0, 0, 0]
+
+
+def test_ratio_power_agrees_with_integer_powers():
+    # At y = m the series is (1+x)^m / (1-x)^m: multiply by 1+x, then take
+    # prefix sums (divide by 1-x), m times each.
+    order = 6
+    f = _ratio_power_coeffs(order)
+    for m in range(4):
+        direct = [1] + [0] * order
+        for _ in range(m):
+            direct = [direct[0]] + [direct[k] + direct[k - 1] for k in range(1, order + 1)]
+        for _ in range(m):
+            direct = [sum(direct[: k + 1]) for k in range(order + 1)]
+        evaluated = [sum(c * m**j for j, c in enumerate(row)) for row in f]
+        assert evaluated == direct, m
 
 
 def test_gf_identity_holds():
@@ -105,6 +148,16 @@ def test_gf_identity_holds():
         assert report.holds
         assert report.first_discrepancy is None
         assert report.order == order
+
+
+def test_gf_identity_reports_first_discrepancy(monkeypatch):
+    # One wrong eps_1(2) shows up at x^3 y^1: N=2, g=1 gives x^(N+1) y^(N-2g+1).
+    real = hz_sum
+    monkeypatch.setattr(
+        "gluecount.hz.hz_sum", lambda g, n: real(g, n) + ((g, n) == (1, 2))
+    )
+    report = gf_identity_check(6)
+    assert (report.holds, report.first_discrepancy) == (False, (3, 1))
 
 
 def test_gf_identity_rejects_bad_order():
