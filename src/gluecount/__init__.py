@@ -27,7 +27,7 @@ from .errors import (
     ParityError,
     SignatureError,
 )
-from .exact import compositions, double_factorial_odd, factorial
+from .exact import double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed, polygon_size
 from .gluing import (
     DEFAULT_ENUMERATION_CAP,
@@ -72,7 +72,6 @@ __all__ = [
     "SurfaceSignature",
     "canonicalize",
     "catalan",
-    "compositions",
     "count_brute",
     "count_closed",
     "count_recursive",

@@ -221,3 +221,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,4 +1,4 @@
-"""Exact integer helpers: factorials, odd double factorials, compositions.
+"""Exact integer helpers: factorials and odd double factorials.
 
 Everything here returns plain Python ints (arbitrary precision); no value is
 ever rounded.
@@ -7,11 +7,10 @@ ever rounded.
 from __future__ import annotations
 
 import threading
-from typing import Iterator
 
 from .errors import DomainError
 
-__all__ = ["factorial", "double_factorial_odd", "compositions"]
+__all__ = ["factorial", "double_factorial_odd"]
 
 # Monotone factorial table: grows on demand, never evicted.
 _FACTORIALS = [1]
@@ -39,25 +38,3 @@ def double_factorial_odd(n: int) -> int:
     for k in range(1, 2 * n, 2):
         out *= k
     return out
-
-
-def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Yield all ordered tuples of `length` non-negative ints summing to `total`.
-
-    Tuples come out in lexicographic order; there are C(total+length-1, length-1)
-    of them. The stream is lazy so callers can abandon it early.
-    """
-    if total < 0:
-        raise DomainError(f"compositions requires total >= 0, got {total}")
-    if length < 1:
-        raise DomainError(f"compositions requires length >= 1, got {length}")
-    return _compositions(total, length)
-
-
-def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, length - 1):
-            yield (head,) + tail

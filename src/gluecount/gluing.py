@@ -195,6 +195,19 @@ def _min_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(doubled[i : i + size] for i in range(size))
 
 
+def _next_free(n: int, mu: list[int] | tuple[int, ...], k: int) -> int:
+    """The free slot the boundary walk reaches after free slot k: step to
+    k+1, then hop j -> mu[j]+1 while slot j is glued."""
+    step = (k + 1) % n
+    hops = 0
+    while mu[step] != -1:
+        step = (mu[step] + 1) % n
+        hops += 1
+        if hops > n:
+            raise ConsistencyError("boundary walk never reached a free slot")
+    return step
+
+
 def _classify(
     n: int, mu: list[int] | tuple[int, ...], labels: list[int] | tuple[int, ...]
 ) -> tuple[int, int, int, tuple[tuple[int, ...], ...], list[int]]:
@@ -232,14 +245,7 @@ def _classify(
         while True:
             seen[k] = True
             trace.append(labels[k])
-            step = (k + 1) % n
-            hops = 0
-            while mu[step] != -1:
-                step = (mu[step] + 1) % n
-                hops += 1
-                if hops > n:
-                    raise ConsistencyError("boundary walk never reached a free slot")
-            k = step
+            k = _next_free(n, mu, k)
             if k == start:
                 break
             if seen[k]:

@@ -3,7 +3,8 @@
 eps_g(N) counts complete pairwise gluings of a 2N-gon into a closed
 orientable genus-g surface. Three ways to compute it live here:
 
-* ``hz_sum``          -- a finite sum over genus splittings (the reference route);
+* ``hz_sum``          -- a finite sum over genus splittings (the reference route),
+  shared with the closed formula and taken by truncated convolution;
 * ``hz_tanh``         -- coefficient extraction from ((x/2)/tanh(x/2))^(N+1),
   by Miller's power recurrence on the exact coefficients of (x/2)/tanh(x/2);
 * ``hz_from_gluing_counts`` -- the boundary specialization: a genus-g surface
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
-from .exact import compositions, double_factorial_odd, factorial
-from .formula import SurfaceSignature, count_closed
+from .exact import double_factorial_odd, factorial
+from .formula import SurfaceSignature, _split_sum, count_closed
 
 __all__ = [
     "hz_sum",
@@ -54,19 +55,16 @@ def hz_sum(genus: int, n: int) -> int:
 
         eps_g(N) = (1/4^g) * (2N)! / (L! * N!) * sum over splittings
                    p_1+...+p_L = g of prod_k 1/(2p_k + 1).
+
+    This is the splitting sum of `count_closed` with every size 0, whose
+    factor (2p)!/(2p+1)! is 1/(2p+1); `formula._split_sum` evaluates it.
     """
     _validate(genus, n)
     if n < 2 * genus:
         return 0
     parts = n - 2 * genus + 1
-    split_sum = Fraction(0)
-    for split in compositions(genus, parts):
-        denom = 1
-        for p in split:
-            denom *= 2 * p + 1
-        split_sum += Fraction(1, denom)
     value = (
-        split_sum
+        _split_sum(genus, (0,) * parts)
         * Fraction(factorial(2 * n), factorial(parts) * factorial(n))
         / 4**genus
     )

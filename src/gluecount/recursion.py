@@ -27,10 +27,12 @@ raises ConsistencyError on the first disagreement.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from pathlib import Path
 
-from .errors import CacheError, CacheVersionError, ConsistencyError, SignatureError
+from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError, SignatureError
 from .exact import factorial
 from .formula import SurfaceSignature
 
@@ -67,9 +69,14 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     Passing the same CountTable across calls shares all intermediate results.
     The table is trusted as-is: fill it only through this function, and load
     files with memo_store_load(path, verify=True) when provenance is in doubt.
+    Signatures too deep for Python's recursion limit (2g + L nested levels)
+    raise DomainError; the entries the table keeps stay valid.
     """
     table = memo if memo is not None else CountTable()
-    return _count_normalized(sig.genus, sig.sorted_sizes(), table.entries)
+    try:
+        return _count_normalized(sig.genus, sig.sorted_sizes(), table.entries)
+    except RecursionError:
+        raise DomainError(f"recursion too deep for g={sig.genus}, L={sig.holes}") from None
 
 
 def _scaled(genus: int, sizes: tuple[int, ...], entries: dict[MemoKey, int]) -> int:
@@ -133,12 +140,22 @@ def _count_normalized(genus: int, sizes: tuple[int, ...], entries: dict[MemoKey,
 
 
 def memo_store_save(memo: CountTable, path: str | Path) -> None:
-    """Write `memo` to `path` in the versioned text format (sorted, stable)."""
+    """Write `memo` to `path` in the versioned text format (sorted, stable),
+    through a temporary file in the same directory that replaces `path` in
+    one step: a failed save leaves the old file as it was."""
     lines = [_HEADER]
     for (genus, sizes), count in sorted(memo.entries.items()):
         ns = ",".join(str(n) for n in sizes)
         lines.append(f"g={genus};ns={ns};count={count}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(tmp, target)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:

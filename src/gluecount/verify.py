@@ -13,7 +13,7 @@ from typing import Iterator
 from .errors import GluecountError
 from .exact import double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed
-from .gluing import _classify, _iter_raw, count_brute
+from .gluing import _classify, _iter_raw, _next_free, count_brute
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric
 from .recursion import CountTable, count_recursive
 
@@ -312,33 +312,19 @@ def suite_structural(max_polygon: int = 9) -> SuiteResult:
             labels = tuple(range(1, free + 1))
             for mu, labs in _iter_raw(n, labels):
                 checked += 1
-                # Walk totality: the free-to-free successor map is a bijection.
-                images = set()
-                for i in range(n):
-                    if mu[i] != -1:
-                        continue
-                    step = (i + 1) % n
-                    hops = 0
-                    while mu[step] != -1:
-                        step = (mu[step] + 1) % n
-                        hops += 1
-                        if hops > n:
-                            return SuiteResult(
-                                name, False, checked,
-                                f"walk stuck at slot {i} of word mu={mu}",
-                            )
-                    images.add(step)
                 free_slots = {i for i in range(n) if mu[i] == -1}
-                if images != free_slots:
-                    return SuiteResult(
-                        name, False, checked,
-                        f"successor map not a bijection for mu={mu}",
-                    )
                 try:
+                    # Walk totality: the free-to-free successor map is a bijection.
+                    images = {_next_free(n, mu, i) for i in free_slots}
+                    if images != free_slots:
+                        return SuiteResult(
+                            name, False, checked,
+                            f"successor map not a bijection for mu={mu}",
+                        )
                     _, genus, punctures, cycles, _ = _classify(n, mu, labs)
                 except GluecountError as exc:
                     return SuiteResult(
-                        name, False, checked, f"classify failed for mu={mu}: {exc}"
+                        name, False, checked, f"walk or classify failed for mu={mu}: {exc}"
                     )
                 total = sum(len(c) for c in cycles)
                 holes = len(cycles) + punctures

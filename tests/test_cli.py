@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,15 @@ def test_count_recursive_cache_roundtrip(capsys, tmp_path):
     assert (code, out) == (0, "5\n")
 
 
+def test_count_recursive_too_deep_is_exit_two(capsys):
+    holes = ",".join(["1"] * 600)
+    code, out, err = run(
+        capsys, "count", "--genus", "0", "--holes", holes, "--method", "recursive"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: recursion too deep for g=0, L=600\n"
+
+
 def test_count_recursive_rejects_corrupt_cache(capsys, tmp_path):
     cache = tmp_path / "memo.txt"
     cache.write_text("#gluecount-cache v9\n")
@@ -93,11 +103,20 @@ def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gluecount", "hz", "--genus", "2", "--N", "5"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "483\n", "")
+    for module in ("gluecount", "gluecount.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "hz", "--genus", "2", "--N", "5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "483\n", ""), module
+
+
+@pytest.mark.parametrize("method", ["sum", "series", "gluing"])
+def test_hz_high_genus_is_fast(capsys, method, hz_recurrence):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hz", "--genus", "8", "--N", "60", "--method", method)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (0, f"{hz_recurrence[8][60]}\n")
 
 
 def test_hz_domain_error(capsys):

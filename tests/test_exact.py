@@ -1,12 +1,11 @@
 """Exact integer helpers."""
 
 from functools import reduce
-from math import comb
 from operator import mul
 
 import pytest
 
-from gluecount import DomainError, compositions, double_factorial_odd, factorial
+from gluecount import DomainError, double_factorial_odd, factorial
 
 
 def test_factorial_small_values():
@@ -48,34 +47,3 @@ def test_double_factorial_against_factorials():
 def test_double_factorial_rejects_negative():
     with pytest.raises(DomainError):
         double_factorial_odd(-2)
-
-
-def test_compositions_listed_examples():
-    assert list(compositions(0, 3)) == [(0, 0, 0)]
-    assert list(compositions(1, 2)) == [(0, 1), (1, 0)]
-    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-
-
-def test_compositions_census_and_order():
-    for total in range(0, 7):
-        for length in range(1, 7):
-            seen = list(compositions(total, length))
-            assert len(seen) == comb(total + length - 1, length - 1)
-            assert len(set(seen)) == len(seen)
-            assert seen == sorted(seen)
-            for parts in seen:
-                assert len(parts) == length
-                assert sum(parts) == total
-                assert all(p >= 0 for p in parts)
-
-
-def test_compositions_is_lazy():
-    stream = compositions(30, 12)
-    assert next(stream) == (0,) * 11 + (30,)
-
-
-def test_compositions_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        list(compositions(-1, 2))
-    with pytest.raises(DomainError):
-        list(compositions(3, 0))

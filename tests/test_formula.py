@@ -1,6 +1,7 @@
 """Closed-formula counts and signature validation."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from gluecount import (
     factorial,
     polygon_size,
 )
+from gluecount.formula import _split_sum
 
 
 def test_signature_rejects_no_boundaries():
@@ -124,3 +126,21 @@ def test_one_gon_polynomials():
     for n in range(1, 8):
         expected = n * (n + 1) * (n + 2) * (n + 3) // 24
         assert count_closed(SurfaceSignature(1, (n,))) == expected
+
+
+def test_split_sum_matches_composition_sum():
+    # The sum over every ordered splitting p_1+...+p_L = g, listed directly.
+    def factor(p, n):
+        return Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1))
+
+    for g in range(5):
+        for holes in range(1, 5):
+            for sizes in itertools.product(range(5), repeat=holes):
+                expected = Fraction(0)
+                for parts in itertools.product(range(g + 1), repeat=holes):
+                    if sum(parts) == g:
+                        term = Fraction(1)
+                        for p, n in zip(parts, sizes):
+                            term *= factor(p, n)
+                        expected += term
+                assert _split_sum(g, sizes) == expected, (g, sizes)

@@ -94,22 +94,18 @@ def test_tanh_high_genus():
     assert hz_tanh(9, 18) == hz_sum(9, 18)
 
 
-def test_tanh_matches_three_term_recurrence():
-    # Harer & Zagier (Invent. Math. 85, 1986):
-    # (N+1) eps_g(N) = 2(2N-1) eps_g(N-1) + (N-1)(2N-1)(2N-3) eps_{g-1}(N-2).
-    max_genus, max_n = 15, 60
-    eps = [[0] * (max_n + 1) for _ in range(max_genus + 1)]
-    eps[0][0] = 1
-    for n in range(1, max_n + 1):
-        for g in range(max_genus + 1):
-            total = 2 * (2 * n - 1) * eps[g][n - 1]
-            if g and n >= 2:
-                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1][n - 2]
-            assert total % (n + 1) == 0
-            eps[g][n] = total // (n + 1)
+@pytest.mark.parametrize(
+    "route, max_genus, max_n",
+    [
+        pytest.param(hz_tanh, 15, 60, id="hz_tanh"),
+        pytest.param(hz_sum, 12, 40, id="hz_sum"),
+        pytest.param(hz_from_gluing_counts, 12, 40, id="hz_from_gluing_counts"),
+    ],
+)
+def test_routes_match_three_term_recurrence(route, max_genus, max_n, hz_recurrence):
     for g in range(max_genus + 1):
         for n in range(1, max_n + 1):
-            assert hz_tanh(g, n) == eps[g][n], (g, n)
+            assert route(g, n) == hz_recurrence[g][n], (g, n)
 
 
 def test_half_angle_expansion():

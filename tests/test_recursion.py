@@ -1,6 +1,7 @@
 """Cut recursion, memo transparency, and the persistent table format."""
 
 import itertools
+import os
 
 import pytest
 
@@ -9,6 +10,7 @@ from gluecount import (
     CacheVersionError,
     ConsistencyError,
     CountTable,
+    DomainError,
     SurfaceSignature,
     count_closed,
     count_recursive,
@@ -75,6 +77,40 @@ def test_store_roundtrip_and_determinism(tmp_path):
     memo_store_save(memo_store_load(path_a), path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     assert memo_store_load(path_a) == memo
+
+
+def test_too_deep_recursion_is_a_domain_error():
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    before = dict(memo.entries)
+    with pytest.raises(DomainError, match=r"g=0, L=600"):
+        count_recursive(SurfaceSignature(0, (1,) * 600), memo)
+    # Whatever the memo holds afterwards was fully computed.
+    assert memo.entries.items() >= before.items()
+    for (genus, sizes), count in memo.entries.items():
+        assert count == count_closed(SurfaceSignature(genus, sizes))
+
+
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "memo.txt"
+    memo_store_save(CountTable(), path)
+    old = path.read_bytes()
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2,)), memo)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            memo_store_save(memo, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
+
+    memo_store_save(memo, path)
+    assert memo_store_load(path) == memo
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
 
 
 def test_store_exact_format(tmp_path):
