@@ -20,7 +20,10 @@ letters renamed consistently; free labels are never renamed. `canonicalize`
 returns the least encoding over all rotations, so equal canonical forms mean
 equivalent words. `count_brute` exhaustively counts equivalence classes whose
 surface matches a requested signature, labels and cyclic boundary order
-included (cyclic shifts only; traces are never compared reversed).
+included (cyclic shifts only; traces are never compared reversed). A word
+with a free label has no rotational symmetry, so its class is exactly its N
+rotations and holds one word with label 1 in slot 0: `count_brute`
+classifies only those words and needs no canonical forms.
 """
 
 from __future__ import annotations
@@ -410,7 +413,9 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     Boundary k of size s gets the next s consecutive labels (1-based, in the
     order the signature lists its boundaries); a class matches when genus and
     puncture count agree and the traced cycles equal the labeled targets up
-    to cyclic shift, under some assignment of traces to boundaries. Refuses
+    to cyclic shift, under some assignment of traces to boundaries. Each
+    class is represented by its one word with label 1 in slot 0, so only
+    those words (1/N of all raw words) are built and classified. Refuses
     polygons larger than `cap` rather than grinding silently.
     """
     n = polygon_size(sig)
@@ -427,10 +432,19 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
             next_label += size
     target_cycles = tuple(sorted(targets))
 
-    matched: set[bytes] = set()
-    for mu, labs in _iter_raw(n, labels):
+    if n == 1:
+        pinned: Iterable[tuple[list[int], list[int]]] = [([-1], [1])]
+    else:
+        pinned = (
+            ([-1] + [p + 1 if p >= 0 else -1 for p in mu], [1] + labs)
+            for mu, labs in _iter_raw(n - 1, labels[1:])
+        )
+    # Free labels are distinct and SurfaceSignature guarantees at least one,
+    # so no rotation fixes a word: each class holds exactly n raw words, and
+    # exactly one of them has label 1 in slot 0. Counting those counts classes.
+    matches = 0
+    for mu, labs in pinned:
         _, g, punct, cycles, _ = _classify(n, mu, labs)
-        if g != genus or punct != puncture_target or cycles != target_cycles:
-            continue
-        matched.add(_canonical_bytes(n, mu, labs))
-    return len(matched)
+        if g == genus and punct == puncture_target and cycles == target_cycles:
+            matches += 1
+    return matches

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from pathlib import Path
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError, SignatureError
@@ -148,13 +147,20 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
         ns = ",".join(str(n) for n in sizes)
         lines.append(f"g={genus};ns={ns};count={count}")
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    # The saved file gets the mode a plain open(path, "w") would give it: an
+    # existing file keeps its mode, a new one gets 0o666 less the umask.
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write("\n".join(lines) + "\n")
+        try:
+            os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, target)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -180,8 +186,12 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
         match = _LINE_RE.match(line)
         if match is None:
             raise CacheError(f"{file}: line {lineno}: malformed entry {line!r}")
-        genus = int(match.group(1))
-        sizes = tuple(int(part) for part in match.group(2).split(","))
+        try:
+            genus = int(match.group(1))
+            sizes = tuple(int(part) for part in match.group(2).split(","))
+            count = int(match.group(3))
+        except ValueError as exc:
+            raise CacheError(f"{file}: line {lineno}: unreadable number: {exc}") from exc
         if not _is_sorted_desc(sizes):
             raise CacheError(
                 f"{file}: line {lineno}: sizes must be non-increasing, got {sizes}"
@@ -191,7 +201,7 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
         key = (genus, sizes)
         if key in entries:
             raise CacheError(f"{file}: line {lineno}: duplicate key g={genus}, ns={sizes}")
-        entries[key] = int(match.group(3))
+        entries[key] = count
 
     if verify:
         scratch = CountTable()

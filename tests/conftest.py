@@ -1,6 +1,21 @@
-"""Shared oracle: the Harer-Zagier three-term recurrence for eps_g(N)."""
+"""Shared fixtures: the Harer-Zagier three-term recurrence for eps_g(N), and
+CPython's default limit on int <-> str conversion."""
+
+import sys
 
 import pytest
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Run the test under CPython's default 4300-digit conversion limit and
+    restore whatever limit was in force afterwards (the CLI lifts it)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(previous)
 
 
 @pytest.fixture(scope="session")

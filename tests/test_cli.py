@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gluecount
-from gluecount import memo_store_load
+from gluecount import SurfaceSignature, count_closed, memo_store_load
 from gluecount.cli import main
 
 
@@ -86,6 +87,33 @@ def test_count_recursive_rejects_corrupt_cache(capsys, tmp_path):
     )
     assert code == 2
     assert "v9" in err
+
+
+def test_count_recursive_checks_cached_answer(capsys, tmp_path):
+    cache = tmp_path / "memo.txt"
+    cache.write_text("#gluecount-cache v1\ng=1;ns=2;count=999\n")
+    code, out, err = run(
+        capsys, "count", "--genus", "1", "--holes", "2",
+        "--method", "recursive", "--cache", str(cache),
+    )
+    assert (code, out) == (1, "")
+    assert err == "consistency failure: closed and recursive disagree at g=1, ns=[2]: 5 vs 999\n"
+    assert cache.read_text() == "#gluecount-cache v1\ng=1;ns=2;count=999\n"
+
+
+def test_counts_print_at_any_length(capsys, default_int_digit_limit):
+    n = 8000
+    code, out, _ = run(capsys, "hz", "--genus", "0", "--N", str(n))
+    # The run lifted the digit limit, so the expected values convert too.
+    assert (code, out) == (0, f"{math.comb(2 * n, n) // (n + 1)}\n")
+    assert len(out) > 4300
+
+    sig = SurfaceSignature(0, (1,) * 1500)
+    code, out, _ = run(
+        capsys, "count", "--genus", "0", "--holes", ",".join(["1"] * 1500)
+    )
+    assert (code, out) == (0, f"{count_closed(sig)}\n")
+    assert len(out) > 4300
 
 
 def test_hz_routes(capsys):

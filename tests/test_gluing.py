@@ -220,7 +220,19 @@ def test_enumerate_pentagon_single_label():
     assert genus_counts == [0, 0, 1]
 
 
+def test_each_class_holds_n_raw_words():
+    # What count_brute rests on: with at least one (distinct) free label no
+    # rotation fixes a word, so every class is exactly n rotations. The
+    # canonical-form classes are the reference here.
+    for n in range(1, 9):
+        for free in range(n % 2 or 2, n + 1, 2):
+            labels = tuple(range(1, free + 1))
+            raw = sum(1 for _ in iter_words(n, labels))
+            assert raw == n * len(enumerate_classes(n, labels)), (n, free)
+
+
 def test_count_brute_hand_values():
+    assert count_brute(SurfaceSignature(0, (1,))) == 1
     assert count_brute(SurfaceSignature(0, (1, 1))) == 1
     assert count_brute(SurfaceSignature(1, (1,))) == 1
     assert count_brute(SurfaceSignature(0, (2, 0))) == 2

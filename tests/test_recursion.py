@@ -113,6 +113,19 @@ def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
 
 
+def test_save_gives_the_mode_of_a_plain_open(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        path = tmp_path / "memo.txt"
+        memo_store_save(CountTable(), path)
+        assert path.stat().st_mode & 0o777 == 0o644
+        path.chmod(0o600)
+        memo_store_save(CountTable(), path)
+        assert path.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(previous)
+
+
 def test_store_exact_format(tmp_path):
     memo = CountTable()
     count_recursive(SurfaceSignature(0, (1, 1)), memo)
@@ -142,6 +155,13 @@ def test_load_rejects_unknown_version(tmp_path):
 def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("#gluecount-cache v1\ng=0;ns=1,1;count=1\nwhat is this\n")
+    with pytest.raises(CacheError, match="line 3"):
+        memo_store_load(path)
+
+
+def test_load_rejects_overlong_count(tmp_path, default_int_digit_limit):
+    path = tmp_path / "long.txt"
+    path.write_text("#gluecount-cache v1\ng=0;ns=1,1;count=1\ng=1;ns=2;count=" + "9" * 5000 + "\n")
     with pytest.raises(CacheError, match="line 3"):
         memo_store_load(path)
 
