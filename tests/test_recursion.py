@@ -1,6 +1,7 @@
 """Cut recursion, memo transparency, and the persistent table format."""
 
 import itertools
+import math
 import os
 
 import pytest
@@ -36,6 +37,58 @@ def test_matches_closed_formula():
                     continue
                 sig = SurfaceSignature(genus, sizes)
                 assert count_recursive(sig, memo) == count_closed(sig)
+
+
+def _pairwise_scaled(genus, sizes, entries):
+    """T(genus; sizes) by the identity in the recursion module's docstring,
+    one index pair and one x at a time, storing plain counts in `entries`
+    under the keys count_recursive uses."""
+    if genus < 0 or not sizes:
+        return 0
+    sizes = tuple(sorted(sizes, reverse=True))
+    if genus == 0 and len(sizes) == 1:
+        return 1
+    zeros = math.factorial(sizes.count(0))
+    key = (genus, sizes)
+    if key not in entries:
+        m = [max(n, 1) for n in sizes]
+        total = 0
+        for i, j in itertools.combinations(range(len(sizes)), 2):
+            rest = [n for k, n in enumerate(sizes) if k not in (i, j)]
+            merged = (sizes[i] + sizes[j] + 2, *rest)
+            total += 2 * m[i] * m[j] * _pairwise_scaled(genus, merged, entries)
+        for i, n in enumerate(sizes):
+            rest = sizes[:i] + sizes[i + 1 :]
+            for x in range(1, n + 2):
+                total += m[i] * _pairwise_scaled(genus - 1, (n + 2 - x, x, *rest), entries)
+        scaled, rem = divmod(total, 2 * (len(sizes) + 2 * genus - 1))
+        assert rem == 0 and scaled % zeros == 0
+        entries[key] = scaled // zeros
+    return entries[key] * zeros
+
+
+def test_memo_matches_pairwise_reference():
+    memo = CountTable()
+    reference = {}
+    for genus in range(3):
+        for holes in range(1, 5):
+            for sizes in itertools.combinations_with_replacement(range(5), holes):
+                if sum(sizes) == 0:
+                    continue
+                count = count_recursive(SurfaceSignature(genus, sizes), memo)
+                scaled = _pairwise_scaled(genus, sizes, reference)
+                assert count * math.factorial(sizes.count(0)) == scaled
+    assert memo.entries == reference
+
+
+@pytest.mark.parametrize("genus, sizes", [(2, (4,) * 5), (1, (1, 1, 1, 1, 0, 0)), (0, (3,) * 6)])
+def test_repeated_sizes(genus, sizes):
+    memo = CountTable()
+    sig = SurfaceSignature(genus, sizes)
+    assert count_recursive(sig, memo) == count_closed(sig)
+    reference = {}
+    _pairwise_scaled(genus, sizes, reference)
+    assert memo.entries == reference
 
 
 def test_boundary_order_irrelevant():
@@ -110,6 +163,17 @@ def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
 
     memo_store_save(memo, path)
     assert memo_store_load(path) == memo
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
+
+
+def test_save_reports_overlong_count(tmp_path, default_int_digit_limit):
+    path = tmp_path / "memo.txt"
+    memo_store_save(CountTable(), path)
+    old = path.read_bytes()
+    memo = CountTable({(0, (1,)): 10**4400})
+    with pytest.raises(CacheError, match=r"g=0, ns=\(1,\).*limit of 4300"):
+        memo_store_save(memo, path)
+    assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
 
 
