@@ -120,12 +120,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
         value = count_closed(sig)
     elif args.method == "recursive":
         memo = memo_store_load(args.cache) if args.cache else CountTable()
+        loaded = len(memo)
         value = count_recursive(sig, memo)
         if args.cache:
             # Entries loaded from the file are trusted as written, so the
             # answer they produced is checked before it is printed or saved.
             _check_recursive(sig, count_closed(sig), value)
-            memo_store_save(memo, args.cache)
+            if len(memo) > loaded:
+                memo_store_save(memo, args.cache)
     else:
         value = count_brute(sig, cap=args.cap)
     print(value)
@@ -140,6 +142,7 @@ def _cmd_hz(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     memo = memo_store_load(args.cache) if args.cache else None
+    loaded = len(memo) if memo is not None else 0
     rows = []
     for sig in iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n):
         value = count_closed(sig)
@@ -162,7 +165,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         text = json.dumps(payload, indent=2) + "\n"
 
     _emit(text, args.out)
-    if memo is not None:
+    if memo is not None and len(memo) > loaded:
         memo_store_save(memo, args.cache)
     return 0
 

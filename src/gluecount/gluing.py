@@ -15,21 +15,33 @@ From the merged corners the surface is read off exactly:
 * genus from euler = 2 - 2*genus - boundary cycles;
 * a vertex class no free edge touches is a puncture (marked interior point).
 
+None of this depends on the labels. The genus, the punctures and the slot
+cycles (the free slots in boundary-walk order) are fixed by which slots are
+free and how the others pair: call that the word's *topology*. The labels
+only rename the slot cycles into the traced label cycles. This is the
+permutation model of maps (Lando & Zvonkin, *Graphs on Surfaces and Their
+Applications*, 2004, ch. 1). So each pairing is classified once and its
+label placements reuse the result.
+
 Two words are equivalent iff one is a rotation of the other, with glued-pair
 letters renamed consistently; free labels are never renamed. `canonicalize`
 returns the least encoding over all rotations, so equal canonical forms mean
-equivalent words. `count_brute` exhaustively counts equivalence classes whose
-surface matches a requested signature, labels and cyclic boundary order
-included (cyclic shifts only; traces are never compared reversed). A word
-with a free label has no rotational symmetry, so its class is exactly its N
-rotations and holds one word with label 1 in slot 0: `count_brute`
-classifies only those words and needs no canonical forms.
+equivalent words. A word with a free label has no rotational symmetry, so
+its class is exactly its N rotations and holds one word with a given label
+in slot 0. `count_brute` counts the classes whose surface matches a
+requested signature, labels and cyclic boundary order included (cyclic
+shifts only; traces are never compared reversed). It classifies each
+pairing with slot 0 free once, tallies them by shape, and counts the label
+placements with label 1 in slot 0 that fit the signature.
+`enumerate_classes` canonicalizes only the words with the least label in
+slot 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -39,6 +51,7 @@ from .errors import (
     DomainError,
     ParityError,
 )
+from .exact import factorial
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = [
@@ -190,34 +203,16 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _min_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    if len(cycle) <= 1:
-        return cycle
-    doubled = cycle + cycle
-    size = len(cycle)
-    return min(doubled[i : i + size] for i in range(size))
+Topology = tuple[int, int, tuple[tuple[int, ...], ...], list[int]]
 
 
-def _next_free(n: int, mu: list[int] | tuple[int, ...], k: int) -> int:
-    """The free slot the boundary walk reaches after free slot k: step to
-    k+1, then hop j -> mu[j]+1 while slot j is glued."""
-    step = (k + 1) % n
-    hops = 0
-    while mu[step] != -1:
-        step = (mu[step] + 1) % n
-        hops += 1
-        if hops > n:
-            raise ConsistencyError("boundary walk never reached a free slot")
-    return step
+def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
+    """Label-free surface data of a pairing: (genus, punctures, slot cycles, roots).
 
-
-def _classify(
-    n: int, mu: list[int] | tuple[int, ...], labels: list[int] | tuple[int, ...]
-) -> tuple[int, int, int, tuple[tuple[int, ...], ...], list[int]]:
-    """Surface data for one word: (euler, genus, punctures, cycles, roots).
-
-    `cycles` are the traced boundary label sequences, each rotated to its
-    least representative and the whole collection sorted; `roots` maps each
+    The slot cycles are the free slots in boundary-walk order: after free
+    slot k the walk steps to k+1, then hops j -> mu[j]+1 while slot j is
+    glued. Each cycle starts at its least slot and the cycles are listed by
+    that slot, so a free slot 0 opens the first one. `roots` maps each
     polygon corner to its merged-class representative.
     """
     parent = list(range(n))
@@ -243,17 +238,23 @@ def _classify(
     for start in range(n):
         if mu[start] != -1 or seen[start]:
             continue
-        trace = []
+        cycle = []
         k = start
         while True:
             seen[k] = True
-            trace.append(labels[k])
-            k = _next_free(n, mu, k)
+            cycle.append(k)
+            k = (k + 1) % n
+            hops = 0
+            while mu[k] != -1:
+                k = (mu[k] + 1) % n
+                hops += 1
+                if hops > n:
+                    raise ConsistencyError("boundary walk never reached a free slot")
             if k == start:
                 break
             if seen[k]:
                 raise ConsistencyError("boundary walk revisited a free slot")
-        cycles.append(_min_rotation(tuple(trace)))
+        cycles.append(tuple(cycle))
 
     boundary_count = len(cycles)
     doubled_genus = 2 - boundary_count - euler
@@ -270,31 +271,51 @@ def _classify(
             touched.add(roots[i])
             touched.add(roots[(i + 1) % n])
     punctures = len(set(roots) - touched)
-    return euler, genus, punctures, tuple(sorted(cycles)), roots
+    return genus, punctures, tuple(cycles), roots
 
 
-def _build_surface(
-    n: int, mu: list[int] | tuple[int, ...], labels: list[int] | tuple[int, ...]
+def _relabel(
+    slot_cycles: tuple[tuple[int, ...], ...], labels: list[int] | tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The traced boundary label sequences of a word with these slot cycles,
+    each rotated to start at its least label (free labels are distinct), the
+    collection sorted."""
+    traced = []
+    for cycle in slot_cycles:
+        sequence = [labels[k] for k in cycle]
+        start = sequence.index(min(sequence))
+        traced.append(tuple(sequence[start:] + sequence[:start]))
+    traced.sort()
+    return tuple(traced)
+
+
+def _surface(
+    n: int, topology: Topology, labels: list[int] | tuple[int, ...], turn: int = 0
 ) -> GluedSurface:
-    euler, genus, punctures, cycles, roots = _classify(n, mu, labels)
+    """The surface of a word with this topology and these labels, its
+    corners numbered as in the word read `turn` slots further along."""
+    genus, punctures, slot_cycles, roots = topology
     groups: dict[int, list[int]] = {}
     for v, root in enumerate(roots):
-        groups.setdefault(root, []).append(v)
-    classes = tuple(sorted(tuple(g) for g in groups.values()))
-    return GluedSurface(classes, cycles, punctures, genus, euler)
+        groups.setdefault(root, []).append((v - turn) % n)
+    classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    cycles = _relabel(slot_cycles, labels)
+    return GluedSurface(classes, cycles, punctures, genus, 2 - 2 * genus - len(cycles))
 
 
 def glue(word: GluingWord) -> GluedSurface:
     """Build the surface a word describes; raises ConsistencyError only if an
     internal invariant breaks (never for a merely unusual surface)."""
-    return _build_surface(word.size, word.pairing, word.labels)
+    return _surface(word.size, _topology(word.size, word.pairing), word.labels)
 
 
-def _canonical_bytes(
+def _canonical(
     n: int, mu: list[int] | tuple[int, ...], labels: list[int] | tuple[int, ...]
-) -> bytes:
+) -> tuple[bytes, int]:
+    """The least encoding over all rotations, and a rotation that gives it."""
     half = n // 2
     best: bytes | None = None
+    best_turn = 0
     for r in range(n):
         rename: dict[int, int] = {}
         fresh = 0
@@ -320,18 +341,28 @@ def _canonical_bytes(
         key = bytes(row)
         if best is None or key < best:
             best = key
+            best_turn = r
     assert best is not None
-    return best
+    return best, best_turn
 
 
 def canonicalize(word: GluingWord) -> CanonicalWord:
     """Least encoding over all rotations; glued letters renamed by first
     occurrence, free labels kept verbatim (glued codes sort before free)."""
-    return CanonicalWord(word.size, _canonical_bytes(word.size, word.pairing, word.labels))
+    return CanonicalWord(word.size, _canonical(word.size, word.pairing, word.labels)[0])
 
 
-def _validate_labels(labels: tuple[int, ...]) -> None:
-    if len(set(labels)) != len(labels):
+def _check_shape(n: int, labels: tuple[int, ...]) -> None:
+    if n < 1:
+        raise DomainError(f"polygon size must be >= 1, got {n}")
+    free = len(labels)
+    if free > n:
+        raise DomainError(f"{free} free labels cannot fit {n} slots")
+    if (n - free) % 2:
+        raise ParityError(
+            f"{n} slots minus {free} free labels leaves an odd number to pair"
+        )
+    if len(set(labels)) != free:
         raise DomainError("free labels must be pairwise distinct")
     for lab in labels:
         if lab < 1:
@@ -350,43 +381,43 @@ def _pairings(positions: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...
             yield ((first, partner),) + sub
 
 
-def _iter_raw(n: int, labels: tuple[int, ...]) -> Iterator[tuple[list[int], list[int]]]:
-    """Stream every raw word: all label placements x all pairings of the rest.
-
-    Yields borrowed (mu, labels) lists that the next step may overwrite;
-    callers must copy anything they keep.
-    """
-    if n < 1:
-        raise DomainError(f"polygon size must be >= 1, got {n}")
-    free = len(labels)
-    if free > n:
-        raise DomainError(f"{free} free labels cannot fit {n} slots")
-    if (n - free) % 2:
-        raise ParityError(
-            f"{n} slots minus {free} free labels leaves an odd number to pair"
+def _iter_topologies(
+    n: int, free: int, pinned: bool = False
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every topology of `n` slots with `free` of them free, that is every
+    choice of free slots (with `pinned`, only those including slot 0) and
+    every pairing of the rest: yields (free slots, mu). The caller checks
+    that the shape is valid."""
+    if pinned:
+        choices: Iterable[tuple[int, ...]] = (
+            (0,) + rest for rest in itertools.combinations(range(1, n), free - 1)
         )
-    _validate_labels(labels)
-    all_slots = range(n)
-    for free_pos in itertools.combinations(all_slots, free):
+    else:
+        choices = itertools.combinations(range(n), free)
+    for free_pos in choices:
         free_set = set(free_pos)
-        glued_pos = tuple(i for i in all_slots if i not in free_set)
-        matchings = list(_pairings(glued_pos))
-        for perm in itertools.permutations(labels):
-            labs = [0] * n
-            for pos, lab in zip(free_pos, perm):
-                labs[pos] = lab
-            for matching in matchings:
-                mu = [-1] * n
-                for a, b in matching:
-                    mu[a] = b
-                    mu[b] = a
-                yield mu, labs
+        glued_pos = tuple(i for i in range(n) if i not in free_set)
+        for matching in _pairings(glued_pos):
+            mu = [-1] * n
+            for a, b in matching:
+                mu[a] = b
+                mu[b] = a
+            yield free_pos, mu
 
 
 def iter_words(size: int, free_labels: Iterable[int] = ()) -> Iterator[GluingWord]:
-    """Stream every raw gluing word of `size` slots using the given labels."""
-    for mu, labs in _iter_raw(size, tuple(free_labels)):
-        yield GluingWord(tuple(mu), tuple(labs))
+    """Stream every raw gluing word of `size` slots using the given labels:
+    every pairing that leaves len(labels) slots free, with every placement
+    of the labels into them."""
+    labels = tuple(free_labels)
+    _check_shape(size, labels)
+    for free_pos, mu in _iter_topologies(size, len(labels)):
+        pairing = tuple(mu)
+        for perm in itertools.permutations(labels):
+            labs = [0] * size
+            for pos, lab in zip(free_pos, perm):
+                labs[pos] = lab
+            yield GluingWord(pairing, tuple(labs))
 
 
 def enumerate_classes(
@@ -394,17 +425,65 @@ def enumerate_classes(
 ) -> list[tuple[CanonicalWord, GluedSurface]]:
     """All equivalence classes of words, sorted by canonical encoding.
 
-    Exhausts every placement of the distinct labels into `size` slots and
-    every perfect pairing of the remaining slots, deduplicating by canonical
-    form; one representative surface is kept per class.
+    Each class comes with the surface of its representative: the rotation
+    whose encoding is the canonical one, so `vertex_classes` number the
+    corners of the canonical word. With free labels every class holds
+    exactly one word with the least label in slot 0, and only those words
+    are canonicalized. Without labels a rotation can fix a word, so every
+    pairing is canonicalized and duplicates are dropped by canonical form.
     """
     labels = tuple(free_labels)
-    classes: dict[bytes, GluedSurface] = {}
-    for mu, labs in _iter_raw(size, labels):
-        key = _canonical_bytes(size, mu, labs)
-        if key not in classes:
-            classes[key] = _build_surface(size, mu, labs)
-    return [(CanonicalWord(size, key), classes[key]) for key in sorted(classes)]
+    _check_shape(size, labels)
+    found: list[tuple[bytes, GluedSurface]] = []
+    if labels:
+        least, *others = sorted(labels)
+        for free_pos, mu in _iter_topologies(size, len(labels), pinned=True):
+            topology = _topology(size, mu)
+            for perm in itertools.permutations(others):
+                labs = [0] * size
+                labs[0] = least
+                for pos, lab in zip(free_pos[1:], perm):
+                    labs[pos] = lab
+                key, turn = _canonical(size, mu, labs)
+                found.append((key, _surface(size, topology, labs, turn)))
+    else:
+        classes: dict[bytes, GluedSurface] = {}
+        for _, mu in _iter_topologies(size, 0):
+            key, turn = _canonical(size, mu, ())
+            if key not in classes:
+                classes[key] = _surface(size, _topology(size, mu), (), turn)
+        found = list(classes.items())
+    found.sort(key=lambda item: item[0])
+    return [(CanonicalWord(size, key), surface) for key, surface in found]
+
+
+def _slot0_histogram(n: int, free: int) -> Counter:
+    """The topologies of `n` slots with `free` free slots, slot 0 among them,
+    counted by shape: (genus, punctures, length of slot 0's cycle, sorted
+    lengths of the other cycles)."""
+    histogram: Counter = Counter()
+    for _, mu in _iter_topologies(n, free, pinned=True):
+        genus, punctures, cycles, _ = _topology(n, mu)
+        others = tuple(sorted(len(c) for c in cycles[1:]))
+        histogram[genus, punctures, len(cycles[0]), others] += 1
+    return histogram
+
+
+def _placements(histogram: Counter, sig: SurfaceSignature) -> int:
+    """count_brute's answer for `sig`, read from the slot-0 histogram of its
+    polygon size and boundary edge total.
+
+    Label 1 sits in slot 0, so slot 0's cycle carries the boundary holding
+    label 1 and exactly one placement of that boundary's labels fits it. The
+    c_l other boundaries of size l take c_l other cycles of length l, in
+    c_l! orders and with l cyclic shifts each.
+    """
+    first, *others = (size for size in sig.boundary_sizes if size)
+    others.sort()
+    weight = 1
+    for size, count in Counter(others).items():
+        weight *= factorial(count) * size**count
+    return weight * histogram[sig.genus, sig.puncture_count, first, tuple(others)]
 
 
 def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -414,37 +493,13 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     order the signature lists its boundaries); a class matches when genus and
     puncture count agree and the traced cycles equal the labeled targets up
     to cyclic shift, under some assignment of traces to boundaries. Each
-    class is represented by its one word with label 1 in slot 0, so only
-    those words (1/N of all raw words) are built and classified. Refuses
-    polygons larger than `cap` rather than grinding silently.
+    class is represented by its one word with label 1 in slot 0. Labels only
+    rename a pairing's slot cycles, so every pairing with slot 0 free is
+    classified once and the label placements that match are counted (see
+    `_placements`). Refuses polygons larger than `cap` rather than grinding
+    silently.
     """
     n = polygon_size(sig)
     if n > cap:
         raise CapExceededError(f"polygon size {n} exceeds enumeration cap {cap}")
-    genus = sig.genus
-    puncture_target = sig.puncture_count
-    labels = tuple(range(1, sig.boundary_edge_total + 1))
-    targets = []
-    next_label = 1
-    for size in sig.boundary_sizes:
-        if size:
-            targets.append(_min_rotation(tuple(range(next_label, next_label + size))))
-            next_label += size
-    target_cycles = tuple(sorted(targets))
-
-    if n == 1:
-        pinned: Iterable[tuple[list[int], list[int]]] = [([-1], [1])]
-    else:
-        pinned = (
-            ([-1] + [p + 1 if p >= 0 else -1 for p in mu], [1] + labs)
-            for mu, labs in _iter_raw(n - 1, labels[1:])
-        )
-    # Free labels are distinct and SurfaceSignature guarantees at least one,
-    # so no rotation fixes a word: each class holds exactly n raw words, and
-    # exactly one of them has label 1 in slot 0. Counting those counts classes.
-    matches = 0
-    for mu, labs in pinned:
-        _, g, punct, cycles, _ = _classify(n, mu, labs)
-        if g == genus and punct == puncture_target and cycles == target_cycles:
-            matches += 1
-    return matches
+    return _placements(_slot0_histogram(n, sig.boundary_edge_total), sig)

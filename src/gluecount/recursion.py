@@ -87,16 +87,20 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     (37k entries); g=6 with five boundaries of size 4 takes 1.2 s (22.5k
     entries). g=0 with 100 boundaries of size 1 is out of practical reach.
     """
-    table = memo if memo is not None else CountTable()
+    entries = memo.entries if memo is not None else {}
+    sizes = sig.sorted_sizes()
+    hit = entries.get((sig.genus, sizes))
+    if hit is not None:
+        return hit
     try:
-        return _count_normalized(sig.genus, sig.sorted_sizes(), table.entries)
+        return _count_normalized(sig.genus, sizes, entries)
     except RecursionError:
         raise DomainError(f"recursion too deep for g={sig.genus}, L={sig.holes}") from None
 
 
 def _scaled(genus: int, child: tuple[int, ...], entries: dict[MemoKey, int]) -> int:
     """T(genus; child) for an unsorted child: sort once, then probe the memo
-    here so that a hit costs no further call."""
+    here, the one probe of the recursion, so that a hit costs no further call."""
     sizes = tuple(sorted(child, reverse=True))
     plain = entries.get((genus, sizes))
     if plain is None:
@@ -106,13 +110,11 @@ def _scaled(genus: int, child: tuple[int, ...], entries: dict[MemoKey, int]) -> 
 
 
 def _count_normalized(genus: int, sizes: tuple[int, ...], entries: dict[MemoKey, int]) -> int:
+    """The plain count for sorted `sizes`, computed and stored; the callers
+    have already found no memo entry for it."""
     holes = len(sizes)
     if genus == 0 and holes == 1:
         return 1
-    key = (genus, sizes)
-    hit = entries.get(key)
-    if hit is not None:
-        return hit
 
     # Equal sizes give equal children, so each distinct size u is visited
     # once, at its first index, and weighted by its multiplicity.
@@ -153,7 +155,7 @@ def _count_normalized(genus: int, sizes: tuple[int, ...], entries: dict[MemoKey,
         raise ConsistencyError(
             f"zero-size normalization not exact at g={genus}, ns={sizes}"
         )
-    entries[key] = plain
+    entries[genus, sizes] = plain
     return plain
 
 

@@ -12,8 +12,8 @@ from typing import Iterator
 
 from .errors import GluecountError
 from .exact import double_factorial_odd, factorial
-from .formula import SurfaceSignature, count_closed
-from .gluing import _classify, _iter_raw, _next_free, count_brute
+from .formula import SurfaceSignature, count_closed, polygon_size
+from .gluing import _iter_topologies, _placements, _relabel, _slot0_histogram, _topology
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric
 from .recursion import CountTable, count_recursive
 
@@ -155,12 +155,18 @@ def suite_closed_vs_recursive(
     return SuiteResult(name, True, checked)
 
 
-def suite_brute_oracle(max_polygon: int = 9) -> SuiteResult:
-    """Exhaustive enumeration against the closed formula, small polygons."""
+def suite_brute_oracle(max_polygon: int = 12) -> SuiteResult:
+    """Exhaustive enumeration against the closed formula, small polygons.
+    Signatures with the same polygon size and boundary edge total share one
+    slot-0 histogram, as `count_brute` would build it."""
     name = f"brute-vs-closed N<={max_polygon}"
     checked = 0
+    histograms = {}
     for sig in iter_polygon_signatures(max_polygon):
-        brute = count_brute(sig, cap=max_polygon)
+        shape = (polygon_size(sig), sig.boundary_edge_total)
+        if shape not in histograms:
+            histograms[shape] = _slot0_histogram(*shape)
+        brute = _placements(histograms[shape], sig)
         closed = count_closed(sig)
         checked += 1
         if brute != closed:
@@ -302,38 +308,70 @@ def suite_row_sums(max_n: int = 10) -> SuiteResult:
     return SuiteResult(name, True, checked)
 
 
+def _label_cycles(
+    slot_cycles: tuple[tuple[int, ...], ...], labels: list[int]
+) -> list[tuple[int, ...]]:
+    """Trace a word's boundaries by label: each cycle from its least label,
+    the cycles in the order of that label."""
+    following = {
+        labels[slot]: labels[after]
+        for cycle in slot_cycles
+        for slot, after in zip(cycle, cycle[1:] + cycle[:1])
+    }
+    traced = []
+    while following:
+        label = min(following)
+        cycle = []
+        while label in following:
+            cycle.append(label)
+            label = following.pop(label)
+        traced.append(tuple(cycle))
+    return traced
+
+
 def suite_structural(max_polygon: int = 9) -> SuiteResult:
-    """Per-word invariants over every raw word up to max_polygon slots:
-    size bookkeeping, integer genus, and boundary-walk totality."""
+    """Invariants over every raw word up to max_polygon slots.
+
+    Each pairing is classified once: its boundary walks must partition its
+    free slots, and its sizes must add up (N = sum + 4g + 2L - 2). Each
+    placement of labels into those slots is then one check: the word's
+    label cycles, traced by label, are the pairing's slot cycles relabelled.
+    """
     name = f"structural-invariants N<={max_polygon}"
     checked = 0
     for n in range(1, max_polygon + 1):
         for free in range(n % 2, n + 1, 2):
             labels = tuple(range(1, free + 1))
-            for mu, labs in _iter_raw(n, labels):
-                checked += 1
-                free_slots = {i for i in range(n) if mu[i] == -1}
+            for free_pos, mu in _iter_topologies(n, free):
                 try:
-                    # Walk totality: the free-to-free successor map is a bijection.
-                    images = {_next_free(n, mu, i) for i in free_slots}
-                    if images != free_slots:
-                        return SuiteResult(
-                            name, False, checked,
-                            f"successor map not a bijection for mu={mu}",
-                        )
-                    _, genus, punctures, cycles, _ = _classify(n, mu, labs)
+                    genus, punctures, cycles, _ = _topology(n, mu)
                 except GluecountError as exc:
                     return SuiteResult(
                         name, False, checked, f"walk or classify failed for mu={mu}: {exc}"
                     )
-                total = sum(len(c) for c in cycles)
+                if sorted(itertools.chain.from_iterable(cycles)) != list(free_pos):
+                    return SuiteResult(
+                        name, False, checked,
+                        f"boundary walks do not partition the free slots for mu={mu}",
+                    )
                 holes = len(cycles) + punctures
-                if total + 4 * genus + 2 * holes - 2 != n:
+                if free + 4 * genus + 2 * holes - 2 != n:
                     return SuiteResult(
                         name, False, checked,
                         f"size bookkeeping broken for mu={mu}: "
-                        f"sum={total}, g={genus}, holes={holes}, n={n}",
+                        f"sum={free}, g={genus}, holes={holes}, n={n}",
                     )
+                for perm in itertools.permutations(labels):
+                    checked += 1
+                    labs = [0] * n
+                    for pos, lab in zip(free_pos, perm):
+                        labs[pos] = lab
+                    if _label_cycles(cycles, labs) != list(_relabel(cycles, labs)):
+                        return SuiteResult(
+                            name, False, checked,
+                            f"relabelled cycles differ from the traced ones for "
+                            f"mu={mu}, labels={labs}",
+                        )
     return SuiteResult(name, True, checked)
 
 
@@ -350,7 +388,7 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         return [
             suite_hz_table(max_agree=8),
             suite_closed_vs_recursive(3, 4, 6),
-            suite_brute_oracle(9),
+            suite_brute_oracle(12),
             suite_gf_identity(13),
             suite_specializations(12),
             suite_row_sums(10),

@@ -69,6 +69,31 @@ def test_count_recursive_cache_roundtrip(capsys, tmp_path):
     assert (code, out) == (0, "5\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--genus", "1", "--holes", "2,1", "--method", "recursive"),
+        ("table", "--max-genus", "1", "--max-holes", "2", "--max-n", "2"),
+    ],
+)
+def test_warm_cache_query_leaves_the_file_alone(capsys, tmp_path, argv):
+    cache = tmp_path / "memo.txt"
+    code, first, _ = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    os.chmod(cache, 0o640)
+    os.utime(cache, ns=(1_000_000_000, 1_000_000_000))
+    before = cache.stat()
+    data = cache.read_bytes()
+    # Every entry the query needs is now in the file, so nothing is saved.
+    code, again, _ = run(capsys, *argv, "--cache", str(cache))
+    assert (code, again) == (0, first)
+    after = cache.stat()
+    assert cache.read_bytes() == data
+    assert (after.st_mode, after.st_mtime_ns, after.st_ino) == (
+        before.st_mode, before.st_mtime_ns, before.st_ino,
+    )
+
+
 def test_count_recursive_too_deep_is_exit_two(capsys):
     holes = ",".join(["1"] * 600)
     code, out, err = run(

@@ -1,5 +1,6 @@
 """Explicit gluing words: surfaces, canonical forms, exhaustive counts."""
 
+import functools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from gluecount import (
     glue,
     iter_words,
 )
+from gluecount.formula import polygon_size
+from gluecount.verify import iter_polygon_signatures
 
 
 def word(text):
@@ -220,15 +223,92 @@ def test_enumerate_pentagon_single_label():
     assert genus_counts == [0, 0, 1]
 
 
-def test_each_class_holds_n_raw_words():
-    # What count_brute rests on: with at least one (distinct) free label no
-    # rotation fixes a word, so every class is exactly n rotations. The
-    # canonical-form classes are the reference here.
+@pytest.fixture(scope="module")
+def canonical_classes():
+    """Per (n, labels 1..f) with n <= 8: the number of raw words and the set
+    of their canonical forms."""
+    found = {}
     for n in range(1, 9):
-        for free in range(n % 2 or 2, n + 1, 2):
-            labels = tuple(range(1, free + 1))
-            raw = sum(1 for _ in iter_words(n, labels))
-            assert raw == n * len(enumerate_classes(n, labels)), (n, free)
+        for labels in label_runs(n):
+            forms = [canonicalize(w) for w in iter_words(n, labels)]
+            found[n, labels] = (len(forms), set(forms))
+    return found
+
+
+def test_each_class_holds_n_raw_words(canonical_classes):
+    # What count_brute and enumerate_classes rest on: with at least one
+    # (distinct) free label no rotation fixes a word, so every class is
+    # exactly n rotations.
+    for (n, labels), (raw, classes) in canonical_classes.items():
+        if labels:
+            assert raw == n * len(classes), (n, labels)
+
+
+def test_enumerate_classes_are_the_canonical_forms(canonical_classes):
+    for (n, labels), (_, classes) in canonical_classes.items():
+        if n <= 7:
+            listed = [canon for canon, _ in enumerate_classes(n, labels)]
+            assert listed == sorted(classes, key=lambda c: c.encoded), (n, labels)
+    # Labels other than 1..f: the least one is pinned to slot 0.
+    for labels in [(5, 2), (9, 4, 7), (3, 1, 2)]:
+        n = len(labels) + 2
+        expected = {canonicalize(w) for w in iter_words(n, labels)}
+        listed = [canon for canon, _ in enumerate_classes(n, labels)]
+        assert listed == sorted(expected, key=lambda c: c.encoded), labels
+
+
+def test_enumerate_representative_is_the_canonical_rotation():
+    for n, labels in [(4, ()), (6, ()), (5, (1,)), (6, (3, 1)), (7, (2, 5, 1))]:
+        for canon, surface in enumerate_classes(n, labels):
+            # from_letters renumbers the free labels, so compare everything
+            # but the boundary labels.
+            rebuilt = glue(GluingWord.from_letters(canon.text()))
+            assert rebuilt.vertex_classes == surface.vertex_classes
+            assert rebuilt.boundary_profile == surface.boundary_profile
+            assert (rebuilt.genus, rebuilt.euler_char) == (surface.genus, surface.euler_char)
+
+
+@functools.cache
+def pinned_surfaces(n, free):
+    """(genus, punctures, boundary cycles) of every word on `n` slots with
+    labels 1..free and label 1 in slot 0."""
+    if n == 1:
+        pinned = [GluingWord((-1,), (1,))]
+    else:
+        pinned = (
+            GluingWord(
+                (-1,) + tuple(p + 1 if p >= 0 else -1 for p in w.pairing), (1,) + w.labels
+            )
+            for w in iter_words(n - 1, tuple(range(2, free + 1)))
+        )
+    surfaces = [glue(w) for w in pinned]
+    return [(s.genus, s.puncture_count, s.boundary_cycles) for s in surfaces]
+
+
+def count_by_words(sig):
+    """The per-word count, a reference for count_brute: every class holds one
+    word with label 1 in slot 0; count those whose surface matches `sig`."""
+    targets = []
+    next_label = 1
+    for size in sig.boundary_sizes:
+        if size:
+            targets.append(tuple(range(next_label, next_label + size)))
+            next_label += size
+    wanted = (sig.genus, sig.puncture_count, tuple(sorted(targets)))
+    surfaces = pinned_surfaces(polygon_size(sig), sig.boundary_edge_total)
+    return sum(1 for surface in surfaces if surface == wanted)
+
+
+def test_placement_rule_matches_the_per_word_count():
+    checked = 0
+    for sig in iter_polygon_signatures(8):
+        assert count_brute(sig) == count_by_words(sig), sig
+        checked += 1
+    assert checked == 43
+    # Boundary order decides which boundary holds label 1.
+    for sizes in [(1, 2, 1), (0, 1, 2), (1, 3), (0, 1, 0, 1)]:
+        sig = SurfaceSignature(0, sizes)
+        assert count_brute(sig) == count_by_words(sig) == count_closed(sig)
 
 
 def test_count_brute_hand_values():
