@@ -3,8 +3,8 @@
 Subcommands: count (one signature), hz (closed-surface numbers), table
 (bulk CSV/JSON emission), enumerate (class dumps), verify (consistency
 suites). Exit codes: 0 success, 1 verification or consistency failure,
-2 usage error. All output is deterministic and every count is printed as a
-decimal integer, never a float.
+2 usage error, 130 interrupted (Ctrl-C). All output is deterministic and
+every count is printed as a decimal integer, never a float.
 """
 
 from __future__ import annotations
@@ -171,10 +171,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.N > args.cap:
-        raise DomainError(f"polygon size {args.N} exceeds enumeration cap {args.cap}")
     lines = []
-    for canon, surface in enumerate_classes(args.N, args.labels):
+    for canon, surface in enumerate_classes(args.N, args.labels, cap=args.cap):
         boundaries = ",".join(
             "(" + ",".join(str(lab) for lab in cycle) + ")"
             for cycle in surface.boundary_cycles
@@ -223,6 +221,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def run() -> None:

@@ -14,6 +14,7 @@ such gluings directly, as an exact integer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,18 +76,40 @@ def polygon_size(sig: SurfaceSignature) -> int:
     return sig.boundary_edge_total + 4 * sig.genus + 2 * sig.holes - 2
 
 
+def _power(a: list[Fraction], exponent: int) -> list[Fraction]:
+    """Coefficients of t^0..t^K in a(t)**exponent, for K = len(a) - 1 and
+    a[0] == 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,
+    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j). It costs
+    O(K^2) whatever the exponent.
+    """
+    p = [Fraction(1)]
+    for i in range(1, len(a)):
+        acc = sum(((exponent + 1) * j - i) * a[j] * p[i - j] for j in range(1, i + 1))
+        p.append(acc / i)
+    return p
+
+
 def _split_sum(genus: int, sizes: tuple[int, ...]) -> Fraction:
     """[t^genus] of prod_k F_{n_k}(t), F_n(t) = sum_p (2p+n)!/(n!(2p+1)!) t^p:
     the sum over splittings p_1+...+p_L = genus of prod_k [t^(p_k)] F_{n_k}.
-    Truncated convolution costs O(L*genus^2) exact operations; listing the
-    splittings would take C(genus+L-1, L-1) terms."""
-    acc = [Fraction(1)] + [Fraction(0)] * genus
-    for n in sizes:
+    Each distinct size's F_n is raised to its multiplicity by `_power`, and
+    the D >= 1 distinct factors are multiplied, truncated at t^genus:
+    O(D*genus^2) exact operations; listing the splittings would take
+    C(genus+L-1, L-1)."""
+    acc = None
+    for n, count in Counter(sizes).items():
         f = [
             Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1))
             for p in range(genus + 1)
         ]
-        acc = [sum(acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)]
+        if count > 1:
+            f = _power(f, count)
+        if acc is None:
+            acc = f
+        else:
+            acc = [sum(acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)]
     return acc[genus]
 
 
@@ -103,7 +126,8 @@ def count_closed(sig: SurfaceSignature) -> int:
         prod_k (2p_k + n_k)! / (n_k! * (2p_k + 1)!)
 
     where S = sum(n_i), z = number of zero sizes, and m_k = max(n_k, 1).
-    `_split_sum` takes the splitting sum in time polynomial in g and L.
+    `_split_sum` takes the splitting sum in time polynomial in g and the
+    number of distinct sizes.
     Every division cancels; a non-integer result would mean a programming
     error and raises ConsistencyError rather than truncating.
     """

@@ -39,6 +39,7 @@ slot 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import Counter
@@ -421,7 +422,7 @@ def iter_words(size: int, free_labels: Iterable[int] = ()) -> Iterator[GluingWor
 
 
 def enumerate_classes(
-    size: int, free_labels: Iterable[int] = ()
+    size: int, free_labels: Iterable[int] = (), cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[CanonicalWord, GluedSurface]]:
     """All equivalence classes of words, sorted by canonical encoding.
 
@@ -431,7 +432,10 @@ def enumerate_classes(
     exactly one word with the least label in slot 0, and only those words
     are canonicalized. Without labels a rotation can fix a word, so every
     pairing is canonicalized and duplicates are dropped by canonical form.
+    Refuses polygons larger than `cap`, as `count_brute` does.
     """
+    if size > cap:
+        raise CapExceededError(f"polygon size {size} exceeds enumeration cap {cap}")
     labels = tuple(free_labels)
     _check_shape(size, labels)
     found: list[tuple[bytes, GluedSurface]] = []
@@ -457,6 +461,8 @@ def enumerate_classes(
     return [(CanonicalWord(size, key), surface) for key, surface in found]
 
 
+# Shared by every count_brute call with this shape: never mutate the result.
+@functools.cache
 def _slot0_histogram(n: int, free: int) -> Counter:
     """The topologies of `n` slots with `free` free slots, slot 0 among them,
     counted by shape: (genus, punctures, length of slot 0's cycle, sorted
@@ -483,6 +489,7 @@ def _placements(histogram: Counter, sig: SurfaceSignature) -> int:
     weight = 1
     for size, count in Counter(others).items():
         weight *= factorial(count) * size**count
+    # Counter's lookup of a missing shape gives 0 and inserts nothing.
     return weight * histogram[sig.genus, sig.puncture_count, first, tuple(others)]
 
 
@@ -495,9 +502,9 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     to cyclic shift, under some assignment of traces to boundaries. Each
     class is represented by its one word with label 1 in slot 0. Labels only
     rename a pairing's slot cycles, so every pairing with slot 0 free is
-    classified once and the label placements that match are counted (see
-    `_placements`). Refuses polygons larger than `cap` rather than grinding
-    silently.
+    classified once per (N, boundary edge total), shared by all calls, and
+    the label placements that match are counted (see `_placements`).
+    Refuses polygons larger than `cap` rather than grinding silently.
     """
     n = polygon_size(sig)
     if n > cap:

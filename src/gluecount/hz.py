@@ -4,9 +4,10 @@ eps_g(N) counts complete pairwise gluings of a 2N-gon into a closed
 orientable genus-g surface. Three ways to compute it live here:
 
 * ``hz_sum``          -- a finite sum over genus splittings (the reference route),
-  shared with the closed formula and taken by truncated convolution;
+  shared with the closed formula: its N-2g+1 equal factors make one power;
 * ``hz_tanh``         -- coefficient extraction from ((x/2)/tanh(x/2))^(N+1),
-  by Miller's power recurrence on the exact coefficients of (x/2)/tanh(x/2);
+  a power of the exact coefficients of (x/2)/tanh(x/2). ``formula._power``
+  (Miller's recurrence) takes both powers;
 * ``hz_from_gluing_counts`` -- the boundary specialization: a genus-g surface
   with one 1-gon boundary and N-2g punctures is produced by gluings of the
   same 2N-gon with one edge left free, so the polygon count with signature
@@ -17,8 +18,8 @@ exact integers.
 
 ``gf_identity_check`` tests hz_sum against the bivariate generating function
 ((1+x)/(1-x))^y, whose coefficients come from the recurrence of
-(1-x^2) F' = 2y F. Both series routines are private: each computes only the
-coefficients its caller reads, as lists of Fractions.
+(1-x^2) F' = 2y F. The series routines here are private: each computes only
+the coefficients its caller reads, as lists of Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .exact import double_factorial_odd, factorial
-from .formula import SurfaceSignature, _split_sum, count_closed
+from .formula import SurfaceSignature, _power, _split_sum, count_closed
 
 __all__ = [
     "hz_sum",
@@ -57,7 +58,8 @@ def hz_sum(genus: int, n: int) -> int:
                    p_1+...+p_L = g of prod_k 1/(2p_k + 1).
 
     This is the splitting sum of `count_closed` with every size 0, whose
-    factor (2p)!/(2p+1)! is 1/(2p+1); `formula._split_sum` evaluates it.
+    factor (2p)!/(2p+1)! is 1/(2p+1); `formula._split_sum` evaluates it as
+    one power of that single factor.
     """
     _validate(genus, n)
     if n < 2 * genus:
@@ -89,20 +91,6 @@ def _half_ratio_coeffs(genus: int) -> list[Fraction]:
     return out
 
 
-def _power_coeff(a: list[Fraction], exponent: int) -> Fraction:
-    """[t^K] a(t)**exponent for K = len(a) - 1 and a[0] == 1.
-
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,
-    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j). It costs
-    O(K^2) whatever the exponent.
-    """
-    p = [Fraction(1)]
-    for i in range(1, len(a)):
-        acc = sum(((exponent + 1) * j - i) * a[j] * p[i - j] for j in range(1, i + 1))
-        p.append(acc / i)
-    return p[-1]
-
-
 def hz_tanh(genus: int, n: int) -> int:
     """eps_g(N) by series coefficient extraction:
 
@@ -111,7 +99,7 @@ def hz_tanh(genus: int, n: int) -> int:
     _validate(genus, n)
     if n < 2 * genus:
         return 0
-    c = _power_coeff(_half_ratio_coeffs(genus), n + 1)
+    c = _power(_half_ratio_coeffs(genus), n + 1)[genus]
     value = Fraction(factorial(2 * n), factorial(n + 1) * factorial(n - 2 * genus)) * c
     if value.denominator != 1:
         raise ConsistencyError(f"hz_tanh produced non-integer {value} at g={genus}, N={n}")

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import GluecountError
+from .errors import ConsistencyError, GluecountError
 from .exact import double_factorial_odd, factorial
-from .formula import SurfaceSignature, count_closed, polygon_size
-from .gluing import _iter_topologies, _placements, _relabel, _slot0_histogram, _topology
+from .formula import SurfaceSignature, count_closed
+from .gluing import _iter_topologies, _relabel, _topology, count_brute
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric
 from .recursion import CountTable, count_recursive
 
@@ -61,20 +61,6 @@ class SuiteResult:
         return f"FAIL {self.name}: {self.failure}"
 
 
-def _desc_parts(total: int, length: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of `length` parts in 0..bound summing to `total`."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    top = min(total, bound)
-    for head in range(top, -1, -1):
-        if head * length < total:
-            break
-        for tail in _desc_parts(total - head, length - 1, head):
-            yield (head,) + tail
-
-
 def iter_bounded_signatures(
     max_genus: int, max_holes: int, max_n: int
 ) -> Iterator[SurfaceSignature]:
@@ -82,28 +68,49 @@ def iter_bounded_signatures(
     every size <= max_n; sorted by (g, L, sizes)."""
     for g in range(max_genus + 1):
         for holes in range(1, max_holes + 1):
-            seen = []
-            for total in range(1, holes * max_n + 1):
-                for parts in _desc_parts(total, holes, max_n):
-                    seen.append(parts)
-            for parts in sorted(seen):
-                yield SurfaceSignature(g, parts)
+            descending = range(max_n, -1, -1)
+            for parts in sorted(itertools.combinations_with_replacement(descending, holes)):
+                if any(parts):
+                    yield SurfaceSignature(g, parts)
 
 
 def iter_polygon_signatures(max_polygon: int) -> Iterator[SurfaceSignature]:
     """All valid normalized signatures whose polygon has <= max_polygon edges."""
     for n in range(1, max_polygon + 1):
         for g in range(0, (n + 2) // 4 + 1):
-            for holes in range(1, (n + 2 - 4 * g) // 2 + 1):
+            for holes in range(1, (n + 1 - 4 * g) // 2 + 1):
                 total = n + 2 - 4 * g - 2 * holes
-                if total < 1:
-                    continue
-                for parts in _desc_parts(total, holes, total):
-                    yield SurfaceSignature(g, parts)
+                descending = range(total, -1, -1)
+                for parts in itertools.combinations_with_replacement(descending, holes):
+                    if sum(parts) == total:
+                        yield SurfaceSignature(g, parts)
 
 
-def suite_hz_table(max_agree: int = 8) -> SuiteResult:
-    """Classical table by all three routes, plus triple agreement to max_agree."""
+def _hz_recurrence(max_n: int) -> list[list[int]]:
+    """eps[g][N] for N <= max_n and g <= max_n // 2 + 1, from eps_0(0) = 1 and
+
+        (N+1) eps_g(N) = 2(2N-1) eps_g(N-1) + (N-1)(2N-1)(2N-3) eps_{g-1}(N-2)
+
+    (Harer & Zagier, Invent. Math. 85, 1986). It takes integers only and
+    calls none of the three routes, so it checks each of them independently.
+    """
+    max_genus = max_n // 2 + 1
+    eps = [[0] * (max_n + 1) for _ in range(max_genus + 1)]
+    eps[0][0] = 1
+    for n in range(1, max_n + 1):
+        for g in range(max_genus + 1):
+            total = 2 * (2 * n - 1) * eps[g][n - 1]
+            if g and n >= 2:
+                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1][n - 2]
+            eps[g][n], remainder = divmod(total, n + 1)
+            if remainder:
+                raise ConsistencyError(f"recurrence left remainder {remainder} at g={g}, N={n}")
+    return eps
+
+
+def suite_hz_table(max_agree: int = 60) -> SuiteResult:
+    """Classical table by all three routes, plus each route against the
+    Harer-Zagier recurrence to N = max_agree (one check per (g, N))."""
     name = "hz-table-three-routes"
     checked = 0
     routes = (("sum", hz_sum), ("series", hz_tanh), ("gluing", hz_from_gluing_counts))
@@ -118,14 +125,16 @@ def suite_hz_table(max_agree: int = 8) -> SuiteResult:
                         name, False, checked,
                         f"{label} route gives {got} at g={g}, N={n}, expected {expected}",
                     )
+    eps = _hz_recurrence(max_agree)
     for n in range(1, max_agree + 1):
         for g in range(0, n // 2 + 2):
             a, b, c = hz_sum(g, n), hz_tanh(g, n), hz_from_gluing_counts(g, n)
             checked += 1
-            if not (a == b == c):
+            if not (a == b == c == eps[g][n]):
                 return SuiteResult(
                     name, False, checked,
-                    f"routes disagree at g={g}, N={n}: sum={a}, series={b}, gluing={c}",
+                    f"routes disagree at g={g}, N={n}: recurrence={eps[g][n]}, "
+                    f"sum={a}, series={b}, gluing={c}",
                 )
     return SuiteResult(name, True, checked)
 
@@ -156,17 +165,11 @@ def suite_closed_vs_recursive(
 
 
 def suite_brute_oracle(max_polygon: int = 12) -> SuiteResult:
-    """Exhaustive enumeration against the closed formula, small polygons.
-    Signatures with the same polygon size and boundary edge total share one
-    slot-0 histogram, as `count_brute` would build it."""
+    """Exhaustive enumeration against the closed formula, small polygons."""
     name = f"brute-vs-closed N<={max_polygon}"
     checked = 0
-    histograms = {}
     for sig in iter_polygon_signatures(max_polygon):
-        shape = (polygon_size(sig), sig.boundary_edge_total)
-        if shape not in histograms:
-            histograms[shape] = _slot0_histogram(*shape)
-        brute = _placements(histograms[shape], sig)
+        brute = count_brute(sig, cap=max_polygon)
         closed = count_closed(sig)
         checked += 1
         if brute != closed:
@@ -386,7 +389,7 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         ]
     if level == "full":
         return [
-            suite_hz_table(max_agree=8),
+            suite_hz_table(max_agree=60),
             suite_closed_vs_recursive(3, 4, 6),
             suite_brute_oracle(12),
             suite_gf_identity(13),

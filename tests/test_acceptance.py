@@ -23,7 +23,7 @@ def report(result):
 
 
 def test_acceptance_hz_table_three_routes():
-    report(suite_hz_table(max_agree=8))
+    report(suite_hz_table(max_agree=60))
 
 
 def test_acceptance_closed_vs_recursive():

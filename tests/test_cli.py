@@ -265,6 +265,20 @@ def test_enumerate_errors(capsys):
     assert code == 2
     assert "odd" in err
     assert run(capsys, "enumerate", "--N", "20")[0] == 2
+    # The cap is checked before the parity.
+    code, _, err = run(capsys, "enumerate", "--N", "13", "--labels", "1,2")
+    assert (code, err) == (2, "error: polygon size 13 exceeds enumeration cap 12\n")
+    code, _, err = run(capsys, "enumerate", "--N", "5", "--labels", "1", "--cap", "4")
+    assert (code, err) == (2, "error: polygon size 5 exceeds enumeration cap 4\n")
+
+
+def test_interrupt_is_exit_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("gluecount.cli._cmd_count", interrupted)
+    code, out, err = run(capsys, "count", "--genus", "0", "--holes", "1")
+    assert (code, out, err) == (130, "", "interrupted\n")
 
 
 def test_verify_quick(capsys):

@@ -13,7 +13,7 @@ from gluecount import (
     factorial,
     polygon_size,
 )
-from gluecount.formula import _split_sum
+from gluecount.formula import _power, _split_sum
 
 
 def test_signature_rejects_no_boundaries():
@@ -144,3 +144,49 @@ def test_split_sum_matches_composition_sum():
                             term *= factor(p, n)
                         expected += term
                 assert _split_sum(g, sizes) == expected, (g, sizes)
+
+
+def _factor(genus, n):
+    return [
+        Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1))
+        for p in range(genus + 1)
+    ]
+
+
+def _times(a, b):
+    """a*b truncated at the length of a (both the same length)."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _split_sum_by_boundary(genus, sizes):
+    # The splitting sum with one truncated product per boundary: the
+    # reference for the grouping of equal sizes in `_split_sum`.
+    acc = [Fraction(1)] + [Fraction(0)] * genus
+    for n in sizes:
+        acc = _times(acc, _factor(genus, n))
+    return acc[genus]
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(0,) * k for k in (1, 2, 3, 7, 40)]
+    + [(1,) + (0,) * k for k in (1, 2, 5, 39)]
+    + [(3,) * 12 + (1,), (3, 3, 2, 2, 2, 0), (0, 2, 0, 5, 2, 0, 0), (4, 1, 4, 1, 4, 1, 1)],
+)
+def test_split_sum_groups_equal_sizes(sizes):
+    for g in range(13):
+        assert _split_sum(g, sizes) == _split_sum_by_boundary(g, sizes), g
+
+
+def test_power_is_repeated_truncated_product():
+    series = [
+        _factor(6, 0),
+        _factor(9, 3),
+        [Fraction(1), Fraction(-2, 3), Fraction(5), Fraction(7, 11), Fraction(-1, 4)],
+        [Fraction(1)],
+    ]
+    for a in series:
+        expected = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+        for e in range(7):
+            assert _power(a, e) == expected, (a, e)
+            expected = _times(expected, a)

@@ -335,3 +335,18 @@ def test_count_brute_cap():
         count_brute(SurfaceSignature(3, (3,)))
     with pytest.raises(CapExceededError):
         count_brute(SurfaceSignature(0, (4, 4)), cap=7)
+
+
+def test_enumerate_classes_cap(monkeypatch):
+    # The cap is checked before anything is enumerated, and before the
+    # parity of the shape: 13 slots with two labels is a cap error.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr("gluecount.gluing._iter_topologies", refuse)
+    with pytest.raises(CapExceededError, match="polygon size 14 exceeds enumeration cap 12"):
+        enumerate_classes(14)
+    with pytest.raises(CapExceededError, match="cap 12"):
+        enumerate_classes(13, (1, 2))
+    with pytest.raises(CapExceededError, match="polygon size 5 exceeds enumeration cap 4"):
+        enumerate_classes(5, (1,), cap=4)
