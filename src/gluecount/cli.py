@@ -2,9 +2,10 @@
 
 Subcommands: count (one signature), hz (closed-surface numbers), table
 (bulk CSV/JSON emission), enumerate (class dumps), verify (consistency
-suites). Exit codes: 0 success, 1 verification or consistency failure,
-2 usage error, 130 interrupted (Ctrl-C). All output is deterministic and
-every count is printed as a decimal integer, never a float.
+suites). Exit codes: 0 success, 1 verification or consistency failure or
+I/O error (a closed output pipe included), 2 usage error, 130 interrupted
+(Ctrl-C). All output is deterministic and every count is printed as a
+decimal integer, never a float.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -208,7 +210,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed the pipe. Point stdout at devnull so the
+        # interpreter's final flush of what is still buffered cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"io error: {exc}", file=sys.stderr)
+        return 1
     except (DomainError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

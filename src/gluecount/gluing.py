@@ -7,13 +7,18 @@ identifies edge i with edge j reversing orientation, which merges polygon
 corner v_i with v_{j+1} and corner v_{i+1} with v_j (indices mod N, edge i
 running from v_i to v_{i+1}).
 
-From the merged corners the surface is read off exactly:
+Every merge is one hop: corner k of a glued slot k merges with corner
+partner(k)+1. One walk along that hop reads off the surface exactly:
 
-* euler characteristic = vertex classes - (N - glued pairs) + 1;
 * free edges chain into boundary cycles: after free slot i the boundary
-  continues at k = i+1, hopping k -> partner(k)+1 while k is glued;
-* genus from euler = 2 - 2*genus - boundary cycles;
-* a vertex class no free edge touches is a puncture (marked interior point).
+  continues at corner i+1, hopping k -> partner(k)+1 while slot k is glued,
+  up to the next free slot. The corners passed are one *chain*: a vertex
+  class that touches the boundary;
+* the corners no chain reaches close into *loops* under the same hop. A
+  loop is a vertex class no free edge touches: a puncture (marked interior
+  point);
+* euler characteristic = (chains + loops) - (N + free slots)/2 + 1;
+* genus from euler = 2 - 2*genus - boundary cycles.
 
 None of this depends on the labels. The genus, the punctures and the slot
 cycles (the free slots in boundary-walk order) are fixed by which slots are
@@ -197,66 +202,59 @@ class CanonicalWord:
         return ",".join(tokens)
 
 
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
-Topology = tuple[int, int, tuple[tuple[int, ...], ...], list[int]]
+Topology = tuple[int, int, tuple[tuple[int, ...], ...], list[list[int]]]
 
 
 def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
-    """Label-free surface data of a pairing: (genus, punctures, slot cycles, roots).
-
-    The slot cycles are the free slots in boundary-walk order: after free
-    slot k the walk steps to k+1, then hops j -> mu[j]+1 while slot j is
-    glued. Each cycle starts at its least slot and the cycles are listed by
-    that slot, so a free slot 0 opens the first one. `roots` maps each
-    polygon corner to its merged-class representative.
+    """Label-free surface data of a pairing: (genus, punctures, slot cycles,
+    corner classes), read off one walk along the hop k -> mu[k]+1 (see the
+    module docstring). The slot cycles are the free slots in walk order,
+    each starting at its least slot and listed by that slot, so a free slot
+    0 opens the first one. The corner classes are the chains in walk order,
+    then the loops.
     """
-    parent = list(range(n))
-    pairs = 0
-    for i in range(n):
-        j = mu[i]
-        if j > i:
-            pairs += 1
-            a = _find(parent, i)
-            b = _find(parent, (j + 1) % n)
-            if a != b:
-                parent[a] = b
-            a = _find(parent, (i + 1) % n)
-            b = _find(parent, j)
-            if a != b:
-                parent[a] = b
-    roots = [_find(parent, v) for v in range(n)]
-    vertex_count = len(set(roots))
-    euler = vertex_count - (n - pairs) + 1
-
-    cycles = []
     seen = [False] * n
+    classes: list[list[int]] = []
+    cycles = []
     for start in range(n):
         if mu[start] != -1 or seen[start]:
             continue
         cycle = []
         k = start
         while True:
-            seen[k] = True
             cycle.append(k)
             k = (k + 1) % n
-            hops = 0
+            chain = [k]
             while mu[k] != -1:
+                seen[k] = True
                 k = (mu[k] + 1) % n
-                hops += 1
-                if hops > n:
+                chain.append(k)
+                if len(chain) > n:
                     raise ConsistencyError("boundary walk never reached a free slot")
+            if seen[k]:
+                raise ConsistencyError("boundary walk revisited a corner")
+            seen[k] = True
+            classes.append(chain)
             if k == start:
                 break
-            if seen[k]:
-                raise ConsistencyError("boundary walk revisited a free slot")
         cycles.append(tuple(cycle))
 
+    free = len(classes)
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        loop = [start]
+        k = (mu[start] + 1) % n
+        while k != start:
+            if seen[k]:
+                raise ConsistencyError("loop walk revisited a corner")
+            seen[k] = True
+            loop.append(k)
+            k = (mu[k] + 1) % n
+        classes.append(loop)
+
+    euler = len(classes) - (n + free) // 2 + 1
     boundary_count = len(cycles)
     doubled_genus = 2 - boundary_count - euler
     if doubled_genus < 0 or doubled_genus % 2:
@@ -264,15 +262,7 @@ def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
             f"euler characteristic {euler} with {boundary_count} boundaries "
             "does not give an integer genus"
         )
-    genus = doubled_genus // 2
-
-    touched = set()
-    for i in range(n):
-        if mu[i] == -1:
-            touched.add(roots[i])
-            touched.add(roots[(i + 1) % n])
-    punctures = len(set(roots) - touched)
-    return genus, punctures, tuple(cycles), roots
+    return doubled_genus // 2, len(classes) - free, tuple(cycles), classes
 
 
 def _relabel(
@@ -293,13 +283,13 @@ def _relabel(
 def _surface(
     n: int, topology: Topology, labels: list[int] | tuple[int, ...], turn: int = 0
 ) -> GluedSurface:
-    """The surface of a word with this topology and these labels, its
-    corners numbered as in the word read `turn` slots further along."""
-    genus, punctures, slot_cycles, roots = topology
-    groups: dict[int, list[int]] = {}
-    for v, root in enumerate(roots):
-        groups.setdefault(root, []).append((v - turn) % n)
-    classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    """The surface of a word with this topology and these labels. Its vertex
+    classes are the topology's corner classes, each corner numbered as in
+    the word read `turn` slots further along."""
+    genus, punctures, slot_cycles, corner_classes = topology
+    classes = tuple(
+        sorted(tuple(sorted((v - turn) % n for v in c)) for c in corner_classes)
+    )
     cycles = _relabel(slot_cycles, labels)
     return GluedSurface(classes, cycles, punctures, genus, 2 - 2 * genus - len(cycles))
 
@@ -370,16 +360,18 @@ def _check_shape(n: int, labels: tuple[int, ...]) -> None:
             raise DomainError(f"free labels must be positive, got {lab}")
 
 
-def _pairings(positions: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not positions:
-        yield ()
+def _matchings(mu: list[int], open_slots: tuple[int, ...]) -> Iterator[list[int]]:
+    """Every pairing of the open slots, written into `mu` and yielded as a
+    copy: the first open slot pairs with each of the others in turn."""
+    if not open_slots:
+        yield mu[:]
         return
-    first = positions[0]
-    rest = positions[1:]
-    for idx, partner in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1 :]
-        for sub in _pairings(remaining):
-            yield ((first, partner),) + sub
+    first = open_slots[0]
+    for idx in range(1, len(open_slots)):
+        partner = open_slots[idx]
+        mu[first] = partner
+        mu[partner] = first
+        yield from _matchings(mu, open_slots[1:idx] + open_slots[idx + 1 :])
 
 
 def _iter_topologies(
@@ -396,13 +388,8 @@ def _iter_topologies(
     else:
         choices = itertools.combinations(range(n), free)
     for free_pos in choices:
-        free_set = set(free_pos)
-        glued_pos = tuple(i for i in range(n) if i not in free_set)
-        for matching in _pairings(glued_pos):
-            mu = [-1] * n
-            for a, b in matching:
-                mu[a] = b
-                mu[b] = a
+        glued_pos = tuple(i for i in range(n) if i not in free_pos)
+        for mu in _matchings([-1] * n, glued_pos):
             yield free_pos, mu
 
 

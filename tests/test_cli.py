@@ -164,6 +164,33 @@ def test_python_dash_m_runs_the_cli():
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "483\n", ""), module
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--genus", "1", "--holes", "2"],
+        ["table", "--max-genus", "3", "--max-holes", "4", "--max-n", "5"],
+    ],
+    ids=["small-output", "large-output"],
+)
+def test_closed_output_pipe_is_one_io_error(argv):
+    # With default (block) buffering a small output only reaches the pipe
+    # at the final flush, a large one while the command writes; both must
+    # end the same way, with no "Exception ignored" message.
+    src = str(Path(gluecount.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the CLI writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gluecount", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "io error: [Errno 32] Broken pipe\n")
+
+
 @pytest.mark.parametrize("method", ["sum", "series", "gluing"])
 def test_hz_high_genus_is_fast(capsys, method, hz_recurrence):
     start = time.perf_counter()

@@ -1,11 +1,12 @@
 """Exact integer helpers."""
 
+import math
 from functools import reduce
 from operator import mul
 
 import pytest
 
-from gluecount import DomainError, double_factorial_odd, factorial
+from gluecount import DomainError, double_factorial_odd, exact, factorial
 
 
 def test_factorial_small_values():
@@ -23,6 +24,15 @@ def test_factorial_twenty_matches_iterated_product():
 def test_factorial_recurrence():
     for n in range(1, 200):
         assert factorial(n) == n * factorial(n - 1)
+
+
+def test_factorial_table_is_bounded():
+    # A large argument is computed without storing every k! below it.
+    assert factorial(5000) == math.factorial(5000)
+    assert len(exact._FACTORIALS) <= 1024
+    for n in (1023, 1024, 1025, 5000):
+        assert factorial(n) == math.factorial(n), n
+    assert len(exact._FACTORIALS) <= 1024
 
 
 def test_factorial_rejects_negative():

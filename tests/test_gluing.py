@@ -1,12 +1,14 @@
 """Explicit gluing words: surfaces, canonical forms, exhaustive counts."""
 
 import functools
+import math
 import random
 
 import pytest
 
 from gluecount import (
     CapExceededError,
+    ConsistencyError,
     DomainError,
     GluingWord,
     ParityError,
@@ -14,11 +16,13 @@ from gluecount import (
     canonicalize,
     count_brute,
     count_closed,
+    double_factorial_odd,
     enumerate_classes,
     glue,
     iter_words,
 )
 from gluecount.formula import polygon_size
+from gluecount.gluing import _iter_topologies, _topology
 from gluecount.verify import iter_polygon_signatures
 
 
@@ -122,6 +126,97 @@ def test_every_small_word_builds_a_consistent_surface():
                 assert s.boundary_cycles == tuple(sorted(s.boundary_cycles))
                 for cycle in s.boundary_cycles:
                     assert is_least_rotation(cycle)
+
+
+def union_find_topology(n, mu):
+    """A reference for `_topology`, independent of its corner walk: a
+    union-find merges corner i with mu[i]+1 and corner i+1 with mu[i] for
+    every pair, a class no free edge touches is a puncture, and the boundary
+    is walked on its own. Returns (genus, punctures, slot cycles, sorted
+    vertex classes)."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    pairs = 0
+    for i in range(n):
+        j = mu[i]
+        if j > i:
+            pairs += 1
+            parent[find(i)] = find((j + 1) % n)
+            parent[find((i + 1) % n)] = find(j)
+    roots = [find(v) for v in range(n)]
+    groups = {}
+    for v, root in enumerate(roots):
+        groups.setdefault(root, []).append(v)
+    free = [i for i in range(n) if mu[i] == -1]
+    touched = {roots[i] for i in free} | {roots[(i + 1) % n] for i in free}
+
+    cycles = []
+    walked = set()
+    for start in free:
+        if start in walked:
+            continue
+        cycle = []
+        k = start
+        while True:
+            walked.add(k)
+            cycle.append(k)
+            k = (k + 1) % n
+            while mu[k] != -1:
+                k = (mu[k] + 1) % n
+            if k == start:
+                break
+        cycles.append(tuple(cycle))
+
+    euler = len(groups) - (n - pairs) + 1
+    genus, odd = divmod(2 - len(cycles) - euler, 2)
+    assert not odd and genus >= 0
+    classes = sorted(tuple(g) for g in groups.values())
+    return genus, len(groups.keys() - touched), tuple(cycles), classes
+
+
+def test_topology_matches_the_union_find_reference():
+    checked = 0
+    for n in range(1, 10):
+        for free in range(n % 2, n + 1, 2):
+            for _, mu in _iter_topologies(n, free):
+                genus, punctures, cycles, classes = _topology(n, mu)
+                corners = sorted(tuple(sorted(c)) for c in classes)
+                assert (genus, punctures, cycles, corners) == union_find_topology(n, mu), mu
+                checked += 1
+    assert checked == 3735
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        ((-1, 0), "never reached a free slot"),
+        ((-1, -1, 0), "boundary walk revisited a corner"),
+        ((0, 0), "loop walk revisited a corner"),
+        ((0, 1), "does not give an integer genus"),
+    ],
+)
+def test_topology_guards_its_invariants(mu, message):
+    # Not pairings (GluingWord refuses them), but each breaks one invariant
+    # the corner walk checks instead of returning a wrong surface.
+    with pytest.raises(ConsistencyError, match=message):
+        _topology(len(mu), mu)
+
+
+def test_iter_topologies_yields_each_pairing_once():
+    for n, free in [(6, 0), (7, 1), (8, 2), (8, 4)]:
+        yielded = list(_iter_topologies(n, free))
+        expected = math.comb(n, free) * double_factorial_odd((n - free) // 2)
+        assert len(yielded) == expected
+        assert len({(pos, tuple(mu)) for pos, mu in yielded}) == expected
+        for free_pos, mu in yielded:
+            assert [i for i in range(n) if mu[i] == -1] == list(free_pos)
+            assert all(mu[mu[i]] == i != mu[i] for i in range(n) if mu[i] != -1)
 
 
 def test_rotation_identity_and_step():
