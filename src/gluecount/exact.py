@@ -1,7 +1,9 @@
-"""Exact integer helpers: factorials and odd double factorials.
+"""Exact integer helpers: factorials, odd double factorials and the one
+exact division.
 
 Everything here returns plain Python ints (arbitrary precision); no value is
-ever rounded.
+ever rounded. Every division in the package that must cancel goes through
+`_divide`, which raises ConsistencyError instead of rounding.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 __all__ = ["factorial", "double_factorial_odd"]
 
@@ -45,3 +47,18 @@ def double_factorial_odd(n: int) -> int:
     for k in range(1, 2 * n, 2):
         out *= k
     return out
+
+
+def _divide(numerator: int, denominator: int, what: str, *args: object) -> int:
+    """numerator // denominator, which the caller's algebra says is exact.
+
+    A remainder means a programming error, never a rounding to make: it
+    raises ConsistencyError naming `what.format(*args)` and both operands.
+    The message is formatted only then, so a passing call costs no repr.
+    """
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ConsistencyError(
+            f"{what.format(*args)}: {numerator}/{denominator} is not an integer"
+        )
+    return quotient

@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AllPuncturesError, ConsistencyError, SignatureError
-from .exact import factorial
+from .errors import AllPuncturesError, SignatureError
+from .exact import _divide, factorial
 
 __all__ = ["SurfaceSignature", "count_closed", "polygon_size"]
 
@@ -128,8 +128,8 @@ def count_closed(sig: SurfaceSignature) -> int:
     where S = sum(n_i), z = number of zero sizes, and m_k = max(n_k, 1).
     `_split_sum` takes the splitting sum in time polynomial in g and the
     number of distinct sizes.
-    Every division cancels; a non-integer result would mean a programming
-    error and raises ConsistencyError rather than truncating.
+    Every division cancels; `exact._divide` checks that it did and raises
+    ConsistencyError rather than truncating.
     """
     g = sig.genus
     sizes = sig.boundary_sizes
@@ -151,6 +151,4 @@ def count_closed(sig: SurfaceSignature) -> int:
         / 4**g
         / factorial(zeros)
     )
-    if value.denominator != 1:
-        raise ConsistencyError(f"closed formula produced non-integer {value} for {sig}")
-    return value.numerator
+    return _divide(value.numerator, value.denominator, "closed formula for {}", sig)

@@ -305,7 +305,7 @@ def _canonical(
 ) -> tuple[bytes, int]:
     """The least encoding over all rotations, and a rotation that gives it."""
     half = n // 2
-    best: bytes | None = None
+    best = b""
     best_turn = 0
     for r in range(n):
         rename: dict[int, int] = {}
@@ -330,10 +330,9 @@ def _canonical(
                 code = got
             row[t] = code
         key = bytes(row)
-        if best is None or key < best:
+        if not r or key < best:
             best = key
             best_turn = r
-    assert best is not None
     return best, best_turn
 
 
@@ -393,6 +392,15 @@ def _iter_topologies(
             yield free_pos, mu
 
 
+def _placed(n: int, free_pos: Iterable[int], labels: Iterable[int]) -> list[int]:
+    """The labels of `n` slots: `labels` in the slots `free_pos`, in order,
+    and 0 in every other slot."""
+    labs = [0] * n
+    for pos, lab in zip(free_pos, labels):
+        labs[pos] = lab
+    return labs
+
+
 def iter_words(size: int, free_labels: Iterable[int] = ()) -> Iterator[GluingWord]:
     """Stream every raw gluing word of `size` slots using the given labels:
     every pairing that leaves len(labels) slots free, with every placement
@@ -402,10 +410,7 @@ def iter_words(size: int, free_labels: Iterable[int] = ()) -> Iterator[GluingWor
     for free_pos, mu in _iter_topologies(size, len(labels)):
         pairing = tuple(mu)
         for perm in itertools.permutations(labels):
-            labs = [0] * size
-            for pos, lab in zip(free_pos, perm):
-                labs[pos] = lab
-            yield GluingWord(pairing, tuple(labs))
+            yield GluingWord(pairing, tuple(_placed(size, free_pos, perm)))
 
 
 def enumerate_classes(
@@ -415,37 +420,27 @@ def enumerate_classes(
 
     Each class comes with the surface of its representative: the rotation
     whose encoding is the canonical one, so `vertex_classes` number the
-    corners of the canonical word. With free labels every class holds
-    exactly one word with the least label in slot 0, and only those words
-    are canonicalized. Without labels a rotation can fix a word, so every
-    pairing is canonicalized and duplicates are dropped by canonical form.
+    corners of the canonical word. Only the words with the least label in
+    slot 0 are canonicalized; with free labels each class holds exactly one
+    of them. Without labels every word qualifies and a rotation can fix a
+    word, so a class is kept at its first word and later ones are dropped.
     Refuses polygons larger than `cap`, as `count_brute` does.
     """
     if size > cap:
         raise CapExceededError(f"polygon size {size} exceeds enumeration cap {cap}")
     labels = tuple(free_labels)
     _check_shape(size, labels)
-    found: list[tuple[bytes, GluedSurface]] = []
-    if labels:
-        least, *others = sorted(labels)
-        for free_pos, mu in _iter_topologies(size, len(labels), pinned=True):
-            topology = _topology(size, mu)
-            for perm in itertools.permutations(others):
-                labs = [0] * size
-                labs[0] = least
-                for pos, lab in zip(free_pos[1:], perm):
-                    labs[pos] = lab
-                key, turn = _canonical(size, mu, labs)
-                found.append((key, _surface(size, topology, labs, turn)))
-    else:
-        classes: dict[bytes, GluedSurface] = {}
-        for _, mu in _iter_topologies(size, 0):
-            key, turn = _canonical(size, mu, ())
+    first, others = sorted(labels)[:1], sorted(labels)[1:]
+    classes: dict[bytes, GluedSurface] = {}
+    for free_pos, mu in _iter_topologies(size, len(labels), pinned=bool(labels)):
+        topology = None
+        for perm in itertools.permutations(others):
+            labs = _placed(size, free_pos, (*first, *perm))
+            key, turn = _canonical(size, mu, labs)
             if key not in classes:
-                classes[key] = _surface(size, _topology(size, mu), (), turn)
-        found = list(classes.items())
-    found.sort(key=lambda item: item[0])
-    return [(CanonicalWord(size, key), surface) for key, surface in found]
+                topology = topology or _topology(size, mu)
+                classes[key] = _surface(size, topology, labs, turn)
+    return [(CanonicalWord(size, key), classes[key]) for key in sorted(classes)]
 
 
 # Shared by every count_brute call with this shape: never mutate the result.

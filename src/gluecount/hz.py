@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError
-from .exact import double_factorial_odd, factorial
+from .errors import DomainError
+from .exact import _divide, double_factorial_odd, factorial
 from .formula import SurfaceSignature, _power, _split_sum, count_closed
 
 __all__ = [
@@ -70,9 +70,7 @@ def hz_sum(genus: int, n: int) -> int:
         * Fraction(factorial(2 * n), factorial(parts) * factorial(n))
         / 4**genus
     )
-    if value.denominator != 1:
-        raise ConsistencyError(f"hz_sum produced non-integer {value} at g={genus}, N={n}")
-    return value.numerator
+    return _divide(value.numerator, value.denominator, "hz_sum at g={}, N={}", genus, n)
 
 
 def _half_ratio_coeffs(genus: int) -> list[Fraction]:
@@ -101,9 +99,7 @@ def hz_tanh(genus: int, n: int) -> int:
         return 0
     c = _power(_half_ratio_coeffs(genus), n + 1)[genus]
     value = Fraction(factorial(2 * n), factorial(n + 1) * factorial(n - 2 * genus)) * c
-    if value.denominator != 1:
-        raise ConsistencyError(f"hz_tanh produced non-integer {value} at g={genus}, N={n}")
-    return value.numerator
+    return _divide(value.numerator, value.denominator, "hz_tanh at g={}, N={}", genus, n)
 
 
 def hz_from_gluing_counts(genus: int, n: int) -> int:
@@ -123,8 +119,7 @@ def hz_from_gluing_counts(genus: int, n: int) -> int:
 def catalan(n: int) -> int:
     """eps_0(N) = (2N)!/((N+1)! N!), the Catalan numbers."""
     _validate(0, n)
-    value = Fraction(factorial(2 * n), factorial(n + 1) * factorial(n))
-    return value.numerator
+    return _divide(factorial(2 * n), factorial(n + 1) * factorial(n), "catalan at N={}", n)
 
 
 def hz_toric(n: int) -> int:
@@ -132,10 +127,8 @@ def hz_toric(n: int) -> int:
     _validate(1, n)
     if n < 2:
         raise DomainError(f"hz_toric requires N >= 2, got {n}")
-    value = Fraction(factorial(2 * n), 12 * factorial(n - 2) * factorial(n))
-    if value.denominator != 1:
-        raise ConsistencyError(f"hz_toric produced non-integer {value} at N={n}")
-    return value.numerator
+    denominator = 12 * factorial(n - 2) * factorial(n)
+    return _divide(factorial(2 * n), denominator, "hz_toric at N={}", n)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ plain count is recovered by dividing z! back out). With m_k = max(n_k, 1):
 with T(0; n) = 1 for a single boundary, and T = 0 whenever the genus goes
 negative or no boundary remains. Merging two boundaries drops L by one;
 cutting a handle drops g by one, so 2g + L shrinks at every step and the
-recursion terminates. Both divisions (by 2(L+2g-1) and by z!) are checked to
-be exact.
+recursion terminates. Both divisions (by 2(L+2g-1) and by z!) go through
+`exact._divide`, which raises ConsistencyError if one is not exact.
 
 The sums are taken over distinct sizes, not over indices: equal sizes give
 equal children, so each child is computed once and weighted by how often it
@@ -41,7 +41,7 @@ import sys
 from pathlib import Path
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError, SignatureError
-from .exact import factorial
+from .exact import _divide, factorial
 from .formula import SurfaceSignature
 
 __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"]
@@ -143,18 +143,11 @@ def _count_normalized(genus: int, sizes: tuple[int, ...], entries: dict[MemoKey,
                 acc += term if 2 * x == u + 2 else 2 * term
             cut_total += cu * mu * acc
 
-    numerator = 2 * merge_total + cut_total
-    denominator = 2 * (holes + 2 * genus - 1)
-    scaled, rem = divmod(numerator, denominator)
-    if rem:
-        raise ConsistencyError(
-            f"recursion produced non-exact division at g={genus}, ns={sizes}"
-        )
-    plain, rem = divmod(scaled, factorial(sizes.count(0)))
-    if rem:
-        raise ConsistencyError(
-            f"zero-size normalization not exact at g={genus}, ns={sizes}"
-        )
+    where = "cut recursion at g={}, ns={}"
+    scaled = _divide(
+        2 * merge_total + cut_total, 2 * (holes + 2 * genus - 1), where, genus, sizes
+    )
+    plain = _divide(scaled, factorial(sizes.count(0)), where, genus, sizes)
     entries[genus, sizes] = plain
     return plain
 

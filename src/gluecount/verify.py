@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
-from .errors import ConsistencyError, GluecountError
-from .exact import double_factorial_odd, factorial
+from .errors import GluecountError
+from .exact import _divide, double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed
-from .gluing import _iter_topologies, _relabel, _topology, count_brute
+from .gluing import _iter_topologies, _placed, _relabel, _topology, count_brute
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric
 from .recursion import CountTable, count_recursive
 
@@ -102,9 +101,7 @@ def _hz_recurrence(max_n: int) -> list[list[int]]:
             total = 2 * (2 * n - 1) * eps[g][n - 1]
             if g and n >= 2:
                 total += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[g - 1][n - 2]
-            eps[g][n], remainder = divmod(total, n + 1)
-            if remainder:
-                raise ConsistencyError(f"recurrence left remainder {remainder} at g={g}, N={n}")
+            eps[g][n] = _divide(total, n + 1, "Harer-Zagier recurrence at g={}, N={}", g, n)
     return eps
 
 
@@ -198,11 +195,11 @@ def _sphere_reference(sizes: tuple[int, ...]) -> int:
     product = 1
     for n in sizes:
         product *= n
-    value = Fraction(product) * Fraction(
-        factorial(total + 2 * holes - 3), factorial(total + holes - 1)
+    return _divide(
+        product * factorial(total + 2 * holes - 3),
+        factorial(total + holes - 1),
+        "sphere reference at ns={}", sizes,
     )
-    assert value.denominator == 1
-    return value.numerator
 
 
 def _torus_reference(sizes: tuple[int, ...]) -> int:
@@ -211,14 +208,13 @@ def _torus_reference(sizes: tuple[int, ...]) -> int:
     product = 1
     for n in sizes:
         product *= n
-    bracket = sum(Fraction((n + 1) * (n + 2), 6) for n in sizes)
-    value = (
-        Fraction(product, 4)
-        * Fraction(factorial(total + 2 * holes + 1), factorial(total + holes + 1))
-        * bracket
+    # product/4 * (S+2L+1)!/(S+L+1)! * sum_k (n_k+1)(n_k+2)/6, over one denominator.
+    bracket = sum((n + 1) * (n + 2) for n in sizes)
+    return _divide(
+        product * factorial(total + 2 * holes + 1) * bracket,
+        24 * factorial(total + holes + 1),
+        "torus reference at ns={}", sizes,
     )
-    assert value.denominator == 1
-    return value.numerator
 
 
 def _sphere_printed(sizes: tuple[int, ...]) -> int:
@@ -366,9 +362,7 @@ def suite_structural(max_polygon: int = 9) -> SuiteResult:
                     )
                 for perm in itertools.permutations(labels):
                     checked += 1
-                    labs = [0] * n
-                    for pos, lab in zip(free_pos, perm):
-                        labs[pos] = lab
+                    labs = _placed(n, free_pos, perm)
                     if _label_cycles(cycles, labs) != list(_relabel(cycles, labs)):
                         return SuiteResult(
                             name, False, checked,

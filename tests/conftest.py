@@ -1,10 +1,14 @@
-"""Shared fixtures: the Harer-Zagier three-term recurrence for eps_g(N), and
-CPython's default limit on int <-> str conversion."""
+"""Shared fixtures: the Harer-Zagier three-term recurrence for eps_g(N),
+CPython's default limit on int <-> str conversion, and an environment that
+imports this checkout's gluecount in a fresh interpreter."""
 
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
+import gluecount
 from gluecount.verify import _hz_recurrence
 
 
@@ -25,3 +29,12 @@ def hz_recurrence():
     """eps[g][N] for N <= 60 and g <= 31, from the Harer-Zagier three-term
     recurrence that `suite_hz_table` checks the three routes against."""
     return _hz_recurrence(60)
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with the directory holding gluecount first on PYTHONPATH."""
+    src = str(Path(gluecount.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))

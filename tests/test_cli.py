@@ -6,12 +6,10 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import gluecount
-from gluecount import SurfaceSignature, count_closed, memo_store_load
+from gluecount import SurfaceSignature, count_closed, hz_tanh, memo_store_load
 from gluecount.cli import main
 
 
@@ -151,15 +149,11 @@ def test_hz_routes(capsys):
     )[:2] == (0, "10\n")
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(gluecount.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
+def test_python_dash_m_runs_the_cli(src_env):
     for module in ("gluecount", "gluecount.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "hz", "--genus", "2", "--N", "5"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=src_env, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "483\n", ""), module
 
@@ -172,13 +166,11 @@ def test_python_dash_m_runs_the_cli():
     ],
     ids=["small-output", "large-output"],
 )
-def test_closed_output_pipe_is_one_io_error(argv):
+def test_closed_output_pipe_is_one_io_error(argv, src_env):
     # With default (block) buffering a small output only reaches the pipe
     # at the final flush, a large one while the command writes; both must
     # end the same way, with no "Exception ignored" message.
-    src = str(Path(gluecount.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the CLI writes anything
     try:
@@ -315,3 +307,19 @@ def test_verify_quick(capsys):
     assert len(lines) == 4
     assert all(line.startswith("PASS ") for line in lines[:3])
     assert lines[3] == "all 3 suites passed"
+
+
+def test_verify_failure_is_exit_one(capsys, monkeypatch):
+    def off_by_one(genus, n):
+        return hz_tanh(genus, n) + ((genus, n) == (1, 3))
+
+    monkeypatch.setattr("gluecount.verify.hz_tanh", off_by_one)
+    code, out, _ = run(capsys, "verify", "--level", "quick")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == (
+        "FAIL hz-table-three-routes: series route gives 11 at g=1, N=3, expected 10"
+    )
+    assert len(lines) == 4
+    assert all(line.startswith("PASS ") for line in lines[1:3])
+    assert lines[-1] == "1 of 3 suites failed"

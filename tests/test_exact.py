@@ -1,12 +1,30 @@
-"""Exact integer helpers."""
+"""Exact integer helpers, and the exact division behind every count."""
 
 import math
+import subprocess
+import sys
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 import pytest
 
-from gluecount import DomainError, double_factorial_odd, exact, factorial
+from gluecount import (
+    ConsistencyError,
+    DomainError,
+    SurfaceSignature,
+    catalan,
+    count_closed,
+    count_recursive,
+    double_factorial_odd,
+    exact,
+    factorial,
+    hz_sum,
+    hz_tanh,
+    hz_toric,
+)
+from gluecount.exact import _divide
+from gluecount.verify import _hz_recurrence, _sphere_reference, _torus_reference
 
 
 def test_factorial_small_values():
@@ -57,3 +75,130 @@ def test_double_factorial_against_factorials():
 def test_double_factorial_rejects_negative():
     with pytest.raises(DomainError):
         double_factorial_odd(-2)
+
+
+def test_divide_returns_the_exact_quotient():
+    assert _divide(factorial(10), factorial(7), "unused {}", 1) == 720
+    assert _divide(0, 9, "unused") == 0
+    assert _divide(-12, 4, "unused") == -3
+
+
+def test_divide_names_the_failed_division():
+    with pytest.raises(ConsistencyError) as info:
+        _divide(14, 3, "count at g={}, ns={}", 1, (2, 1))
+    assert str(info.value) == "count at g=1, ns=(2, 1): 14/3 is not an integer"
+
+
+def _skewed_factorial(at, factor):
+    """factorial, but `factor` times too large at k = `at`."""
+    def skewed(k):
+        return factorial(k) * (factor if k == at else 1)
+    return skewed
+
+
+def _skewed_divide(at):
+    """_divide with a numerator one too large when its format arguments are `at`."""
+    def skewed(numerator, denominator, what, *args):
+        return _divide(numerator + (args == at), denominator, what, *args)
+    return skewed
+
+
+def _third(*args):
+    return Fraction(1, 3)
+
+
+# One case per exact division in the package: what feeds it is patched so
+# that the division cannot cancel, and the call must raise, not round.
+EXACT_DIVISIONS = [
+    pytest.param(
+        "gluecount.formula._split_sum", _third,
+        lambda: count_closed(SurfaceSignature(0, (1,))),
+        "closed formula for SurfaceSignature(genus=0, boundary_sizes=(1,)): "
+        "1/3 is not an integer",
+        id="count_closed",
+    ),
+    pytest.param(
+        "gluecount.hz._split_sum", _third, lambda: hz_sum(0, 1),
+        "hz_sum at g=0, N=1: 1/3 is not an integer",
+        id="hz_sum",
+    ),
+    pytest.param(
+        "gluecount.hz._power", lambda a, exponent: [Fraction(1, 7)] * len(a),
+        lambda: hz_tanh(0, 1),
+        "hz_tanh at g=0, N=1: 1/7 is not an integer",
+        id="hz_tanh",
+    ),
+    pytest.param(
+        "gluecount.hz.factorial", _skewed_factorial(1, 7), lambda: catalan(1),
+        "catalan at N=1: 2/14 is not an integer",
+        id="catalan",
+    ),
+    pytest.param(
+        "gluecount.hz.factorial", _skewed_factorial(2, 7), lambda: hz_toric(2),
+        "hz_toric at N=2: 24/168 is not an integer",
+        id="hz_toric",
+    ),
+    pytest.param(
+        # Every child reads 1, so (g=0, ns=[1,1,1]) merges to 3 * 1 and
+        # 2 * 3 does not divide by 2 * (L + 2g - 1) = 4.
+        "gluecount.recursion._scaled", lambda genus, child, entries: 1,
+        lambda: count_recursive(SurfaceSignature(0, (1, 1, 1))),
+        "cut recursion at g=0, ns=(1, 1, 1): 6/4 is not an integer",
+        id="recursion-step",
+    ),
+    pytest.param(
+        "gluecount.recursion.factorial", _skewed_factorial(1, 7),
+        lambda: count_recursive(SurfaceSignature(0, (1, 0))),
+        "cut recursion at g=0, ns=(1, 0): 1/7 is not an integer",
+        id="recursion-zeros",
+    ),
+    pytest.param(
+        "gluecount.verify._divide", _skewed_divide((1, 3)), lambda: _hz_recurrence(5),
+        "Harer-Zagier recurrence at g=1, N=3: 41/4 is not an integer",
+        id="hz-recurrence",
+    ),
+    pytest.param(
+        "gluecount.verify.factorial", _skewed_factorial(6, 3),
+        lambda: _sphere_reference((2, 1, 1)),
+        "sphere reference at ns=(2, 1, 1): 10080/2160 is not an integer",
+        id="sphere-reference",
+    ),
+    pytest.param(
+        "gluecount.verify.factorial", _skewed_factorial(3, 7),
+        lambda: _torus_reference((1,)),
+        "torus reference at ns=(1,): 144/1008 is not an integer",
+        id="torus-reference",
+    ),
+]
+
+
+@pytest.mark.parametrize("target, replacement, call, message", EXACT_DIVISIONS)
+def test_inexact_division_raises(monkeypatch, target, replacement, call, message):
+    monkeypatch.setattr(target, replacement)
+    with pytest.raises(ConsistencyError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_inexact_division_raises_without_asserts(src_env):
+    # python -O strips assert statements; the exactness check must survive.
+    script = (
+        "import sys\n"
+        "from gluecount import ConsistencyError, verify\n"
+        "from gluecount.exact import factorial\n"
+        "assert False, 'asserts are on'\n"
+        "verify.factorial = lambda k: factorial(k) * (3 if k == 6 else 1)\n"
+        "try:\n"
+        "    print(verify._sphere_reference((2, 1, 1)))\n"
+        "except ConsistencyError as exc:\n"
+        "    print(f'ConsistencyError: {exc}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=src_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "ConsistencyError: sphere reference at ns=(2, 1, 1): "
+        "10080/2160 is not an integer\n"
+    )
