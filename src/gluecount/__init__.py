@@ -13,7 +13,7 @@ that produce a prescribed surface, exactly:
                      - the classical closed-surface (Harer-Zagier) numbers by
                        three independent routes
 
-All arithmetic is integer/rational and exact; nothing here ever rounds.
+All arithmetic is on integers and exact; nothing here ever rounds.
 """
 
 from .errors import (

@@ -14,9 +14,9 @@ such gluings directly, as an exact integer.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AllPuncturesError, SignatureError
 from .exact import _divide, factorial
@@ -76,41 +76,86 @@ def polygon_size(sig: SurfaceSignature) -> int:
     return sig.boundary_edge_total + 4 * sig.genus + 2 * sig.holes - 2
 
 
-def _power(a: list[Fraction], exponent: int) -> list[Fraction]:
-    """Coefficients of t^0..t^K in a(t)**exponent, for K = len(a) - 1 and
+def _scales(genus: int) -> list[int]:
+    """The coefficient scales s_0..s_genus of the integer series.
+
+    s_i is the product over primes q <= 2i+1 of q^floor(2i/(q-1)). A series
+    with rational coefficients a_i is kept as the integers A_i = s_i * a_i.
+    s_i is a multiple of 4^i and of 2i+1 (a prime power q^e dividing 2i+1
+    has e*(q-1) <= q^e - 1 <= 2i), and has O(i log i) bits. One scale d^i
+    for every coefficient would need d divisible by each prime up to
+    2*genus+1, and O(i*genus) bits.
+    """
+    # s_i / s_(i-1) is 4 times the odd primes q for which (q-1)/2 divides i.
+    steps = [4] * (genus + 1)
+    for q in range(3, 2 * genus + 2, 2):
+        if all(q % r for r in range(3, math.isqrt(q) + 1, 2)):
+            for i in range((q - 1) // 2, genus + 1, (q - 1) // 2):
+                steps[i] *= q
+    s = [1]
+    for step in steps[1:]:
+        s.append(s[-1] * step)
+    return s
+
+
+def _weights(s: list[int]) -> list[list[int]]:
+    """w[i][j] = s_i / (s_j * s_(i-j)) for the scales s of `_scales`.
+
+    Since floor(x) + floor(y) <= floor(x+y), s_j * s_(i-j) divides s_i, so
+    each weight is an integer, and coefficient i of a truncated product of
+    two scaled series is the integer sum_j w[i][j] * A_j * B_(i-j).
+    """
+    return [[s_i // (s[j] * s[i - j]) for j in range(i + 1)] for i, s_i in enumerate(s)]
+
+
+def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
+    """Coefficients of t^0..t^K in a(t)**exponent, for K = len(a) - 1, on
+    an integer scale whose product weights are w (see `_weights`), with
     a[0] == 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,
-    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j). It costs
-    O(K^2) whatever the exponent.
+    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j); on the
+    scaled coefficients each term carries the weight w[i][j]. It costs
+    O(K^2) whatever the exponent. The power's scaled coefficients are
+    integers, so each step's division by i is exact and goes through
+    `_divide`.
     """
-    p = [Fraction(1)]
+    p = [1]
     for i in range(1, len(a)):
-        acc = sum(((exponent + 1) * j - i) * a[j] * p[i - j] for j in range(1, i + 1))
-        p.append(acc / i)
+        wi = w[i]
+        acc = sum(((exponent + 1) * j - i) * wi[j] * a[j] * p[i - j] for j in range(1, i + 1))
+        p.append(_divide(acc, i, "Miller's power step at t^{}, exponent {}", i, exponent))
     return p
 
 
-def _split_sum(genus: int, sizes: tuple[int, ...]) -> Fraction:
-    """[t^genus] of prod_k F_{n_k}(t), F_n(t) = sum_p (2p+n)!/(n!(2p+1)!) t^p:
-    the sum over splittings p_1+...+p_L = genus of prod_k [t^(p_k)] F_{n_k}.
-    Each distinct size's F_n is raised to its multiplicity by `_power`, and
-    the D >= 1 distinct factors are multiplied, truncated at t^genus:
-    O(D*genus^2) exact operations; listing the splittings would take
-    C(genus+L-1, L-1)."""
+def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
+    """[t^genus] of prod_k F_{n_k}(t), F_n(t) = sum_p (2p+n)!/(n!(2p+1)!) t^p,
+    as an integer numerator over its scale s_genus (see `_scales`).
+
+    The coefficient is the sum over splittings p_1+...+p_L = genus of
+    prod_k [t^(p_k)] F_{n_k}. F_n is kept as its scaled coefficients
+    C(2p+n, n) * s_p/(2p+1). Each distinct size's series is raised to its
+    multiplicity by `_power`, and the D >= 1 distinct factors are
+    multiplied, truncated at t^genus: O(D*genus^2) integer operations;
+    listing the splittings would take C(genus+L-1, L-1).
+    """
+    s = _scales(genus)
+    # One boundary takes no product.
+    w = _weights(s) if len(sizes) > 1 else None
+    # Exact: 2p+1 divides s_p.
+    odd_parts = [s[p] // (2 * p + 1) for p in range(genus + 1)]
     acc = None
     for n, count in Counter(sizes).items():
-        f = [
-            Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1))
-            for p in range(genus + 1)
-        ]
+        f = [math.comb(2 * p + n, n) * odd_parts[p] for p in range(genus + 1)]
         if count > 1:
-            f = _power(f, count)
+            f = _power(f, count, w)
         if acc is None:
             acc = f
         else:
-            acc = [sum(acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)]
-    return acc[genus]
+            acc = [
+                sum(w[k][i] * acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)
+            ]
+    return acc[genus], s[genus]
 
 
 def count_closed(sig: SurfaceSignature) -> int:
@@ -127,9 +172,9 @@ def count_closed(sig: SurfaceSignature) -> int:
 
     where S = sum(n_i), z = number of zero sizes, and m_k = max(n_k, 1).
     `_split_sum` takes the splitting sum in time polynomial in g and the
-    number of distinct sizes.
-    Every division cancels; `exact._divide` checks that it did and raises
-    ConsistencyError rather than truncating.
+    number of distinct sizes, as an integer over its scale, so the count is
+    one quotient of integers. It cancels; `exact._divide` checks that it
+    did and raises ConsistencyError rather than truncating.
     """
     g = sig.genus
     sizes = sig.boundary_sizes
@@ -141,14 +186,7 @@ def count_closed(sig: SurfaceSignature) -> int:
     for n in sizes:
         size_product *= n if n > 0 else 1
 
-    value = (
-        _split_sum(g, sizes)
-        * size_product
-        * Fraction(
-            factorial(total + 4 * g + 2 * holes - 3),
-            factorial(total + 2 * g + holes - 1),
-        )
-        / 4**g
-        / factorial(zeros)
-    )
-    return _divide(value.numerator, value.denominator, "closed formula for {}", sig)
+    value, scale = _split_sum(g, sizes)
+    numerator = value * size_product * factorial(total + 4 * g + 2 * holes - 3)
+    denominator = scale * factorial(total + 2 * g + holes - 1) * 4**g * factorial(zeros)
+    return _divide(numerator, denominator, "closed formula for {}", sig)

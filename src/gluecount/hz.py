@@ -6,7 +6,7 @@ orientable genus-g surface. Three ways to compute it live here:
 * ``hz_sum``          -- a finite sum over genus splittings (the reference route),
   shared with the closed formula: its N-2g+1 equal factors make one power;
 * ``hz_tanh``         -- coefficient extraction from ((x/2)/tanh(x/2))^(N+1),
-  a power of the exact coefficients of (x/2)/tanh(x/2). ``formula._power``
+  a power of the scaled coefficients of (x/2)/tanh(x/2). ``formula._power``
   (Miller's recurrence) takes both powers;
 * ``hz_from_gluing_counts`` -- the boundary specialization: a genus-g surface
   with one 1-gon boundary and N-2g punctures is produced by gluings of the
@@ -19,17 +19,20 @@ exact integers.
 ``gf_identity_check`` tests hz_sum against the bivariate generating function
 ((1+x)/(1-x))^y, whose coefficients come from the recurrence of
 (1-x^2) F' = 2y F. The series routines here are private: each computes only
-the coefficients its caller reads, as lists of Fractions.
+the coefficients its caller reads, as integers. The splitting sum and
+(x/2)/tanh(x/2) keep each rational coefficient a_m as the integer s_m * a_m,
+on the scales s_m of `formula._scales`; hz_sum and hz_tanh divide s_g back
+out once, at the end, through `exact._divide`. The generating function keeps
+k! times its x^k coefficient and is compared cross-multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .exact import _divide, double_factorial_odd, factorial
-from .formula import SurfaceSignature, _power, _split_sum, count_closed
+from .formula import SurfaceSignature, _power, _scales, _split_sum, _weights, count_closed
 
 __all__ = [
     "hz_sum",
@@ -59,33 +62,41 @@ def hz_sum(genus: int, n: int) -> int:
 
     This is the splitting sum of `count_closed` with every size 0, whose
     factor (2p)!/(2p+1)! is 1/(2p+1); `formula._split_sum` evaluates it as
-    one power of that single factor.
+    one power of that single factor, as an integer over its scale.
     """
     _validate(genus, n)
     if n < 2 * genus:
         return 0
     parts = n - 2 * genus + 1
-    value = (
-        _split_sum(genus, (0,) * parts)
-        * Fraction(factorial(2 * n), factorial(parts) * factorial(n))
-        / 4**genus
-    )
-    return _divide(value.numerator, value.denominator, "hz_sum at g={}, N={}", genus, n)
+    value, scale = _split_sum(genus, (0,) * parts)
+    denominator = scale * factorial(parts) * factorial(n) * 4**genus
+    return _divide(value * factorial(2 * n), denominator, "hz_sum at g={}, N={}", genus, n)
 
 
-def _half_ratio_coeffs(genus: int) -> list[Fraction]:
-    """Coefficients of x^0, x^2, ..., x^(2*genus) in (x/2)/tanh(x/2).
+def _half_ratio_coeffs(s: list[int], w: list[list[int]]) -> list[int]:
+    """C_m = s_m * c_m for m < len(s), where c_m is the coefficient of x^(2m)
+    in (x/2)/tanh(x/2), s are the scales of `formula._scales` and w their
+    `formula._weights`.
 
-    The series is even, so it is kept as a series in x^2. It is cosh(x/2)
-    divided by sinh(x/2)/(x/2); both are written down from factorial
-    coefficients, so the x=0 pole never appears. The divisor's leading
-    coefficient is 1.
+    The series is even, so it is kept as a series in x^2. c_m is
+    B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and
+    Legendre's formula), so every C_m is an integer and C_0 = 1. It is
+    cosh(x/2) divided by sinh(x/2)/(x/2), whose coefficients 1/(4^k (2k)!)
+    and 1/(4^k (2k+1)!) are cleared by 4^m (2m+1)!, so the x=0 pole never
+    appears:
+
+        4^m (2m+1)! C_m = s_m (2m+1)
+            - sum_{k=1..m} w[m][k] s_k 4^(m-k) (2m+1)!/(2k+1)! C_(m-k).
     """
-    cosh_half = [Fraction(1, 4**k * factorial(2 * k)) for k in range(genus + 1)]
-    sinh_ratio = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(genus + 1)]
-    out: list[Fraction] = []
-    for m in range(genus + 1):
-        out.append(cosh_half[m] - sum(sinh_ratio[k] * out[m - k] for k in range(1, m + 1)))
+    out = [1]
+    for m in range(1, len(s)):
+        acc = s[m] * (2 * m + 1)
+        weight = 1  # 4^(m-k) (2m+1)!/(2k+1)!, for k = m down to 1
+        for k in range(m, 0, -1):
+            acc -= weight * w[m][k] * s[k] * out[m - k]
+            weight *= 8 * k * (2 * k + 1)
+        denominator = 4**m * factorial(2 * m + 1)
+        out.append(_divide(acc, denominator, "tanh coefficient {} at g={}", m, len(s) - 1))
     return out
 
 
@@ -93,13 +104,18 @@ def hz_tanh(genus: int, n: int) -> int:
     """eps_g(N) by series coefficient extraction:
 
         eps_g(N) = (2N)! / ((N+1)! (N-2g)!) * [x^(2g)] ((x/2)/tanh(x/2))^(N+1).
+
+    The power is taken on the scaled coefficients of `_half_ratio_coeffs`,
+    so its x^(2g) coefficient comes s_g times too large and is divided back.
     """
     _validate(genus, n)
     if n < 2 * genus:
         return 0
-    c = _power(_half_ratio_coeffs(genus), n + 1)[genus]
-    value = Fraction(factorial(2 * n), factorial(n + 1) * factorial(n - 2 * genus)) * c
-    return _divide(value.numerator, value.denominator, "hz_tanh at g={}, N={}", genus, n)
+    s = _scales(genus)
+    w = _weights(s)
+    c = _power(_half_ratio_coeffs(s, w), n + 1, w)[genus]
+    denominator = factorial(n + 1) * factorial(n - 2 * genus) * s[genus]
+    return _divide(factorial(2 * n) * c, denominator, "hz_tanh at g={}, N={}", genus, n)
 
 
 def hz_from_gluing_counts(genus: int, n: int) -> int:
@@ -140,21 +156,22 @@ class GfIdentityReport:
     order: int
 
 
-def _ratio_power_coeffs(order: int) -> list[list[Fraction]]:
-    """((1+x)/(1-x))^y through x^order >= 1: entry k lists the y^0..y^order
-    coefficients of x^k.
+def _ratio_power_coeffs(order: int) -> list[list[int]]:
+    """k! times ((1+x)/(1-x))^y through x^order >= 1: entry k lists the
+    y^0..y^order coefficients of F_k = k! * [x^k].
 
     F = ((1+x)/(1-x))^y satisfies (1-x^2) F' = 2y F, so its x^k coefficients
     obey (k+1) f_(k+1) = 2y f_k + (k-1) f_(k-1), with f_0 = 1 and f_1 = 2y.
+    Times (k+1)! that is F_(k+1) = 2y F_k + k(k-1) F_(k-1), over the integers.
     """
     width = order + 1
-    f = [[Fraction(0)] * width for _ in range(order + 1)]
-    f[0][0] = Fraction(1)
-    f[1][1] = Fraction(2)
+    f = [[0] * width for _ in range(order + 1)]
+    f[0][0] = 1
+    f[1][1] = 2
     for k in range(1, order):
         for j in range(width):
             shifted = 2 * f[k][j - 1] if j else 0
-            f[k + 1][j] = (shifted + (k - 1) * f[k - 1][j]) / (k + 1)
+            f[k + 1][j] = shifted + k * (k - 1) * f[k - 1][j]
     return f
 
 
@@ -167,24 +184,28 @@ def gf_identity_check(order: int) -> GfIdentityReport:
     The left side is assembled from hz_sum values (the N=0 seed term is the
     empty gluing, eps_0(0)=1, whose 2xy term the identity needs at order 1);
     the right side comes from the differential equation (1-x^2) F' = 2y F,
-    which does not use hz_sum. Both are exact Fraction coefficients of
-    x^k y^j. Returns whether every coefficient through x^order matches, and
-    if not, the smallest (x_power, y_power) where the two sides differ.
+    which does not use hz_sum. Both sides are kept as integers: the left
+    side's x^(N+1) holds 2*eps_g(N), its numerator over (2N-1)!!, and the
+    right side's x^k holds k! times the coefficient, so the two are compared
+    cross-multiplied. Returns whether every coefficient through x^order
+    matches, and if not, the smallest (x_power, y_power) where the two sides
+    differ.
     """
     if order < 1:
         raise DomainError(f"gf_identity_check requires order >= 1, got {order}")
 
-    lhs = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
-    lhs[0][0] = Fraction(1)
+    lhs = [[0] * (order + 1) for _ in range(order + 1)]
+    lhs[0][0] = 1
     for n in range(0, order):
         for g in range(0, n // 2 + 1):
             eps = 1 if n == 0 else hz_sum(g, n)
-            if eps:
-                lhs[n + 1][n - 2 * g + 1] += Fraction(2 * eps, double_factorial_odd(n))
+            lhs[n + 1][n - 2 * g + 1] += 2 * eps
     rhs = _ratio_power_coeffs(order)
 
     for xp in range(order + 1):
+        lhs_scale = factorial(xp)
+        rhs_scale = double_factorial_odd(max(xp - 1, 0))
         for yp in range(order + 1):
-            if lhs[xp][yp] != rhs[xp][yp]:
+            if lhs[xp][yp] * lhs_scale != rhs[xp][yp] * rhs_scale:
                 return GfIdentityReport(False, (xp, yp), order)
     return GfIdentityReport(True, None, order)

@@ -1,14 +1,16 @@
 """Exact integer helpers, and the exact division behind every count."""
 
 import math
+import re
 import subprocess
 import sys
-from fractions import Fraction
 from functools import reduce
 from operator import mul
+from pathlib import Path
 
 import pytest
 
+import gluecount
 from gluecount import (
     ConsistencyError,
     DomainError,
@@ -24,6 +26,7 @@ from gluecount import (
     hz_toric,
 )
 from gluecount.exact import _divide
+from gluecount.formula import _power
 from gluecount.verify import _hz_recurrence, _sphere_reference, _torus_reference
 
 
@@ -103,30 +106,43 @@ def _skewed_divide(at):
     return skewed
 
 
-def _third(*args):
-    return Fraction(1, 3)
-
-
 # One case per exact division in the package: what feeds it is patched so
 # that the division cannot cancel, and the call must raise, not round.
 EXACT_DIVISIONS = [
     pytest.param(
-        "gluecount.formula._split_sum", _third,
+        # A splitting sum of 1 over the scale 3.
+        "gluecount.formula._split_sum", lambda genus, sizes: (1, 3),
         lambda: count_closed(SurfaceSignature(0, (1,))),
         "closed formula for SurfaceSignature(genus=0, boundary_sizes=(1,)): "
         "1/3 is not an integer",
         id="count_closed",
     ),
     pytest.param(
-        "gluecount.hz._split_sum", _third, lambda: hz_sum(0, 1),
-        "hz_sum at g=0, N=1: 1/3 is not an integer",
+        "gluecount.hz._split_sum", lambda genus, sizes: (1, 3), lambda: hz_sum(0, 1),
+        "hz_sum at g=0, N=1: 2/6 is not an integer",
         id="hz_sum",
     ),
     pytest.param(
-        "gluecount.hz._power", lambda a, exponent: [Fraction(1, 7)] * len(a),
-        lambda: hz_tanh(0, 1),
-        "hz_tanh at g=0, N=1: 1/7 is not an integer",
+        # The scaled x^2 coefficient of the power is 1 where eps_1(2) = 1
+        # needs 3; its scale is s_1 = 12.
+        "gluecount.hz._power", lambda a, exponent, w: [1] * len(a),
+        lambda: hz_tanh(1, 2),
+        "hz_tanh at g=1, N=2: 24/72 is not an integer",
         id="hz_tanh",
+    ),
+    pytest.param(
+        # (1 + t + t^2)^2 with unit weights: the t^2 step sums to 6, skewed
+        # to 7, over i = 2.
+        "gluecount.formula._divide", _skewed_divide((2, 2)),
+        lambda: _power([1, 1, 1], 2, [[1], [1, 1], [1, 1, 1]]),
+        "Miller's power step at t^2, exponent 2: 7/2 is not an integer",
+        id="power-step",
+    ),
+    pytest.param(
+        # C_1 = (12 * 3 - 12) / (4 * 3!) = 1 at g=1, skewed to 25/24.
+        "gluecount.hz._divide", _skewed_divide((1, 1)), lambda: hz_tanh(1, 2),
+        "tanh coefficient 1 at g=1: 25/24 is not an integer",
+        id="tanh-coefficient",
     ),
     pytest.param(
         "gluecount.hz.factorial", _skewed_factorial(1, 7), lambda: catalan(1),
@@ -202,3 +218,20 @@ def test_inexact_division_raises_without_asserts(src_env):
         "ConsistencyError: sphere reference at ns=(2, 1, 1): "
         "10080/2160 is not an integer\n"
     )
+
+
+def test_import_leaves_fractions_unloaded(src_env):
+    # Every count is integer arithmetic; the package never needs Fraction.
+    script = "import sys, gluecount, gluecount.cli\nprint('fractions' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+def test_no_source_file_imports_fractions():
+    package = Path(gluecount.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    importing = re.compile(r"^\s*(?:from|import)\s+fractions\b", re.MULTILINE)
+    assert [p.name for p in sources if importing.search(p.read_text(encoding="utf-8"))] == []

@@ -1,10 +1,12 @@
 """Closed-formula counts and signature validation."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+import fraction_kernels
 from gluecount import (
     AllPuncturesError,
     SignatureError,
@@ -13,7 +15,7 @@ from gluecount import (
     factorial,
     polygon_size,
 )
-from gluecount.formula import _power, _split_sum
+from gluecount.formula import _power, _scales, _split_sum, _weights
 
 
 def test_signature_rejects_no_boundaries():
@@ -143,7 +145,9 @@ def test_split_sum_matches_composition_sum():
                         for p, n in zip(parts, sizes):
                             term *= factor(p, n)
                         expected += term
-                assert _split_sum(g, sizes) == expected, (g, sizes)
+                value, scale = _split_sum(g, sizes)
+                assert scale == _scales(g)[g]
+                assert Fraction(value, scale) == expected, (g, sizes)
 
 
 def _factor(genus, n):
@@ -167,15 +171,49 @@ def _split_sum_by_boundary(genus, sizes):
     return acc[genus]
 
 
-@pytest.mark.parametrize(
-    "sizes",
+GROUPED_SIZES = (
     [(0,) * k for k in (1, 2, 3, 7, 40)]
     + [(1,) + (0,) * k for k in (1, 2, 5, 39)]
-    + [(3,) * 12 + (1,), (3, 3, 2, 2, 2, 0), (0, 2, 0, 5, 2, 0, 0), (4, 1, 4, 1, 4, 1, 1)],
+    + [(3,) * 12 + (1,), (3, 3, 2, 2, 2, 0), (0, 2, 0, 5, 2, 0, 0), (4, 1, 4, 1, 4, 1, 1)]
 )
+
+
+@pytest.mark.parametrize("sizes", GROUPED_SIZES)
 def test_split_sum_groups_equal_sizes(sizes):
     for g in range(13):
-        assert _split_sum(g, sizes) == _split_sum_by_boundary(g, sizes), g
+        assert Fraction(*_split_sum(g, sizes)) == _split_sum_by_boundary(g, sizes), g
+
+
+@pytest.mark.parametrize("sizes", GROUPED_SIZES)
+def test_split_sum_matches_fraction_kernel(sizes):
+    # The integer sum over its scale s_g is the Fraction kernel's value.
+    for g in range(13):
+        assert Fraction(*_split_sum(g, sizes)) == fraction_kernels.split_sum(g, sizes), g
+
+
+def test_scales_divide_along_products():
+    s = _scales(60)
+    w = _weights(s)
+    assert s[:4] == [1, 12, 720, 60480]
+    for i in range(61):
+        # The definition: the product over primes q <= 2i+1 of q^floor(2i/(q-1)).
+        primes = [q for q in range(2, 2 * i + 2) if all(q % r for r in range(2, q))]
+        assert s[i] == math.prod(q ** (2 * i // (q - 1)) for q in primes), i
+        assert s[i] % (2 * i + 1) == 0 and s[i] % 4**i == 0, i
+        assert _scales(i) == s[: i + 1]
+        for j in range(i + 1):
+            assert type(w[i][j]) is int and w[i][j] * s[j] * s[i - j] == s[i], (i, j)
+
+
+def _integral(series):
+    """`series` (with constant term 1) with coefficient i scaled by d^i, for
+    d the least common denominator of its coefficients, so that every
+    coefficient is an integer; returns the integer coefficients and d. On
+    this scale a product needs no weights: d^j * d^(i-j) = d^i."""
+    d = math.lcm(*(Fraction(c).denominator for c in series))
+    scaled = [Fraction(c) * d**p for p, c in enumerate(series)]
+    assert all(c.denominator == 1 for c in scaled)
+    return [c.numerator for c in scaled], d
 
 
 def test_power_is_repeated_truncated_product():
@@ -185,8 +223,27 @@ def test_power_is_repeated_truncated_product():
         [Fraction(1), Fraction(-2, 3), Fraction(5), Fraction(7, 11), Fraction(-1, 4)],
         [Fraction(1)],
     ]
-    for a in series:
-        expected = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for rational in series:
+        a, d = _integral(rational)
+        ones = [[1] * (i + 1) for i in range(len(a))]
+        expected = [1] + [0] * (len(a) - 1)
         for e in range(7):
-            assert _power(a, e) == expected, (a, e)
+            p = _power(a, e, ones)
+            assert p == expected, (a, e)
+            assert all(type(c) is int for c in p)
+            unscaled = [Fraction(c, d**i) for i, c in enumerate(p)]
+            assert unscaled == fraction_kernels.power(rational, e), (rational, e)
             expected = _times(expected, a)
+
+
+def test_power_on_weighted_scales():
+    # The scales of `_scales` need the weights w[i][j] in every product.
+    for rational in (_factor(6, 0), _factor(9, 3), _factor(12, 1)):
+        s = _scales(len(rational) - 1)
+        w = _weights(s)
+        a = [int(c * s_i) for c, s_i in zip(rational, s)]
+        assert [Fraction(c, s_i) for c, s_i in zip(a, s)] == rational
+        for e in range(7):
+            p = _power(a, e, w)
+            unscaled = [Fraction(c, s_i) for c, s_i in zip(p, s)]
+            assert unscaled == fraction_kernels.power(rational, e), (rational, e)

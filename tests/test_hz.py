@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_kernels
 from gluecount import (
     DomainError,
+    GfIdentityReport,
     catalan,
     double_factorial_odd,
+    factorial,
     gf_identity_check,
     hz_from_gluing_counts,
     hz_sum,
     hz_tanh,
     hz_toric,
 )
+from gluecount.formula import _scales, _weights
 from gluecount.hz import _half_ratio_coeffs, _ratio_power_coeffs
 
 # eps_g(N) for N = 1..5, genus column g = 0, 1, 2, ...
@@ -108,19 +112,50 @@ def test_routes_match_three_term_recurrence(route, max_genus, max_n, hz_recurren
             assert route(g, n) == hz_recurrence[g][n], (g, n)
 
 
+def _unscaled(coeffs, s):
+    """The x^(2m) coefficients of (x/2)/tanh(x/2) from their scaled integers."""
+    return [Fraction(c, s_m) for c, s_m in zip(coeffs, s)]
+
+
 def test_half_angle_expansion():
-    # (x/2)/tanh(x/2) = 1 + x^2/12 - x^4/720 + x^6/30240 - ..., kept in x^2.
-    assert _half_ratio_coeffs(3) == [1, Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240)]
+    # (x/2)/tanh(x/2) = 1 + x^2/12 - x^4/720 + x^6/30240 - ..., kept in x^2
+    # and scaled by s = 1, 12, 720, 60480: 1, 1, -1, 2.
+    s = _scales(3)
+    coeffs = _half_ratio_coeffs(s, _weights(s))
+    assert (coeffs, s) == ([1, 1, -1, 2], [1, 12, 720, 60480])
+    assert _unscaled(coeffs, s) == [1, Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240)]
+
+
+def test_half_angle_matches_fraction_kernel():
+    # The scales do not depend on the genus, so each genus gives a prefix.
+    s = _scales(60)
+    full = _half_ratio_coeffs(s, _weights(s))
+    assert all(type(c) is int for c in full)
+    assert _unscaled(full, s) == fraction_kernels.half_ratio_coeffs(60)
+    for g in range(60):
+        s_g = _scales(g)
+        assert _half_ratio_coeffs(s_g, _weights(s_g)) == full[: g + 1], g
+
+
+def test_routes_match_fraction_kernels_on_one_row():
+    n = 80
+    for g in range(n // 2 + 1):
+        assert hz_sum(g, n) == fraction_kernels.hz_sum(g, n), g
+        assert hz_tanh(g, n) == fraction_kernels.hz_tanh(g, n), g
 
 
 def test_ratio_power_coefficients():
     # ((1+x)/(1-x))^y: x^1 carries 2y, x^2 carries 2y^2, x^3 carries
-    # (2/3)y + (4/3)y^3.
+    # (2/3)y + (4/3)y^3; row k holds them times k!.
     f = _ratio_power_coeffs(6)
     assert f[0] == [1, 0, 0, 0, 0, 0, 0]
     assert f[1] == [0, 2, 0, 0, 0, 0, 0]
-    assert f[2] == [0, 0, 2, 0, 0, 0, 0]
-    assert f[3] == [0, Fraction(2, 3), 0, Fraction(4, 3), 0, 0, 0]
+    assert f[2] == [0, 0, 4, 0, 0, 0, 0]
+    assert f[3] == [0, 4, 0, 8, 0, 0, 0]
+    unscaled = [[Fraction(c, factorial(k)) for c in row] for k, row in enumerate(f)]
+    assert unscaled[2] == [0, 0, 2, 0, 0, 0, 0]
+    assert unscaled[3] == [0, Fraction(2, 3), 0, Fraction(4, 3), 0, 0, 0]
+    assert unscaled == fraction_kernels.ratio_power_coeffs(6)
 
 
 def test_ratio_power_agrees_with_integer_powers():
@@ -135,7 +170,7 @@ def test_ratio_power_agrees_with_integer_powers():
         for _ in range(m):
             direct = [sum(direct[: k + 1]) for k in range(order + 1)]
         evaluated = [sum(c * m**j for j, c in enumerate(row)) for row in f]
-        assert evaluated == direct, m
+        assert evaluated == [factorial(k) * c for k, c in enumerate(direct)], m
 
 
 def test_gf_identity_holds():
@@ -154,6 +189,19 @@ def test_gf_identity_reports_first_discrepancy(monkeypatch):
     )
     report = gf_identity_check(6)
     assert (report.holds, report.first_discrepancy) == (False, (3, 1))
+
+
+@pytest.mark.parametrize("wrong", [None, (1, 2), (0, 9), (4, 11), (12, 25)])
+def test_gf_identity_matches_fraction_kernel(monkeypatch, wrong):
+    # The same report as the Fraction reference for orders 1..26, with every
+    # eps right and with one eps_g(N) one too large.
+    def eps(g, n):
+        return hz_sum(g, n) + ((g, n) == wrong)
+
+    monkeypatch.setattr("gluecount.hz.hz_sum", eps)
+    for order in range(1, 27):
+        spot = fraction_kernels.gf_first_discrepancy(order, eps)
+        assert gf_identity_check(order) == GfIdentityReport(spot is None, spot, order), order
 
 
 def test_gf_identity_rejects_bad_order():

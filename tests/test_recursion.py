@@ -237,6 +237,33 @@ def test_load_rejects_unsorted_sizes(tmp_path):
         memo_store_load(path)
 
 
+def test_load_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("#gluecount-cache v1\ng=0;ns=1,1;count=1\ng=0;ns=1,1;count=1\n")
+    with pytest.raises(CacheError, match=r"line 3: duplicate key g=0, ns=\(1, 1\)$"):
+        memo_store_load(path)
+
+
+def test_load_rejects_all_zero_key(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("#gluecount-cache v1\ng=0;ns=0,0;count=1\n")
+    with pytest.raises(CacheError, match=r"line 2: all-zero size key \(0, 0\)$"):
+        memo_store_load(path)
+
+
+def test_load_rejects_empty_file(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("")
+    with pytest.raises(CacheError, match="empty file"):
+        memo_store_load(path)
+
+
+def test_load_skips_blank_lines_between_entries(tmp_path):
+    path = tmp_path / "spaced.txt"
+    path.write_text("#gluecount-cache v1\ng=0;ns=1,1;count=1\n\n  \ng=0;ns=2;count=1\n\n")
+    assert memo_store_load(path) == CountTable({(0, (1, 1)): 1, (0, (2,)): 1})
+
+
 def test_load_verify_accepts_true_entries(tmp_path):
     memo = CountTable()
     count_recursive(SurfaceSignature(1, (2, 1)), memo)
