@@ -143,6 +143,14 @@ def _cmd_hz(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    bounds = (
+        ("--max-genus", args.max_genus),
+        ("--max-holes", args.max_holes),
+        ("--max-n", args.max_n),
+    )
+    for flag, bound in bounds:
+        if bound < 0:
+            raise DomainError(f"{flag} must be >= 0, got {bound}")
     memo = memo_store_load(args.cache) if args.cache else None
     loaded = len(memo) if memo is not None else 0
     rows = []

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from .errors import (
     DomainError,
     ParityError,
 )
-from .exact import factorial
+from .exact import double_factorial_odd, factorial
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = [
@@ -73,6 +74,10 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
+
+# The most words one `enumerate_classes` call canonicalizes: N = 10 with 8
+# labels (181,440 words) fits, N = 12 with 10 labels (about 20M) does not.
+_WORD_BUDGET = 200_000
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
@@ -413,6 +418,17 @@ def iter_words(size: int, free_labels: Iterable[int] = ()) -> Iterator[GluingWor
             yield GluingWord(pairing, tuple(_placed(size, free_pos, perm)))
 
 
+def _words_to_canonicalize(n: int, free: int) -> int:
+    """How many words `enumerate_classes` canonicalizes for `n` slots and
+    `free` labels: with labels, the C(n-1, f-1) choices of the other free
+    slots, the (n-f-1)!! pairings of the rest and the (f-1)! placements of
+    the other labels; with none, the (n-1)!! pairings."""
+    pairings = double_factorial_odd((n - free) // 2)
+    if not free:
+        return pairings
+    return math.comb(n - 1, free - 1) * pairings * factorial(free - 1)
+
+
 def enumerate_classes(
     size: int, free_labels: Iterable[int] = (), cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[CanonicalWord, GluedSurface]]:
@@ -424,12 +440,19 @@ def enumerate_classes(
     slot 0 are canonicalized; with free labels each class holds exactly one
     of them. Without labels every word qualifies and a rotation can fix a
     word, so a class is kept at its first word and later ones are dropped.
-    Refuses polygons larger than `cap`, as `count_brute` does.
+    Refuses polygons larger than `cap`, as `count_brute` does, and shapes
+    with more than `_WORD_BUDGET` words to canonicalize.
     """
     if size > cap:
         raise CapExceededError(f"polygon size {size} exceeds enumeration cap {cap}")
     labels = tuple(free_labels)
     _check_shape(size, labels)
+    words = _words_to_canonicalize(size, len(labels))
+    if words > _WORD_BUDGET:
+        raise CapExceededError(
+            f"{size} slots with {len(labels)} free labels give {words} words to "
+            f"canonicalize, over the budget of {_WORD_BUDGET}"
+        )
     first, others = sorted(labels)[:1], sorted(labels)[1:]
     classes: dict[bytes, GluedSurface] = {}
     for free_pos, mu in _iter_topologies(size, len(labels), pinned=bool(labels)):

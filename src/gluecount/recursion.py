@@ -170,7 +170,11 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     # The saved file gets the mode a plain open(path, "w") would give it: an
     # existing file keeps its mode, a new one gets 0o666 less the umask.
-    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        handle = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        # Name the file the caller asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
     try:
         with handle:
             handle.write("\n".join(lines) + "\n")

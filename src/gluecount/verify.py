@@ -307,24 +307,43 @@ def suite_row_sums(max_n: int = 10) -> SuiteResult:
     return SuiteResult(name, True, checked)
 
 
-def _label_cycles(
-    slot_cycles: tuple[tuple[int, ...], ...], labels: list[int]
-) -> list[tuple[int, ...]]:
-    """Trace a word's boundaries by label: each cycle from its least label,
-    the cycles in the order of that label."""
-    following = {
-        labels[slot]: labels[after]
-        for cycle in slot_cycles
-        for slot, after in zip(cycle, cycle[1:] + cycle[:1])
-    }
+def _index(
+    free_pos: tuple[int, ...], slot_cycles: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """A pairing's slot cycles by position: each free slot becomes its index
+    in `free_pos`, the position its label takes in a placement. Returns the
+    position cycles and `succ`, where succ[i] is the position after i on its
+    cycle."""
+    index = {slot: i for i, slot in enumerate(free_pos)}
+    positions = tuple(tuple(index[slot] for slot in cycle) for cycle in slot_cycles)
+    succ = [0] * len(free_pos)
+    for cycle in positions:
+        for i, after in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[i] = after
+    return positions, succ
+
+
+def _trace(succ: list[int], perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Trace a word's boundaries by label, the labels 1..f placed in order
+    at positions 0..f-1 (`perm`): each cycle from its least label, the
+    cycles in the order of that label."""
+    following = [0] * (len(perm) + 1)
+    for i, after in enumerate(succ):
+        following[perm[i]] = perm[after]
     traced = []
-    while following:
-        label = min(following)
-        cycle = []
-        while label in following:
-            cycle.append(label)
-            label = following.pop(label)
-        traced.append(tuple(cycle))
+    left = len(perm)
+    start = 0
+    while left:
+        start += 1
+        label = following[start]
+        if label:
+            cycle = [start]
+            while label != start:
+                cycle.append(label)
+                # Clear the entry of this label, then step to its successor.
+                following[label], label = 0, following[label]
+            traced.append(tuple(cycle))
+            left -= len(cycle)
     return traced
 
 
@@ -332,9 +351,13 @@ def suite_structural(max_polygon: int = 9) -> SuiteResult:
     """Invariants over every raw word up to max_polygon slots.
 
     Each pairing is classified once: its boundary walks must partition its
-    free slots, and its sizes must add up (N = sum + 4g + 2L - 2). Each
-    placement of labels into those slots is then one check: the word's
-    label cycles, traced by label, are the pairing's slot cycles relabelled.
+    free slots, and its sizes must add up (N = sum + 4g + 2L - 2). Its slot
+    cycles are then indexed once by position in the placement (`_index`).
+    Each placement of labels into the free slots is one check: the word's
+    label cycles, traced by label (`_trace`), are the pairing's cycles
+    relabelled by `gluing._relabel`. Labels only rename slots, so the
+    position cycles relabelled by the placement give what the slot cycles
+    relabelled by the placed word's labels give.
     """
     name = f"structural-invariants N<={max_polygon}"
     checked = 0
@@ -360,14 +383,14 @@ def suite_structural(max_polygon: int = 9) -> SuiteResult:
                         f"size bookkeeping broken for mu={mu}: "
                         f"sum={free}, g={genus}, holes={holes}, n={n}",
                     )
+                positions, succ = _index(free_pos, cycles)
                 for perm in itertools.permutations(labels):
                     checked += 1
-                    labs = _placed(n, free_pos, perm)
-                    if _label_cycles(cycles, labs) != list(_relabel(cycles, labs)):
+                    if _trace(succ, perm) != list(_relabel(positions, perm)):
                         return SuiteResult(
                             name, False, checked,
                             f"relabelled cycles differ from the traced ones for "
-                            f"mu={mu}, labels={labs}",
+                            f"mu={mu}, labels={_placed(n, free_pos, perm)}",
                         )
     return SuiteResult(name, True, checked)
 

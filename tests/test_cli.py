@@ -92,6 +92,17 @@ def test_warm_cache_query_leaves_the_file_alone(capsys, tmp_path, argv):
     )
 
 
+def test_cache_save_into_missing_directory_names_the_cache(capsys, tmp_path):
+    cache = tmp_path / "missing" / "memo.txt"
+    code, out, err = run(
+        capsys, "count", "--genus", "1", "--holes", "2",
+        "--method", "recursive", "--cache", str(cache),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"io error: [Errno 2] No such file or directory: '{cache}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_count_recursive_too_deep_is_exit_two(capsys):
     holes = ",".join(["1"] * 600)
     code, out, err = run(
@@ -224,6 +235,16 @@ def test_table_empty_bounds_is_header_only(capsys):
     assert (code, out) == (0, "g,ns,count\n")
 
 
+@pytest.mark.parametrize("flag", ["--max-genus", "--max-holes", "--max-n"])
+def test_table_rejects_negative_bounds(capsys, tmp_path, flag):
+    cache = tmp_path / "memo.txt"
+    argv = ["table", "--max-genus", "1", "--max-holes", "1", "--max-n", "1"]
+    argv[argv.index(flag) + 1] = "-1"
+    code, out, err = run(capsys, *argv, "--cache", str(cache))
+    assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -1\n")
+    assert not cache.exists()
+
+
 def test_table_multi_hole_rows_join_sizes(capsys):
     code, out, _ = run(
         capsys, "table", "--max-genus", "0", "--max-holes", "2", "--max-n", "2"
@@ -289,6 +310,15 @@ def test_enumerate_errors(capsys):
     assert (code, err) == (2, "error: polygon size 13 exceeds enumeration cap 12\n")
     code, _, err = run(capsys, "enumerate", "--N", "5", "--labels", "1", "--cap", "4")
     assert (code, err) == (2, "error: polygon size 5 exceeds enumeration cap 4\n")
+
+
+def test_enumerate_word_budget_exit(capsys):
+    code, out, err = run(capsys, "enumerate", "--N", "12", "--labels", "1,2,3,4,5,6,7,8,9,10")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 12 slots with 10 free labels give 19958400 words to canonicalize, "
+        "over the budget of 200000\n"
+    )
 
 
 def test_interrupt_is_exit_130(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from gluecount import (
     iter_words,
 )
 from gluecount.formula import polygon_size
-from gluecount.gluing import _iter_topologies, _topology
+from gluecount.gluing import _iter_topologies, _topology, _words_to_canonicalize
 from gluecount.verify import iter_polygon_signatures
 
 
@@ -445,3 +445,48 @@ def test_enumerate_classes_cap(monkeypatch):
         enumerate_classes(13, (1, 2))
     with pytest.raises(CapExceededError, match="polygon size 5 exceeds enumeration cap 4"):
         enumerate_classes(5, (1,), cap=4)
+
+
+def test_word_budget_counts_the_canonicalized_words():
+    # With labels, the pairings that leave slot 0 free times the (f-1)!
+    # placements of the other labels; with none, every pairing.
+    for n in range(1, 11):
+        for labels in label_runs(n):
+            free = len(labels)
+            pairings = sum(1 for _ in _iter_topologies(n, free, pinned=bool(free)))
+            expected = pairings * math.factorial(max(free - 1, 0))
+            assert _words_to_canonicalize(n, free) == expected, (n, free)
+    assert _words_to_canonicalize(10, 8) == 181_440
+    assert _words_to_canonicalize(12, 10) == 19_958_400
+    assert _words_to_canonicalize(16, 0) == 2_027_025
+
+
+def test_enumerate_classes_word_budget(monkeypatch):
+    # Past the budget nothing is enumerated; the cap and the shape are
+    # checked first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the word budget")
+
+    monkeypatch.setattr("gluecount.gluing._iter_topologies", refuse)
+    with pytest.raises(CapExceededError) as info:
+        enumerate_classes(11, range(1, 8))
+    assert str(info.value) == (
+        "11 slots with 7 free labels give 453600 words to canonicalize, "
+        "over the budget of 200000"
+    )
+    with pytest.raises(CapExceededError, match="2027025 words"):
+        enumerate_classes(16, cap=16)
+    with pytest.raises(CapExceededError, match="cap 12"):
+        enumerate_classes(14, range(1, 13))
+    with pytest.raises(ParityError):
+        enumerate_classes(12, range(1, 10))
+
+
+def test_enumerate_classes_word_budget_is_inclusive(monkeypatch):
+    # 15 words for six slots with two labels: five places for label 2,
+    # three pairings of the other four slots.
+    monkeypatch.setattr("gluecount.gluing._WORD_BUDGET", 15)
+    assert len(enumerate_classes(6, (1, 2))) == 15
+    monkeypatch.setattr("gluecount.gluing._WORD_BUDGET", 14)
+    with pytest.raises(CapExceededError, match="15 words"):
+        enumerate_classes(6, (1, 2))

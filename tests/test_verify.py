@@ -1,7 +1,13 @@
-"""Verification suites: a suite that meets a disagreement reports it."""
+"""Verification suites: a suite that meets a disagreement reports it, and
+the structural suite's trace by position agrees with a trace of the placed
+word by label."""
+
+import itertools
 
 from gluecount import SurfaceSignature, count_closed
-from gluecount.verify import suite_brute_oracle
+from gluecount.errors import ConsistencyError
+from gluecount.gluing import _iter_topologies, _placed, _topology
+from gluecount.verify import _index, _trace, suite_brute_oracle, suite_structural
 
 
 def test_brute_oracle_reports_first_disagreement(monkeypatch):
@@ -14,3 +20,86 @@ def test_brute_oracle_reports_first_disagreement(monkeypatch):
     assert (result.passed, result.checked) == (False, 12)
     assert result.failure == "sig=(g=1, ns=[1]): brute=1, closed=2"
     assert result.line() == "FAIL brute-vs-closed N<=6: sig=(g=1, ns=[1]): brute=1, closed=2"
+
+
+def test_structural_reports_unrotated_relabel(monkeypatch):
+    # Without the rotation to the least label, the 2-gon with both edges
+    # free and labels 2, 1 is the first word whose relabelled cycle differs.
+    def unrotated(cycles, labels):
+        return tuple(sorted(tuple(labels[k] for k in cycle) for cycle in cycles))
+
+    monkeypatch.setattr("gluecount.verify._relabel", unrotated)
+    result = suite_structural(9)
+    assert (result.passed, result.checked) == (False, 4)
+    assert result.line() == (
+        "FAIL structural-invariants N<=9: relabelled cycles differ from the "
+        "traced ones for mu=[-1, -1], labels=[2, 1]"
+    )
+
+
+def test_structural_reports_broken_size_bookkeeping(monkeypatch):
+    # One genus too many from the 5-gons on: the first 5-gon pairing fails
+    # after the 52 words of the smaller polygons were checked.
+    def one_genus_more(n, mu):
+        genus, punctures, cycles, classes = _topology(n, mu)
+        return genus + (n >= 5), punctures, cycles, classes
+
+    monkeypatch.setattr("gluecount.verify._topology", one_genus_more)
+    result = suite_structural(9)
+    assert (result.passed, result.checked) == (False, 52)
+    assert result.failure == (
+        "size bookkeeping broken for mu=[-1, 2, 1, 4, 3]: sum=1, g=1, holes=3, n=5"
+    )
+
+
+def test_structural_reports_failed_walk(monkeypatch):
+    def walk_fails_once(n, mu):
+        if n == 6 and list(mu) == [-1, 3, 4, 1, 2, -1]:
+            raise ConsistencyError("boundary walk revisited a corner")
+        return _topology(n, mu)
+
+    monkeypatch.setattr("gluecount.verify._topology", walk_fails_once)
+    result = suite_structural(9)
+    assert (result.passed, result.checked) == (False, 288)
+    assert result.failure == (
+        "walk or classify failed for mu=[-1, 3, 4, 1, 2, -1]: "
+        "boundary walk revisited a corner"
+    )
+
+
+def label_cycles(slot_cycles, labels):
+    """A reference for `_trace`, on slot cycles and the placed word's labels
+    rather than positions: the boundaries traced by label through a dict
+    from each label to the next, each cycle from its least label, the
+    cycles in the order of that label."""
+    following = {
+        labels[slot]: labels[after]
+        for cycle in slot_cycles
+        for slot, after in zip(cycle, cycle[1:] + cycle[:1])
+    }
+    traced = []
+    while following:
+        label = min(following)
+        cycle = []
+        while label in following:
+            cycle.append(label)
+            label = following.pop(label)
+        traced.append(tuple(cycle))
+    return traced
+
+
+def test_trace_by_position_matches_trace_by_label():
+    placements = 0
+    for n in range(1, 8):
+        for free in range(n % 2, n + 1, 2):
+            for free_pos, mu in _iter_topologies(n, free):
+                cycles = _topology(n, mu)[2]
+                positions, succ = _index(free_pos, cycles)
+                assert [[free_pos[i] for i in cycle] for cycle in positions] == [
+                    list(cycle) for cycle in cycles
+                ]
+                for perm in itertools.permutations(range(1, free + 1)):
+                    placements += 1
+                    expected = label_cycles(cycles, _placed(n, free_pos, perm))
+                    assert _trace(succ, perm) == expected, (mu, perm)
+    assert placements == suite_structural(7).checked == 9727
