@@ -20,7 +20,23 @@ occurs. A merge of sizes u >= v that occur c_u and c_v times weighs
 C(c_u, 2) m_u^2 when u = v and c_u c_v m_u m_v otherwise; a cut of size u
 weighs c_u m_u. Within a cut, x and n_i+2-x split off the same pair of
 sizes, so x runs only to floor(n_i/2)+1 and each term counts twice unless
-x = n_i+2-x.
+x = n_i+2-x. New sizes are never 0, so a child's z is the parent's less the
+zeros the step removes, and the child's z! is part of its weight.
+
+Memo keys: the memo holds one integer code per signature, with 16-bit
+fields: field 0 is the genus and field s+1 the number of boundaries of size
+s. With P[s] = 2^(16(s+1)), a child's code is its parent's code plus a few
+powers:
+
+    merge u, v:        code - P[u] - P[v] + P[u+v+2]
+    cut u into x, y:   code - 1 - P[u] + P[x] + P[y]
+
+so a memo hit is one integer sum and one dict probe, and the sorted sizes
+are rebuilt from a code only when it misses. Every step keeps the polygon
+size N = n_1 + ... + n_L + 4g + 2L - 2 fixed, so no size reached exceeds N,
+no genus exceeds g and no size occurs more than L + g times. count_recursive
+refuses a signature with N >= 4096 before any work: every field then stays
+below 2^16 and a code below 8 KiB.
 
 Persistence: a CountTable can be saved to / loaded from a small text format,
 
@@ -28,9 +44,10 @@ Persistence: a CountTable can be saved to / loaded from a small text format,
     g=<int>;ns=<comma-separated sizes, non-increasing>;count=<decimal integer>
 
 with entry lines sorted by (g, ns). Unknown versions are refused; malformed
-lines are reported with their line number. `memo_store_load(path, verify=True)`
-re-derives every entry with a scratch table (never seeded from the file) and
-raises ConsistencyError on the first disagreement.
+lines, and keys that do not fit a code, are reported with their line number.
+`memo_store_load(path, verify=True)` re-derives every entry with a scratch
+table (never seeded from the file) and raises ConsistencyError naming the
+least (g, ns) that disagrees.
 """
 
 from __future__ import annotations
@@ -38,9 +55,13 @@ from __future__ import annotations
 import os
 import re
 import sys
+import threading
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from pathlib import Path
+from types import MappingProxyType
 
-from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError, SignatureError
+from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
 from .exact import _divide, factorial
 from .formula import SurfaceSignature
 
@@ -49,26 +70,95 @@ __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"
 _HEADER = "#gluecount-cache v1"
 _LINE_RE = re.compile(r"^g=(\d+);ns=(\d+(?:,\d+)*);count=(\d+)$")
 
-# Memo keys are (genus, sizes sorted non-increasing); values are plain counts.
+# A decoded memo key: (genus, sizes sorted non-increasing).
 MemoKey = tuple[int, tuple[int, ...]]
+
+_BITS = 16
+_FIELD = 1 << _BITS  # every field of a code stays below this
+_MASK = _FIELD - 1
+_SIZE_LIMIT = 1 << 12  # sizes stay below this, so a code stays below 8 KiB
+
+# _POWERS[s] = P[s] = 2^(16(s+1)), grown on demand up to the largest size
+# reached (at most _SIZE_LIMIT entries, about 16 MiB).
+_POWERS = [_FIELD]
+_POWERS_LOCK = threading.Lock()
+
+
+def _grow(size: int) -> None:
+    """Extend _POWERS so that it covers `size`."""
+    if len(_POWERS) <= size:
+        with _POWERS_LOCK:
+            while len(_POWERS) <= size:
+                _POWERS.append(_POWERS[-1] << _BITS)
+
+
+def _sizes_code(sizes: Sequence[int]) -> int:
+    """The code of genus 0 with `sizes`, non-increasing; DomainError when a
+    size or its multiplicity does not fit its field."""
+    if not 0 <= sizes[-1] <= sizes[0] < _SIZE_LIMIT:
+        size = sizes[0] if sizes[0] >= _SIZE_LIMIT else sizes[-1]
+        raise DomainError(f"size {size} is out of range: sizes must be in 0..{_SIZE_LIMIT - 1}")
+    if len(sizes) > _MASK:
+        size, times = Counter(sizes).most_common(1)[0]
+        if times > _MASK:
+            raise DomainError(f"size {size} occurs {times} times, more than {_MASK}")
+    _grow(sizes[0])
+    return sum(map(_POWERS.__getitem__, sizes))
+
+
+def _sizes(part: int) -> tuple[int, ...]:
+    """The sizes, non-increasing, held by `part`, a code shifted past its
+    genus field."""
+    sizes: tuple[int, ...] = ()
+    while part:
+        size = (part.bit_length() - 1) // _BITS
+        times = part >> size * _BITS
+        part ^= times << size * _BITS
+        sizes += (size,) * times
+    return sizes
+
+
+def _text(part: int, texts: dict[int, str]) -> str:
+    """`_sizes(part)` as the comma-separated text of the cache format.
+    `texts` maps parts to their texts, 0 to the empty one; the text of what
+    is left after the largest size is read from it, or made and added."""
+    size = (part.bit_length() - 1) // _BITS
+    times = part >> size * _BITS
+    rest = part ^ times << size * _BITS
+    tail = texts.get(rest)
+    if tail is None:
+        tail = texts[rest] = _text(rest, texts)
+    head = f"{size}," * times
+    return head + tail if tail else head[:-1]
 
 
 class CountTable:
-    """Dict of memoized counts keyed by normalized signature."""
+    """Memoized plain counts, one per signature, keyed by its code."""
 
-    def __init__(self, entries: dict[MemoKey, int] | None = None) -> None:
-        self.entries: dict[MemoKey, int] = dict(entries or {})
+    def __init__(self, entries: Mapping[MemoKey, int] | None = None) -> None:
+        self._codes: dict[int, int] = {}
+        for (genus, sizes), count in (entries or {}).items():
+            if not 0 <= genus < _FIELD:
+                raise DomainError(f"genus {genus} is out of range: it must be below {_FIELD}")
+            self._codes[genus + _sizes_code(sorted(sizes, reverse=True))] = count
+
+    @property
+    def entries(self) -> Mapping[MemoKey, int]:
+        """A read-only snapshot {(genus, sizes non-increasing): count}."""
+        return MappingProxyType(
+            {(code & _MASK, _sizes(code >> _BITS)): n for code, n in self._codes.items()}
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._codes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
-        return self.entries == other.entries
+        return self._codes == other._codes
 
     def __repr__(self) -> str:
-        return f"CountTable({len(self.entries)} entries)"
+        return f"CountTable({len(self._codes)} entries)"
 
 
 def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> int:
@@ -77,78 +167,121 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     Passing the same CountTable across calls shares all intermediate results.
     The table is trusted as-is: fill it only through this function, and load
     files with memo_store_load(path, verify=True) when provenance is in doubt.
-    Signatures too deep for Python's recursion limit (2g + L nested levels)
-    raise DomainError; the entries the table keeps stay valid.
+    A signature whose polygon has 4096 edges or more raises DomainError
+    before any work. Signatures too deep
+    for Python's recursion limit (2g + L nested levels) raise DomainError;
+    the entries the table keeps stay valid.
 
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
     so time and memory grow with the number of such partitions, and no bound
     is set in advance. On a 2-vCPU Xeon with CPython 3.11, g=0 with 20
-    boundaries of size 1 takes 0.01 s (626 entries), with 40 about 2.5 s
-    (37k entries); g=6 with five boundaries of size 4 takes 1.2 s (22.5k
-    entries). g=0 with 100 boundaries of size 1 is out of practical reach.
+    boundaries of size 1 takes 0.01 s (626 entries), with 40 0.6-1.0 s
+    (37k entries); g=6 with five boundaries of size 4 takes 0.4-0.55 s
+    (22.5k entries). g=0 with 100 boundaries of size 1 is out of practical
+    reach. A key takes 2 bytes per size up to the largest size it holds, so
+    boundaries of hundreds of edges cost more memory and time per entry:
+    g=2 with one boundary of size 800 takes 2.5 s and 76 MB (55k entries).
     """
-    entries = memo.entries if memo is not None else {}
+    entries = memo._codes if memo is not None else {}
+    genus = sig.genus
     sizes = sig.sorted_sizes()
-    hit = entries.get((sig.genus, sizes))
+    _reach(genus, sizes)
+    code = genus + _sizes_code(sizes)
+    hit = entries.get(code)
     if hit is not None:
         return hit
+    return _compute(genus, sizes, code, entries)
+
+
+def _reach(genus: int, sizes: tuple[int, ...]) -> None:
+    """Refuse a signature whose polygon size N, the largest size its
+    recursion reaches, does not fit a code; extend _POWERS up to N."""
+    edges = sum(sizes) + 4 * genus + 2 * len(sizes) - 2
+    if edges >= _SIZE_LIMIT:
+        raise DomainError(
+            f"g={genus}, L={len(sizes)} is out of range for the recursion: its polygon "
+            f"has {edges} edges, and the memo keys allow at most {_SIZE_LIMIT - 1}"
+        )
+    _grow(edges)
+
+
+def _compute(genus: int, sizes: tuple[int, ...], code: int, entries: dict[int, int]) -> int:
+    """Run the kernel from the top, turning a RecursionError into DomainError."""
     try:
-        return _count_normalized(sig.genus, sizes, entries)
+        return _count(genus, sizes, code, entries)
     except RecursionError:
-        raise DomainError(f"recursion too deep for g={sig.genus}, L={sig.holes}") from None
+        raise DomainError(f"recursion too deep for g={genus}, L={len(sizes)}") from None
 
 
-def _scaled(genus: int, child: tuple[int, ...], entries: dict[MemoKey, int]) -> int:
-    """T(genus; child) for an unsorted child: sort once, then probe the memo
-    here, the one probe of the recursion, so that a hit costs no further call."""
-    sizes = tuple(sorted(child, reverse=True))
-    plain = entries.get((genus, sizes))
-    if plain is None:
-        plain = _count_normalized(genus, sizes, entries)
-    zeros = sizes.count(0)
-    return plain * factorial(zeros) if zeros else plain
+def _miss(genus: int, code: int, entries: dict[int, int]) -> int:
+    """The plain count for a child the memo does not hold: rebuild its
+    sizes, then run the kernel. Each level of the recursion is this frame
+    and a kernel frame, so Python's recursion limit stops it at about 500
+    levels rather than 1000."""
+    return _count(genus, _sizes(code >> _BITS), code, entries)
 
 
-def _count_normalized(genus: int, sizes: tuple[int, ...], entries: dict[MemoKey, int]) -> int:
-    """The plain count for sorted `sizes`, computed and stored; the callers
-    have already found no memo entry for it."""
+def _count(genus: int, sizes: tuple[int, ...], code: int, entries: dict[int, int]) -> int:
+    """The plain count for sorted `sizes` with code `code`, computed and
+    stored; the callers have already found no memo entry for it."""
     holes = len(sizes)
     if genus == 0 and holes == 1:
         return 1
-
+    powers = _POWERS
+    get = entries.get
+    zeros = sizes.count(0)
+    whole = factorial(zeros)
     # Equal sizes give equal children, so each distinct size u is visited
-    # once, at its first index, and weighted by its multiplicity.
+    # once. w_u = c_u m_u z_u!, where z_u! is the child's z! after removing
+    # one u: z! unless u is 0.
+    less = factorial(zeros - 1) if zeros else 0
     groups = [
-        (u, u if u > 0 else 1, sizes.count(u), sizes.index(u)) for u in dict.fromkeys(sizes)
+        (u, u or 1, cu, cu * (u or 1) * (whole if u else less))
+        for u, cu in [(u, sizes.count(u)) for u in dict.fromkeys(sizes)]
     ]
 
     merge_total = 0
-    for a, (u, mu, cu, iu) in enumerate(groups):
+    for a, (u, mu, cu, wu) in enumerate(groups):
+        without_u = code - powers[u]
         if cu > 1:
-            rest = sizes[:iu] + sizes[iu + 2 :]
+            child = without_u - powers[u] + powers[2 * u + 2]
+            plain = get(child)
+            if plain is None:
+                plain = _miss(genus, child, entries)
             pairs = cu * (cu - 1) // 2
-            merge_total += pairs * mu * mu * _scaled(genus, (2 * u + 2,) + rest, entries)
-        for v, mv, cv, iv in groups[a + 1 :]:
-            rest = sizes[:iu] + sizes[iu + 1 : iv] + sizes[iv + 1 :]
-            merge_total += cu * cv * mu * mv * _scaled(genus, (u + v + 2,) + rest, entries)
+            merge_total += pairs * mu * mu * (whole if u else factorial(zeros - 2)) * plain
+        # Only v can be 0 here, since u > v.
+        inner = 0
+        for v, _, _, wv in groups[a + 1 :]:
+            child = without_u - powers[v] + powers[u + v + 2]
+            plain = get(child)
+            if plain is None:
+                plain = _miss(genus, child, entries)
+            inner += wv * plain
+        merge_total += cu * mu * inner
 
     cut_total = 0
     if genus > 0:
-        for u, mu, cu, iu in groups:
-            rest = sizes[:iu] + sizes[iu + 1 :]
+        for u, _, _, wu in groups:
+            without_u = code - 1 - powers[u]
             acc = 0
-            # x and u + 2 - x cut off the same pair of sizes.
             for x in range(1, u // 2 + 2):
-                term = _scaled(genus - 1, (u + 2 - x, x) + rest, entries)
-                acc += term if 2 * x == u + 2 else 2 * term
-            cut_total += cu * mu * acc
+                child = without_u + powers[x] + powers[u + 2 - x]
+                plain = get(child)
+                if plain is None:
+                    plain = _miss(genus - 1, child, entries)
+                acc += plain
+            # x and u + 2 - x cut off the same pair of sizes, so each term
+            # counts twice, but the last one once when u is even: then
+            # x = u + 2 - x.
+            cut_total += wu * (2 * acc - (0 if u % 2 else plain))
 
     where = "cut recursion at g={}, ns={}"
     scaled = _divide(
         2 * merge_total + cut_total, 2 * (holes + 2 * genus - 1), where, genus, sizes
     )
-    plain = _divide(scaled, factorial(sizes.count(0)), where, genus, sizes)
-    entries[genus, sizes] = plain
+    plain = _divide(scaled, whole, where, genus, sizes)
+    entries[code] = plain
     return plain
 
 
@@ -158,13 +291,25 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
     one step: a failed save leaves the old file as it was."""
     target = Path(path)
     lines = [_HEADER]
-    for (genus, sizes), count in sorted(memo.entries.items()):
+    # Within a genus, codes shifted past the genus field sort as their
+    # non-increasing size tuples do: the first size field, from the top,
+    # where two codes differ is the first position where the tuples differ.
+    # So the entries sort by code, then stably by genus.
+    codes = memo._codes
+    ordered = sorted(codes)
+    ordered.sort(key=_MASK.__and__)
+    texts = {0: ""}
+    for code in ordered:
+        genus, part, count = code & _MASK, code >> _BITS, codes[code]
+        text = texts.get(part)
+        if text is None:
+            text = texts[part] = _text(part, texts)
         try:
-            lines.append(f"g={genus};ns={','.join(map(str, sizes))};count={count}")
+            lines.append(f"g={genus};ns={text};count={count}")
         except ValueError as exc:
             raise CacheError(
-                f"{target}: cannot save entry g={genus}, ns={sizes}: its count has more "
-                f"digits than the int-to-str conversion limit of "
+                f"{target}: cannot save entry g={genus}, ns={_sizes(part)}: its count has "
+                f"more digits than the int-to-str conversion limit of "
                 f"{sys.get_int_max_str_digits()} (see sys.set_int_max_str_digits)"
             ) from exc
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
@@ -203,7 +348,9 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
         raise CacheVersionError(
             f"{file}: unsupported cache header {lines[0]!r}, expected {_HEADER!r}"
         )
-    entries: dict[MemoKey, int] = {}
+    entries: dict[int, int] = {}
+    # Each distinct sizes text is read and checked once, at its first line.
+    parts: dict[str, int] = {}
     match_line = _LINE_RE.match
     for lineno, line in enumerate(lines[1:], start=2):
         match = match_line(line)
@@ -212,33 +359,55 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
                 continue
             raise CacheError(f"{file}: line {lineno}: malformed entry {line!r}")
         genus_text, sizes_text, count_text = match.groups()
+        part = parts.get(sizes_text)
         try:
             genus = int(genus_text)
-            sizes = tuple(map(int, sizes_text.split(",")))
+            if part is None:
+                sizes = list(map(int, sizes_text.split(",")))
             count = int(count_text)
         except ValueError as exc:
             raise CacheError(f"{file}: line {lineno}: unreadable number: {exc}") from exc
-        if list(sizes) != sorted(sizes, reverse=True):
+        if part is None:
+            if sizes != sorted(sizes, reverse=True):
+                raise CacheError(
+                    f"{file}: line {lineno}: sizes must be non-increasing, got {tuple(sizes)}"
+                )
+            if not sizes[0]:
+                raise CacheError(f"{file}: line {lineno}: all-zero size key {tuple(sizes)}")
+            try:
+                part = parts[sizes_text] = _sizes_code(sizes)
+            except DomainError as exc:
+                raise CacheError(f"{file}: line {lineno}: {exc}") from None
+        if genus >= _FIELD:
             raise CacheError(
-                f"{file}: line {lineno}: sizes must be non-increasing, got {sizes}"
+                f"{file}: line {lineno}: genus {genus} is out of range: it must be below {_FIELD}"
             )
-        if not sizes[0]:
-            raise CacheError(f"{file}: line {lineno}: all-zero size key {sizes}")
-        key = (genus, sizes)
-        if key in entries:
-            raise CacheError(f"{file}: line {lineno}: duplicate key g={genus}, ns={sizes}")
-        entries[key] = count
+        known = len(entries)
+        entries[genus + part] = count
+        if len(entries) == known:
+            raise CacheError(
+                f"{file}: line {lineno}: duplicate key g={genus}, ns={_sizes(part >> _BITS)}"
+            )
 
     if verify:
-        scratch = CountTable()
-        for (genus, sizes), stored in sorted(entries.items()):
-            try:
-                actual = count_recursive(SurfaceSignature(genus, sizes), scratch)
-            except SignatureError as exc:
-                raise CacheError(f"{file}: invalid signature g={genus}, ns={sizes}") from exc
+        scratch: dict[int, int] = {}
+        least = None
+        for code, stored in entries.items():
+            actual = scratch.get(code)
+            if actual is None:
+                genus, sizes = code & _MASK, _sizes(code >> _BITS)
+                _reach(genus, sizes)
+                actual = _compute(genus, sizes, code, scratch)
             if actual != stored:
-                raise ConsistencyError(
-                    f"{file}: entry g={genus}, ns={sizes} holds {stored}, "
-                    f"recomputed {actual}"
-                )
-    return CountTable(entries)
+                order = (code & _MASK, code >> _BITS)
+                if least is None or order < least[0]:
+                    least = (order, stored, actual)
+        if least is not None:
+            (genus, part), stored, actual = least
+            raise ConsistencyError(
+                f"{file}: entry g={genus}, ns={_sizes(part)} holds {stored}, "
+                f"recomputed {actual}"
+            )
+    table = CountTable()
+    table._codes = entries
+    return table

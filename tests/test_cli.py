@@ -112,6 +112,28 @@ def test_count_recursive_too_deep_is_exit_two(capsys):
     assert err == "error: recursion too deep for g=0, L=600\n"
 
 
+def test_count_recursive_out_of_range_is_exit_two(capsys):
+    code, out, err = run(
+        capsys, "count", "--genus", "65536", "--holes", "1", "--method", "recursive"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: g=65536, L=1 is out of range for the recursion: its polygon "
+        "has 262145 edges, and the memo keys allow at most 4095\n"
+    )
+
+
+def test_count_recursive_cache_out_of_range_is_exit_two(capsys, tmp_path):
+    cache = tmp_path / "memo.txt"
+    cache.write_text("#gluecount-cache v1\ng=65536;ns=1;count=1\n")
+    code, out, err = run(
+        capsys, "count", "--genus", "0", "--holes", "1,1",
+        "--method", "recursive", "--cache", str(cache),
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith("line 2: genus 65536 is out of range: it must be below 65536\n")
+
+
 def test_count_recursive_rejects_corrupt_cache(capsys, tmp_path):
     cache = tmp_path / "memo.txt"
     cache.write_text("#gluecount-cache v9\n")

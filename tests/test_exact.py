@@ -155,9 +155,9 @@ EXACT_DIVISIONS = [
         id="hz_toric",
     ),
     pytest.param(
-        # Every child reads 1, so (g=0, ns=[1,1,1]) merges to 3 * 1 and
-        # 2 * 3 does not divide by 2 * (L + 2g - 1) = 4.
-        "gluecount.recursion._scaled", lambda genus, child, entries: 1,
+        # Every child the memo misses reads 1, so (g=0, ns=[1,1,1]) merges
+        # to 3 * 1 and 2 * 3 does not divide by 2 * (L + 2g - 1) = 4.
+        "gluecount.recursion._miss", lambda genus, code, entries: 1,
         lambda: count_recursive(SurfaceSignature(0, (1, 1, 1))),
         "cut recursion at g=0, ns=(1, 1, 1): 6/4 is not an integer",
         id="recursion-step",

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from gluecount import (
     memo_store_load,
     memo_store_save,
 )
+from gluecount import recursion
 
 
 def test_known_values():
@@ -284,10 +286,124 @@ def test_poisoned_memo_is_caught_by_verify(tmp_path):
     # other correct ones.
     memo = CountTable()
     count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    snapshot = dict(memo.entries)
     key = (1, (2, 1))
-    assert key in memo.entries
-    memo.entries[key] += 1
+    assert key in snapshot
+    snapshot[key] += 1
+    poisoned = CountTable(snapshot)
+    assert poisoned != memo
     path = tmp_path / "poisoned.txt"
-    memo_store_save(memo, path)
-    with pytest.raises(ConsistencyError):
+    memo_store_save(poisoned, path)
+    with pytest.raises(ConsistencyError, match=r"entry g=1, ns=\(2, 1\) holds"):
         memo_store_load(path, verify=True)
+
+
+def test_entries_is_a_read_only_snapshot():
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    view = memo.entries
+    with pytest.raises(TypeError):
+        view[1, (2, 1)] = 0
+    with pytest.raises(TypeError):
+        del view[1, (2, 1)]
+    assert memo.entries == view
+
+
+def test_verify_names_the_least_disagreeing_key(tmp_path):
+    # (1, (2,)) has the lesser code but the greater (g, ns), and comes first
+    # in the file.
+    path = tmp_path / "two.txt"
+    path.write_text("#gluecount-cache v1\ng=1;ns=2;count=6\ng=0;ns=2,1;count=7\n")
+    with pytest.raises(ConsistencyError, match=r"entry g=0, ns=\(2, 1\) holds 7, recomputed 2$"):
+        memo_store_load(path, verify=True)
+
+
+POWER = [1 << 16 * (size + 1) for size in range(64)]
+
+
+def _code(genus, sizes):
+    """The code of (genus, sizes): genus plus 2^(16(s+1)) per size s."""
+    return genus + sum(map(POWER.__getitem__, sizes))
+
+
+def test_codec_round_trip_and_child_codes():
+    memo = CountTable()
+    for genus in range(4):
+        for holes in range(1, 5):
+            for sizes in itertools.combinations_with_replacement(range(6), holes):
+                if sum(sizes):
+                    count_recursive(SurfaceSignature(genus, sizes), memo)
+    assert len(memo) > 1000
+    power = POWER
+    for genus, sizes in memo.entries:
+        code = _code(genus, sizes)
+        assert code in memo._codes
+        assert (code & 0xFFFF, recursion._sizes(code >> 16)) == (genus, sizes)
+        # Equal sizes give equal children, so each distinct size is enough.
+        distinct = sorted(set(sizes), reverse=True)
+        for a, u in enumerate(distinct):
+            for v in distinct[a:]:
+                if v == u and sizes.count(u) < 2:
+                    continue
+                rest = list(sizes)
+                rest.remove(u)
+                rest.remove(v)
+                child = sorted([u + v + 2, *rest], reverse=True)
+                assert code - power[u] - power[v] + power[u + v + 2] == _code(genus, child)
+        if genus:
+            for u in distinct:
+                rest = list(sizes)
+                rest.remove(u)
+                for x in range(1, u // 2 + 2):
+                    child = sorted([x, u + 2 - x, *rest], reverse=True)
+                    cut = code - 1 - power[u] + power[x] + power[u + 2 - x]
+                    assert cut == _code(genus - 1, child)
+
+
+def _fail(*args):
+    raise AssertionError("the kernel ran")
+
+
+@pytest.mark.parametrize(
+    "genus, sizes",
+    [(2**16, (1,)), (0, (1,) * 2**16), (2**15, (1,) * 2**15), (0, (2**12 - 3, 1))],
+    ids=["genus", "holes", "holes-plus-genus", "polygon"],
+)
+def test_count_recursive_refuses_keys_out_of_range(monkeypatch, genus, sizes):
+    monkeypatch.setattr(recursion, "_count", _fail)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"g={genus}, L={len(sizes)} is out of range"):
+        count_recursive(SurfaceSignature(genus, sizes))
+    assert time.perf_counter() - start < 1
+    assert recursion._POWERS[-1].bit_length() <= 16 * 2**12 + 1
+
+
+def test_count_recursive_range_is_inclusive():
+    # A polygon of 4092 + 1 + 2 = 4095 edges.
+    sig = SurfaceSignature(0, (4092, 1))
+    assert count_recursive(sig) == count_closed(sig)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("g=65536;ns=1;count=1", r"genus 65536 is out of range"),
+        ("g=0;ns=" + ",".join(["1"] * 2**16) + ";count=1", r"size 1 occurs 65536 times"),
+        ("g=0;ns=4096;count=1", r"size 4096 is out of range"),
+    ],
+    ids=["genus", "multiplicity", "size"],
+)
+def test_load_refuses_keys_out_of_range(tmp_path, line, message):
+    path = tmp_path / "range.txt"
+    path.write_text(f"#gluecount-cache v1\ng=0;ns=1,1;count=1\n{line}\n")
+    start = time.perf_counter()
+    with pytest.raises(CacheError, match=f"line 3: {message}"):
+        memo_store_load(path)
+    assert time.perf_counter() - start < 1
+
+
+def test_load_accepts_keys_at_the_edge_of_the_range(tmp_path):
+    path = tmp_path / "edge.txt"
+    ones = ",".join(["1"] * (2**16 - 1))
+    path.write_text(f"#gluecount-cache v1\ng=65535;ns=4095;count=1\ng=0;ns={ones};count=1\n")
+    assert set(memo_store_load(path).entries) == {(65535, (4095,)), (0, (1,) * (2**16 - 1))}
