@@ -145,6 +145,32 @@ def test_count_recursive_rejects_corrupt_cache(capsys, tmp_path):
     assert "v9" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--genus", "1", "--holes", "2", "--method", "recursive"],
+        ["table", "--max-genus", "1", "--max-holes", "1", "--max-n", "2"],
+    ],
+    ids=["count", "table"],
+)
+def test_undecodable_cache_is_exit_two(argv, src_env, tmp_path):
+    cache = tmp_path / "memo.txt"
+    data = b"#gluecount-cache v1\ng=1;ns=2;count=5\xff\n"
+    cache.write_bytes(data)
+    os.utime(cache, ns=(1_000_000_000, 1_000_000_000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gluecount", *argv, "--cache", str(cache)],
+        capture_output=True, text=True, env=src_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {cache}: not UTF-8 text: invalid start byte at byte offset {len(data) - 2}\n"
+    )
+    assert cache.read_bytes() == data
+    assert cache.stat().st_mtime_ns == 1_000_000_000
+    assert list(tmp_path.iterdir()) == [cache]
+
+
 def test_count_recursive_checks_cached_answer(capsys, tmp_path):
     cache = tmp_path / "memo.txt"
     cache.write_text("#gluecount-cache v1\ng=1;ns=2;count=999\n")

@@ -3,9 +3,12 @@
 import itertools
 import math
 import os
+import random
 import time
+import tracemalloc
 
 import pytest
+import reference_loader
 
 from gluecount import (
     CacheError,
@@ -407,3 +410,170 @@ def test_load_accepts_keys_at_the_edge_of_the_range(tmp_path):
     ones = ",".join(["1"] * (2**16 - 1))
     path.write_text(f"#gluecount-cache v1\ng=65535;ns=4095;count=1\ng=0;ns={ones};count=1\n")
     assert set(memo_store_load(path).entries) == {(65535, (4095,)), (0, (1,) * (2**16 - 1))}
+
+
+def test_load_refuses_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    data = b"#gluecount-cache v1\ng=0;ns=1,1;count=1\ng=\xff;ns=2;count=1\n"
+    path.write_bytes(data)
+    with pytest.raises(CacheError) as info:
+        memo_store_load(path)
+    offset = data.index(b"\xff")
+    assert str(info.value) == f"{path}: not UTF-8 text: invalid start byte at byte offset {offset}"
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    """The lines of the files memo_store_save writes for a few memos, each of
+    every signature with genus <= G, at most L boundaries, each of size <= n."""
+    path = tmp_path_factory.mktemp("grids") / "grid.txt"
+    files = []
+    for max_genus, max_holes, max_n in [(1, 3, 3), (0, 5, 2), (3, 2, 2)]:
+        memo = CountTable()
+        for genus in range(max_genus + 1):
+            for holes in range(1, max_holes + 1):
+                for sizes in itertools.product(range(max_n + 1), repeat=holes):
+                    if any(sizes):
+                        count_recursive(SurfaceSignature(genus, sizes), memo)
+        memo_store_save(memo, path)
+        files.append(path.read_text(encoding="utf-8").splitlines())
+    return files
+
+
+def _load_outcome(load, path):
+    """The table `load` reads from `path`, or its exception's type and message."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_like_reference(path):
+    expected = _load_outcome(reference_loader.load, path)
+    assert _load_outcome(memo_store_load, path) == expected
+    return expected
+
+
+def _mutate_sizes(rng, sizes):
+    """`sizes`, a list of size tokens, with one seeded change."""
+    sizes = list(sizes)
+    i = rng.randrange(len(sizes))
+    kind = rng.randrange(9)
+    if kind == 0 and len(sizes) > 1:
+        j = rng.randrange(len(sizes))
+        sizes[i], sizes[j] = sizes[j], sizes[i]
+    elif kind == 1:
+        sizes[i] = "0"
+    elif kind == 2:
+        sizes[i] = "4096"
+    elif kind == 3:
+        sizes[i] = "0" + sizes[i]
+    elif kind == 4:
+        sizes.insert(0, "")
+    elif kind == 5:
+        sizes.append("")
+    elif kind == 6:
+        sizes.insert(i, "")
+    elif kind == 7:
+        # An Arabic-Indic digit: a decimal digit, but not an ASCII one.
+        sizes[i] = "".join(chr(0x660 + int(d)) for d in sizes[i])
+    else:
+        sizes.insert(0, str(rng.randrange(7)))
+    return sizes
+
+
+def _mutate(rng, lines):
+    """`lines` with one to three seeded changes of the kinds a damaged or
+    hand-edited cache file shows."""
+    header, body = lines[0], list(lines[1:])
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(len(body))
+        kind = rng.randrange(6)
+        if kind == 0:
+            body.insert(rng.randrange(len(body) + 1), body[at])
+        elif kind == 1:
+            rng.shuffle(body)
+        elif kind == 2:
+            body.insert(at, rng.choice(["", " ", "\t ", "  "]))
+        elif kind == 3 and body[at].startswith("g="):
+            body[at] = "g=65536;" + body[at].split(";", 1)[1]
+        elif body[at].startswith("g="):
+            genus, sizes, count = body[at].split(";")
+            sizes = _mutate_sizes(rng, sizes[len("ns="):].split(","))
+            body[at] = f"{genus};ns={','.join(sizes)};{count}"
+    return [header, *body]
+
+
+def test_load_matches_reference_on_saved_files(grid_files, tmp_path):
+    path = tmp_path / "grid.txt"
+    for lines in grid_files:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert isinstance(_assert_loads_like_reference(path), CountTable)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_matches_reference_on_mutated_files(grid_files, tmp_path, seed):
+    rng = random.Random(seed)
+    path = tmp_path / "mutated.txt"
+    outcomes = set()
+    for _ in range(60):
+        lines = _mutate(rng, rng.choice(grid_files))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = _assert_loads_like_reference(path)
+        if isinstance(expected, CountTable):
+            outcomes.add("table")
+        else:
+            # "<path>: line <n>: <kind> ...": the word after the line number.
+            outcomes.add(expected[1].removeprefix(f"{path}: ").split()[2])
+    # The mutations reach both accepted files and several kinds of refusal.
+    assert "table" in outcomes and len(outcomes) >= 4, outcomes
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        ["g=0;ns=1;count=1", "g=0;ns=1,1;count=1", "g=0;ns=1,1,1;count=1"],
+        ["g=0;ns=2;count=1", "g=0;ns=1,2;count=1"],
+        ["g=0;ns=0,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=0,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=4096,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=4095,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=00002,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=01,1;count=1", "g=0;ns=1,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=1,;count=1"],
+        ["g=0;ns=1,1;count=1", "g=0;ns=2,,1,1;count=1"],
+        ["g=0;ns=,;count=1"],
+        ["g=0;ns=1;count=1", "g=65536;ns=2,1;count=1"],
+        ["g=0;ns=1;count=1", "g=0;ns=" + "9" * 5000 + ",1;count=1"],
+        ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
+         "g=0;ns=1," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
+        ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
+         "g=0;ns=2," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
+    ],
+    ids=[
+        "tails", "increasing", "all-zero", "zero-head", "head-4096", "head-4095",
+        "long-head", "leading-zero", "leading-comma", "trailing-comma", "double-comma",
+        "only-comma", "genus-65536", "overlong-head", "multiplicity-65536", "long-tail",
+    ],
+)
+def test_load_matches_reference_on_edge_cases(tmp_path, body, default_int_digit_limit):
+    path = tmp_path / "edge.txt"
+    path.write_text("\n".join(["#gluecount-cache v1", *body]) + "\n", encoding="utf-8")
+    _assert_loads_like_reference(path)
+
+
+def test_load_memory_stays_linear_in_the_line_length(tmp_path):
+    # A loader that kept the code of every suffix of a sizes text would hold
+    # 65,535 suffixes of up to 128 KiB each here.
+    ones = ",".join(["1"] * (2**16 - 1))
+    path = tmp_path / "long.txt"
+    path.write_text(f"#gluecount-cache v1\ng=0;ns={ones};count=1\ng=0;ns=2,{ones};count=1\n")
+    tracemalloc.start()
+    try:
+        table = memo_store_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 2
+    assert peak < 64 * 2**20, peak
