@@ -209,9 +209,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     # Counts outgrow the 4300-digit default limit on int <-> str conversion
-    # (CPython 3.10.7+, 3.11+); lift it so every count prints exactly.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # (CPython 3.10.7+, 3.11+); lift it so every count prints exactly, and
+    # give a library caller its own limit back afterwards.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,7 +22,10 @@ exact integers.
 the coefficients its caller reads, as integers. The splitting sum and
 (x/2)/tanh(x/2) keep each rational coefficient a_m as the integer s_m * a_m,
 on the scales s_m of `formula._scales`; hz_sum and hz_tanh divide s_g back
-out once, at the end, through `exact._divide`. The generating function keeps
+out once, at the end, through `exact._divide`. The scaled tanh coefficients
+C_m are a table shared by the process, like the scales and weights of
+`formula`: grown on demand under a lock, never at import, and kept only
+through formula._TABLE_GENUS. The generating function keeps
 k! times its x^k coefficient and is compared cross-multiplied.
 """
 
@@ -32,7 +35,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .exact import _divide, double_factorial_odd, factorial
-from .formula import SurfaceSignature, _power, _scales, _split_sum, _weights, count_closed
+from .formula import (
+    SurfaceSignature, _grown, _power, _scales, _split_sum, _weight_rows, count_closed,
+)
 
 __all__ = [
     "hz_sum",
@@ -73,10 +78,14 @@ def hz_sum(genus: int, n: int) -> int:
     return _divide(value * factorial(2 * n), denominator, "hz_sum at g={}, N={}", genus, n)
 
 
+# The shared table of C_m of the module docstring (see `formula._grown`).
+_HALF_RATIO = [1]
+
+
 def _half_ratio_coeffs(s: list[int], w: list[list[int]]) -> list[int]:
     """C_m = s_m * c_m for m < len(s), where c_m is the coefficient of x^(2m)
     in (x/2)/tanh(x/2), s are the scales of `formula._scales` and w their
-    `formula._weights`.
+    `formula._weights` (rows past len(s) - 1 are not read).
 
     The series is even, so it is kept as a series in x^2. c_m is
     B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and
@@ -87,17 +96,24 @@ def _half_ratio_coeffs(s: list[int], w: list[list[int]]) -> list[int]:
 
         4^m (2m+1)! C_m = s_m (2m+1)
             - sum_{k=1..m} w[m][k] s_k 4^(m-k) (2m+1)!/(2k+1)! C_(m-k).
+
+    Coefficients missing from the shared table are computed from `s` and
+    `w`, and a failed division names the genus len(s) - 1 of this call.
     """
-    out = [1]
-    for m in range(1, len(s)):
-        acc = s[m] * (2 * m + 1)
-        weight = 1  # 4^(m-k) (2m+1)!/(2k+1)!, for k = m down to 1
-        for k in range(m, 0, -1):
-            acc -= weight * w[m][k] * s[k] * out[m - k]
-            weight *= 8 * k * (2 * k + 1)
-        denominator = 4**m * factorial(2 * m + 1)
-        out.append(_divide(acc, denominator, "tanh coefficient {} at g={}", m, len(s) - 1))
-    return out
+    genus = len(s) - 1
+
+    def grow(out: list[int], top: int) -> None:
+        for m in range(len(out), top + 1):
+            acc = s[m] * (2 * m + 1)
+            weight = 1  # 4^(m-k) (2m+1)!/(2k+1)!, for k = m down to 1
+            for k in range(m, 0, -1):
+                acc -= weight * w[m][k] * s[k] * out[m - k]
+                weight *= 8 * k * (2 * k + 1)
+            denominator = 4**m * factorial(2 * m + 1)
+            out.append(_divide(acc, denominator, "tanh coefficient {} at g={}", m, genus))
+
+    (table,) = _grown((_HALF_RATIO,), genus, grow)
+    return table[: genus + 1]
 
 
 def hz_tanh(genus: int, n: int) -> int:
@@ -112,7 +128,7 @@ def hz_tanh(genus: int, n: int) -> int:
     if n < 2 * genus:
         return 0
     s = _scales(genus)
-    w = _weights(s)
+    w = _weight_rows(genus)
     c = _power(_half_ratio_coeffs(s, w), n + 1, w)[genus]
     denominator = factorial(n + 1) * factorial(n - 2 * genus) * s[genus]
     return _divide(factorial(2 * n) * c, denominator, "hz_tanh at g={}, N={}", genus, n)

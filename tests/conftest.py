@@ -1,6 +1,7 @@
 """Shared fixtures: the Harer-Zagier three-term recurrence for eps_g(N),
-CPython's default limit on int <-> str conversion, and an environment that
-imports this checkout's gluecount in a fresh interpreter."""
+CPython's default limit on int <-> str conversion, empty shared series
+tables, and an environment that imports this checkout's gluecount in a
+fresh interpreter."""
 
 import os
 import sys
@@ -9,19 +10,38 @@ from pathlib import Path
 import pytest
 
 import gluecount
+from gluecount import formula, hz
 from gluecount.verify import _hz_recurrence
 
 
 @pytest.fixture
 def default_int_digit_limit():
     """Run the test under CPython's default 4300-digit conversion limit and
-    restore whatever limit was in force afterwards (the CLI lifts it)."""
+    restore whatever limit was in force afterwards (`cli.main` lifts it
+    while it runs, and a test may lift it to convert expected values)."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no int <-> str digit limit")
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield
     sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Give the shared tables of `formula` and `hz` only their row 0 for the
+    test, so every row the test needs is computed, and every division
+    behind it made, by the call under test. The fixture's value empties
+    them again; the filled tables are put back after the test."""
+
+    def empty():
+        monkeypatch.setattr(formula, "_SCALES", [1])
+        monkeypatch.setattr(formula, "_ODD_PARTS", [1])
+        monkeypatch.setattr(formula, "_WEIGHTS", [[1]])
+        monkeypatch.setattr(hz, "_HALF_RATIO", [1])
+
+    empty()
+    return empty
 
 
 @pytest.fixture(scope="session")

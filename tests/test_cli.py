@@ -9,7 +9,15 @@ import time
 
 import pytest
 
-from gluecount import SurfaceSignature, count_closed, hz_tanh, memo_store_load
+from gluecount import (
+    CacheError,
+    CountTable,
+    SurfaceSignature,
+    count_closed,
+    hz_tanh,
+    memo_store_load,
+    memo_store_save,
+)
 from gluecount.cli import main
 
 
@@ -186,16 +194,33 @@ def test_count_recursive_checks_cached_answer(capsys, tmp_path):
 def test_counts_print_at_any_length(capsys, default_int_digit_limit):
     n = 8000
     code, out, _ = run(capsys, "hz", "--genus", "0", "--N", str(n))
-    # The run lifted the digit limit, so the expected values convert too.
-    assert (code, out) == (0, f"{math.comb(2 * n, n) // (n + 1)}\n")
-    assert len(out) > 4300
-
     sig = SurfaceSignature(0, (1,) * 1500)
-    code, out, _ = run(
+    code2, out2, _ = run(
         capsys, "count", "--genus", "0", "--holes", ",".join(["1"] * 1500)
     )
-    assert (code, out) == (0, f"{count_closed(sig)}\n")
-    assert len(out) > 4300
+    assert len(out) > 4300 and len(out2) > 4300
+    # The runs gave the default limit back; lift it to convert the expected
+    # values (the fixture restores it).
+    sys.set_int_max_str_digits(0)
+    assert (code, out) == (0, f"{math.comb(2 * n, n) // (n + 1)}\n")
+    assert (code2, out2) == (0, f"{count_closed(sig)}\n")
+
+
+def test_main_gives_back_the_callers_digit_limit(capsys, tmp_path, default_int_digit_limit):
+    # A library caller keeps its own limit after every exit path of main.
+    for argv, expected in [
+        (("hz", "--genus", "0", "--N", "8000"), 0),
+        (("count", "--genus", "-1", "--holes", "1"), 2),
+        (("count", "--holes", "1"), 2),
+    ]:
+        assert run(capsys, *argv)[0] == expected, argv
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits, argv
+    # So memo_store_save still refuses a count it could not read back.
+    with pytest.raises(CacheError, match="limit of 4300"):
+        memo_store_save(CountTable({(0, (1,)): 10**4400}), tmp_path / "memo.txt")
+    sys.set_int_max_str_digits(5000)
+    assert run(capsys, "hz", "--genus", "0", "--N", "8000")[0] == 0
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_hz_routes(capsys):

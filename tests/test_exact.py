@@ -189,7 +189,8 @@ EXACT_DIVISIONS = [
 
 
 @pytest.mark.parametrize("target, replacement, call, message", EXACT_DIVISIONS)
-def test_inexact_division_raises(monkeypatch, target, replacement, call, message):
+def test_inexact_division_raises(monkeypatch, empty_tables, target, replacement, call, message):
+    # Empty shared tables: a row an earlier test computed would skip its division.
     monkeypatch.setattr(target, replacement)
     with pytest.raises(ConsistencyError) as info:
         call()
