@@ -38,7 +38,6 @@ from .gluing import (
     count_brute,
     enumerate_classes,
     glue,
-    iter_words,
 )
 from .hz import (
     GfIdentityReport,
@@ -84,7 +83,6 @@ __all__ = [
     "hz_sum",
     "hz_tanh",
     "hz_toric",
-    "iter_words",
     "memo_store_load",
     "memo_store_save",
     "polygon_size",

@@ -12,12 +12,13 @@ of the boundaries free; `count_closed` evaluates the number of inequivalent
 such gluings directly, as an exact integer.
 
 The integer series behind it use three sequences that do not depend on the
-genus: the scales s_i (`_scales`), the product weights w[i][j] (`_weights`)
-and the odd parts s_i/(2i+1). They are tables shared by the process, which
-a call extends under a lock by the rows it lacks (none at import). Rows are
-kept through genus _TABLE_GENUS = 150, where these tables and the tanh
-coefficients of `hz` hold 0.4 MB (2.0 MB through genus 300; tracemalloc,
-CPython 3.11); a higher genus computes its extra rows for that call only.
+genus: the scales s_i (`_scales`), the product weights w[i][j]
+(`_weight_rows`) and the odd parts s_i/(2i+1). They are tables shared by the
+process, which a call extends under a lock by the rows it lacks (none at
+import). Rows are kept through genus _TABLE_GENUS = 150, where these tables
+and the tanh coefficients of `hz` hold 0.4 MB (2.0 MB through genus 300;
+tracemalloc, CPython 3.11); a higher genus computes its extra rows for that
+call only.
 """
 
 from __future__ import annotations
@@ -144,8 +145,14 @@ def _scale_tables(genus: int) -> tuple[list[int], list[int]]:
 
 
 def _weight_rows(genus: int) -> list[list[int]]:
-    """The rows w[0..genus] of `_weights` at least, maybe the shared table:
-    read rows up to genus only, and change none."""
+    """The product weights w[i][j] = s_i / (s_j * s_(i-j)) for the scales s
+    of `_scales`, rows 0..genus at least, maybe the shared table: read rows
+    up to genus only, and change none.
+
+    Since floor(x) + floor(y) <= floor(x+y), s_j * s_(i-j) divides s_i, so
+    each weight is an integer, and coefficient i of a truncated product of
+    two scaled series is the integer sum_j w[i][j] * A_j * B_(i-j).
+    """
     s = _scale_tables(genus)[0]
 
     def grow(w: list[list[int]], top: int) -> None:
@@ -170,20 +177,9 @@ def _scales(genus: int) -> list[int]:
     return _scale_tables(genus)[0][: genus + 1]
 
 
-def _weights(s: list[int]) -> list[list[int]]:
-    """w[i][j] = s_i / (s_j * s_(i-j)) for the scales s of `_scales`.
-
-    Since floor(x) + floor(y) <= floor(x+y), s_j * s_(i-j) divides s_i, so
-    each weight is an integer, and coefficient i of a truncated product of
-    two scaled series is the integer sum_j w[i][j] * A_j * B_(i-j). `s`
-    must be `_scales(len(s) - 1)`: the rows come from the shared table.
-    """
-    return _weight_rows(len(s) - 1)[: len(s)]
-
-
 def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
     """Coefficients of t^0..t^K in a(t)**exponent, for K = len(a) - 1, on
-    an integer scale whose product weights are w (see `_weights`), with
+    an integer scale whose product weights are w (see `_weight_rows`), with
     a[0] == 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,

@@ -13,7 +13,7 @@ partner(k)+1. One walk along that hop reads off the surface exactly:
 * free edges chain into boundary cycles: after free slot i the boundary
   continues at corner i+1, hopping k -> partner(k)+1 while slot k is glued,
   up to the next free slot. The corners passed are one *chain*: a vertex
-  class that touches the boundary;
+  class that touches the boundary, one per free slot;
 * the corners no chain reaches close into *loops* under the same hop. A
   loop is a vertex class no free edge touches: a puncture (marked interior
   point);
@@ -68,7 +68,6 @@ __all__ = [
     "CanonicalWord",
     "glue",
     "canonicalize",
-    "iter_words",
     "enumerate_classes",
     "count_brute",
 ]
@@ -153,39 +152,15 @@ class GluingWord:
                 pairing[b] = a
         return cls(tuple(pairing), tuple(labels))
 
-    def rotated(self, turns: int) -> "GluingWord":
-        """The same polygon read starting `turns` slots further along."""
-        n = self.size
-        turns %= n
-        pairing = []
-        labels = []
-        for t in range(n):
-            i = (t + turns) % n
-            p = self.pairing[i]
-            pairing.append(-1 if p == -1 else (p - turns) % n)
-            labels.append(self.labels[i])
-        return GluingWord(tuple(pairing), tuple(labels))
-
 
 @dataclass(frozen=True)
 class GluedSurface:
-    """What a gluing word builds: vertex classes, traced boundaries, topology."""
+    """What a gluing word builds: its traced boundary label cycles (each
+    from its least label, the cycles sorted), its punctures and its genus."""
 
-    vertex_classes: tuple[tuple[int, ...], ...]
     boundary_cycles: tuple[tuple[int, ...], ...]
     puncture_count: int
     genus: int
-    euler_char: int
-
-    @property
-    def boundary_count(self) -> int:
-        return len(self.boundary_cycles)
-
-    @property
-    def boundary_profile(self) -> tuple[int, ...]:
-        """Boundary sizes, punctures included as zeros, non-increasing."""
-        sizes = [len(c) for c in self.boundary_cycles] + [0] * self.puncture_count
-        return tuple(sorted(sizes, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -207,19 +182,17 @@ class CanonicalWord:
         return ",".join(tokens)
 
 
-Topology = tuple[int, int, tuple[tuple[int, ...], ...], list[list[int]]]
+Topology = tuple[int, int, tuple[tuple[int, ...], ...]]
 
 
 def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
-    """Label-free surface data of a pairing: (genus, punctures, slot cycles,
-    corner classes), read off one walk along the hop k -> mu[k]+1 (see the
-    module docstring). The slot cycles are the free slots in walk order,
-    each starting at its least slot and listed by that slot, so a free slot
-    0 opens the first one. The corner classes are the chains in walk order,
-    then the loops.
+    """Label-free surface data of a pairing: (genus, punctures, slot cycles),
+    read off one walk along the hop k -> mu[k]+1 (see the module
+    docstring). The slot cycles are the free slots in walk order, each
+    starting at its least slot and listed by that slot, so a free slot 0
+    opens the first one.
     """
     seen = [False] * n
-    classes: list[list[int]] = []
     cycles = []
     for start in range(n):
         if mu[start] != -1 or seen[start]:
@@ -229,37 +202,36 @@ def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
         while True:
             cycle.append(k)
             k = (k + 1) % n
-            chain = [k]
+            hops = n
             while mu[k] != -1:
                 seen[k] = True
                 k = (mu[k] + 1) % n
-                chain.append(k)
-                if len(chain) > n:
+                hops -= 1
+                if not hops:
                     raise ConsistencyError("boundary walk never reached a free slot")
             if seen[k]:
                 raise ConsistencyError("boundary walk revisited a corner")
             seen[k] = True
-            classes.append(chain)
             if k == start:
                 break
         cycles.append(tuple(cycle))
 
-    free = len(classes)
+    # One chain per free slot; count the loops.
+    free = sum(map(len, cycles))
+    loops = 0
     for start in range(n):
         if seen[start]:
             continue
         seen[start] = True
-        loop = [start]
         k = (mu[start] + 1) % n
         while k != start:
             if seen[k]:
                 raise ConsistencyError("loop walk revisited a corner")
             seen[k] = True
-            loop.append(k)
             k = (mu[k] + 1) % n
-        classes.append(loop)
+        loops += 1
 
-    euler = len(classes) - (n + free) // 2 + 1
+    euler = free + loops - (n + free) // 2 + 1
     boundary_count = len(cycles)
     doubled_genus = 2 - boundary_count - euler
     if doubled_genus < 0 or doubled_genus % 2:
@@ -267,7 +239,7 @@ def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
             f"euler characteristic {euler} with {boundary_count} boundaries "
             "does not give an integer genus"
         )
-    return doubled_genus // 2, len(classes) - free, tuple(cycles), classes
+    return doubled_genus // 2, loops, tuple(cycles)
 
 
 def _relabel(
@@ -285,33 +257,24 @@ def _relabel(
     return tuple(traced)
 
 
-def _surface(
-    n: int, topology: Topology, labels: list[int] | tuple[int, ...], turn: int = 0
-) -> GluedSurface:
-    """The surface of a word with this topology and these labels. Its vertex
-    classes are the topology's corner classes, each corner numbered as in
-    the word read `turn` slots further along."""
-    genus, punctures, slot_cycles, corner_classes = topology
-    classes = tuple(
-        sorted(tuple(sorted((v - turn) % n for v in c)) for c in corner_classes)
-    )
-    cycles = _relabel(slot_cycles, labels)
-    return GluedSurface(classes, cycles, punctures, genus, 2 - 2 * genus - len(cycles))
+def _surface(topology: Topology, labels: list[int] | tuple[int, ...]) -> GluedSurface:
+    """The surface of a word with this topology and these labels."""
+    genus, punctures, slot_cycles = topology
+    return GluedSurface(_relabel(slot_cycles, labels), punctures, genus)
 
 
 def glue(word: GluingWord) -> GluedSurface:
     """Build the surface a word describes; raises ConsistencyError only if an
     internal invariant breaks (never for a merely unusual surface)."""
-    return _surface(word.size, _topology(word.size, word.pairing), word.labels)
+    return _surface(_topology(word.size, word.pairing), word.labels)
 
 
 def _canonical(
     n: int, mu: list[int] | tuple[int, ...], labels: list[int] | tuple[int, ...]
-) -> tuple[bytes, int]:
-    """The least encoding over all rotations, and a rotation that gives it."""
+) -> bytes:
+    """The least encoding over all rotations."""
     half = n // 2
     best = b""
-    best_turn = 0
     for r in range(n):
         rename: dict[int, int] = {}
         fresh = 0
@@ -337,14 +300,13 @@ def _canonical(
         key = bytes(row)
         if not r or key < best:
             best = key
-            best_turn = r
-    return best, best_turn
+    return best
 
 
 def canonicalize(word: GluingWord) -> CanonicalWord:
     """Least encoding over all rotations; glued letters renamed by first
     occurrence, free labels kept verbatim (glued codes sort before free)."""
-    return CanonicalWord(word.size, _canonical(word.size, word.pairing, word.labels)[0])
+    return CanonicalWord(word.size, _canonical(word.size, word.pairing, word.labels))
 
 
 def _check_shape(n: int, labels: tuple[int, ...]) -> None:
@@ -406,18 +368,6 @@ def _placed(n: int, free_pos: Iterable[int], labels: Iterable[int]) -> list[int]
     return labs
 
 
-def iter_words(size: int, free_labels: Iterable[int] = ()) -> Iterator[GluingWord]:
-    """Stream every raw gluing word of `size` slots using the given labels:
-    every pairing that leaves len(labels) slots free, with every placement
-    of the labels into them."""
-    labels = tuple(free_labels)
-    _check_shape(size, labels)
-    for free_pos, mu in _iter_topologies(size, len(labels)):
-        pairing = tuple(mu)
-        for perm in itertools.permutations(labels):
-            yield GluingWord(pairing, tuple(_placed(size, free_pos, perm)))
-
-
 def _words_to_canonicalize(n: int, free: int) -> int:
     """How many words `enumerate_classes` canonicalizes for `n` slots and
     `free` labels: with labels, the C(n-1, f-1) choices of the other free
@@ -434,12 +384,11 @@ def enumerate_classes(
 ) -> list[tuple[CanonicalWord, GluedSurface]]:
     """All equivalence classes of words, sorted by canonical encoding.
 
-    Each class comes with the surface of its representative: the rotation
-    whose encoding is the canonical one, so `vertex_classes` number the
-    corners of the canonical word. Only the words with the least label in
-    slot 0 are canonicalized; with free labels each class holds exactly one
-    of them. Without labels every word qualifies and a rotation can fix a
-    word, so a class is kept at its first word and later ones are dropped.
+    Each class comes with its surface, which every word of the class
+    builds. Only the words with the least label in slot 0 are
+    canonicalized; with free labels each class holds exactly one of them.
+    Without labels every word qualifies and a rotation can fix a word, so a
+    class is kept at its first word and later ones are dropped.
     Refuses polygons larger than `cap`, as `count_brute` does, and shapes
     with more than `_WORD_BUDGET` words to canonicalize.
     """
@@ -459,10 +408,10 @@ def enumerate_classes(
         topology = None
         for perm in itertools.permutations(others):
             labs = _placed(size, free_pos, (*first, *perm))
-            key, turn = _canonical(size, mu, labs)
+            key = _canonical(size, mu, labs)
             if key not in classes:
                 topology = topology or _topology(size, mu)
-                classes[key] = _surface(size, topology, labs, turn)
+                classes[key] = _surface(topology, labs)
     return [(CanonicalWord(size, key), classes[key]) for key in sorted(classes)]
 
 
@@ -474,7 +423,7 @@ def _slot0_histogram(n: int, free: int) -> Counter:
     lengths of the other cycles)."""
     histogram: Counter = Counter()
     for _, mu in _iter_topologies(n, free, pinned=True):
-        genus, punctures, cycles, _ = _topology(n, mu)
+        genus, punctures, cycles = _topology(n, mu)
         others = tuple(sorted(len(c) for c in cycles[1:]))
         histogram[genus, punctures, len(cycles[0]), others] += 1
     return histogram

@@ -85,7 +85,8 @@ _HALF_RATIO = [1]
 def _half_ratio_coeffs(s: list[int], w: list[list[int]]) -> list[int]:
     """C_m = s_m * c_m for m < len(s), where c_m is the coefficient of x^(2m)
     in (x/2)/tanh(x/2), s are the scales of `formula._scales` and w their
-    `formula._weights` (rows past len(s) - 1 are not read).
+    weight rows from `formula._weight_rows` (rows past len(s) - 1 are not
+    read).
 
     The series is even, so it is kept as a series in x^2. c_m is
     B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and

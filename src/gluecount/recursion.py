@@ -102,10 +102,13 @@ def _grow(size: int) -> None:
 
 def _sizes_code(sizes: Sequence[int]) -> int:
     """The code of genus 0 with `sizes`, non-increasing; DomainError when a
-    size or its multiplicity does not fit its field."""
-    if not 0 <= sizes[-1] <= sizes[0] < _SIZE_LIMIT:
+    size or its multiplicity does not fit its field, or when no size is
+    positive."""
+    if sizes and not 0 <= sizes[-1] <= sizes[0] < _SIZE_LIMIT:
         size = sizes[0] if sizes[0] >= _SIZE_LIMIT else sizes[-1]
         raise DomainError(f"size {size} is out of range: sizes must be in 0..{_SIZE_LIMIT - 1}")
+    if not sizes or not sizes[0]:
+        raise DomainError(f"all-zero size key {tuple(sizes)}")
     if len(sizes) > _MASK:
         size, times = Counter(sizes).most_common(1)[0]
         if times > _MASK:
@@ -408,8 +411,6 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
                 raise CacheError(
                     f"{file}: line {lineno}: sizes must be non-increasing, got {tuple(sizes)}"
                 )
-            if not sizes[0]:
-                raise CacheError(f"{file}: line {lineno}: all-zero size key {tuple(sizes)}")
             try:
                 part = parts[sizes_text] = _sizes_code(sizes)
             except DomainError as exc:

@@ -366,7 +366,7 @@ def suite_structural(max_polygon: int = 9) -> SuiteResult:
             labels = tuple(range(1, free + 1))
             for free_pos, mu in _iter_topologies(n, free):
                 try:
-                    genus, punctures, cycles, _ = _topology(n, mu)
+                    genus, punctures, cycles = _topology(n, mu)
                 except GluecountError as exc:
                     return SuiteResult(
                         name, False, checked, f"walk or classify failed for mu={mu}: {exc}"

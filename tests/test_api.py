@@ -1,0 +1,87 @@
+"""The public surface: what `gluecount` exports, and the README's Python
+example run as written."""
+
+import dataclasses
+import re
+from pathlib import Path
+
+import gluecount
+from gluecount import formula
+from gluecount.gluing import _iter_topologies
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = [
+    "AllPuncturesError",
+    "CacheError",
+    "CacheVersionError",
+    "CanonicalWord",
+    "CapExceededError",
+    "ConsistencyError",
+    "CountTable",
+    "DEFAULT_ENUMERATION_CAP",
+    "DomainError",
+    "GfIdentityReport",
+    "GluecountError",
+    "GluedSurface",
+    "GluingWord",
+    "ParityError",
+    "SignatureError",
+    "SurfaceSignature",
+    "canonicalize",
+    "catalan",
+    "count_brute",
+    "count_closed",
+    "count_recursive",
+    "double_factorial_odd",
+    "enumerate_classes",
+    "factorial",
+    "gf_identity_check",
+    "glue",
+    "hz_from_gluing_counts",
+    "hz_sum",
+    "hz_tanh",
+    "hz_toric",
+    "memo_store_load",
+    "memo_store_save",
+    "polygon_size",
+    "__version__",
+]
+
+
+def test_public_names_are_pinned():
+    assert gluecount.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(gluecount, name) is not None, name
+
+
+def test_word_level_helpers_stay_out_of_the_package():
+    assert not hasattr(gluecount, "iter_words")
+    assert not hasattr(gluecount.GluingWord, "rotated")
+    assert [f.name for f in dataclasses.fields(gluecount.GluedSurface)] == [
+        "boundary_cycles",
+        "puncture_count",
+        "genus",
+    ]
+    surface = gluecount.glue(gluecount.GluingWord.from_letters("a,x,a,y"))
+    for name in ("vertex_classes", "euler_char", "boundary_count", "boundary_profile"):
+        assert not hasattr(surface, name), name
+    assert not hasattr(formula, "_weights")
+
+
+def test_readme_python_block_does_what_its_comments_say():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace = {}
+    stated = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        assert re.match(re.escape(repr(value)) + "(,|$)", comment.strip()), line
+        stated.append(value)
+    assert stated == [49, 49, 49, (0, ((1,), (2,)), 0), "a,a,2,1", (483, 483, 483)]
+    # "the 105 pairings of the 8-gon that leave slot 0 and one other edge free"
+    assert "the 105 pairings of the 8-gon" in block
+    assert sum(1 for _ in _iter_topologies(8, 2, pinned=True)) == 105

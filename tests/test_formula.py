@@ -15,7 +15,7 @@ from gluecount import (
     factorial,
     polygon_size,
 )
-from gluecount.formula import _power, _scales, _split_sum, _weights
+from gluecount.formula import _power, _scales, _split_sum, _weight_rows
 
 
 def test_signature_rejects_no_boundaries():
@@ -193,7 +193,7 @@ def test_split_sum_matches_fraction_kernel(sizes):
 
 def test_scales_divide_along_products():
     s = _scales(60)
-    w = _weights(s)
+    w = _weight_rows(60)[:61]
     assert s[:4] == [1, 12, 720, 60480]
     for i in range(61):
         # The definition: the product over primes q <= 2i+1 of q^floor(2i/(q-1)).
@@ -239,8 +239,9 @@ def test_power_is_repeated_truncated_product():
 def test_power_on_weighted_scales():
     # The scales of `_scales` need the weights w[i][j] in every product.
     for rational in (_factor(6, 0), _factor(9, 3), _factor(12, 1)):
-        s = _scales(len(rational) - 1)
-        w = _weights(s)
+        g = len(rational) - 1
+        s = _scales(g)
+        w = _weight_rows(g)[: g + 1]
         a = [int(c * s_i) for c, s_i in zip(rational, s)]
         assert [Fraction(c, s_i) for c, s_i in zip(a, s)] == rational
         for e in range(7):

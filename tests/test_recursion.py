@@ -256,6 +256,15 @@ def test_load_rejects_all_zero_key(tmp_path):
         memo_store_load(path)
 
 
+@pytest.mark.parametrize("sizes", [(), (0, 0)], ids=["no-sizes", "all-zero"])
+def test_table_refuses_a_key_with_no_positive_size(sizes):
+    # The loader refuses such a line by the same rule, so no table can hold
+    # a key that a saved file could not give back.
+    with pytest.raises(DomainError) as info:
+        CountTable({(0, sizes): 5})
+    assert str(info.value) == f"all-zero size key {sizes}"
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "blank.txt"
     path.write_text("")

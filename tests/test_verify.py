@@ -41,8 +41,8 @@ def test_structural_reports_broken_size_bookkeeping(monkeypatch):
     # One genus too many from the 5-gons on: the first 5-gon pairing fails
     # after the 52 words of the smaller polygons were checked.
     def one_genus_more(n, mu):
-        genus, punctures, cycles, classes = _topology(n, mu)
-        return genus + (n >= 5), punctures, cycles, classes
+        genus, punctures, cycles = _topology(n, mu)
+        return genus + (n >= 5), punctures, cycles
 
     monkeypatch.setattr("gluecount.verify._topology", one_genus_more)
     result = suite_structural(9)
