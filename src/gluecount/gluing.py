@@ -8,16 +8,17 @@ corner v_i with v_{j+1} and corner v_{i+1} with v_j (indices mod N, edge i
 running from v_i to v_{i+1}).
 
 Every merge is one hop: corner k of a glued slot k merges with corner
-partner(k)+1. One walk along that hop reads off the surface exactly:
+partner(k)+1. So the surface is read off the cycles of one permutation of
+the corners, phi(k) = k+1 after a free slot k and phi(k) = partner(k)+1
+after a glued one:
 
-* free edges chain into boundary cycles: after free slot i the boundary
-  continues at corner i+1, hopping k -> partner(k)+1 while slot k is glued,
-  up to the next free slot. The corners passed are one *chain*: a vertex
-  class that touches the boundary, one per free slot;
-* the corners no chain reaches close into *loops* under the same hop. A
-  loop is a vertex class no free edge touches: a puncture (marked interior
-  point);
-* euler characteristic = (chains + loops) - (N + free slots)/2 + 1;
+* a cycle of phi that passes free slots is one boundary: its free slots,
+  in walk order, are the boundary's edges, and between two of them it
+  passes the corners of one vertex class on the boundary, one per free
+  slot;
+* a cycle that passes no free slot is a vertex class no free edge
+  touches: a puncture (marked interior point);
+* euler characteristic = (free slots + punctures) - (N + free slots)/2 + 1;
 * genus from euler = 2 - 2*genus - boundary cycles.
 
 None of this depends on the labels. The genus, the punctures and the slot
@@ -30,8 +31,8 @@ label placements reuse the result.
 
 Two words are equivalent iff one is a rotation of the other, with glued-pair
 letters renamed consistently; free labels are never renamed. `canonicalize`
-returns the least encoding over all rotations, so equal canonical forms mean
-equivalent words. A word with a free label has no rotational symmetry, so
+returns the least code sequence over all rotations, so equal canonical forms
+mean equivalent words. A word with a free label has no rotational symmetry, so
 its class is exactly its N rotations and holds one word with a given label
 in slot 0. `count_brute` counts the classes whose surface matches a
 requested signature, labels and cyclic boundary order included (cyclic
@@ -168,7 +169,7 @@ class CanonicalWord:
     """Rotation- and renaming-invariant key for a gluing word."""
 
     size: int
-    encoded: bytes
+    encoded: tuple[int, ...]
 
     def text(self) -> str:
         """Human-readable form: pair ids as letters, free labels as integers."""
@@ -187,50 +188,35 @@ Topology = tuple[int, int, tuple[tuple[int, ...], ...]]
 
 def _topology(n: int, mu: list[int] | tuple[int, ...]) -> Topology:
     """Label-free surface data of a pairing: (genus, punctures, slot cycles),
-    read off one walk along the hop k -> mu[k]+1 (see the module
-    docstring). The slot cycles are the free slots in walk order, each
-    starting at its least slot and listed by that slot, so a free slot 0
-    opens the first one.
+    read off the cycles of phi (see the module docstring). The slot cycles
+    are the free slots of each boundary in walk order, each starting at its
+    least slot and listed by that slot, so a free slot 0 opens the first one.
     """
     seen = [False] * n
     cycles = []
-    for start in range(n):
-        if mu[start] != -1 or seen[start]:
-            continue
-        cycle = []
-        k = start
-        while True:
-            cycle.append(k)
-            k = (k + 1) % n
-            hops = n
-            while mu[k] != -1:
-                seen[k] = True
-                k = (mu[k] + 1) % n
-                hops -= 1
-                if not hops:
-                    raise ConsistencyError("boundary walk never reached a free slot")
-            if seen[k]:
-                raise ConsistencyError("boundary walk revisited a corner")
-            seen[k] = True
-            if k == start:
-                break
-        cycles.append(tuple(cycle))
-
-    # One chain per free slot; count the loops.
-    free = sum(map(len, cycles))
     loops = 0
     for start in range(n):
         if seen[start]:
             continue
-        seen[start] = True
-        k = (mu[start] + 1) % n
-        while k != start:
-            if seen[k]:
-                raise ConsistencyError("loop walk revisited a corner")
+        cycle = []
+        k = start
+        while not seen[k]:
             seen[k] = True
-            k = (mu[k] + 1) % n
-        loops += 1
+            if mu[k] == -1:
+                cycle.append(k)
+                k = (k + 1) % n
+            else:
+                k = (mu[k] + 1) % n
+        if k != start:
+            raise ConsistencyError("corner walk revisited a corner")
+        if cycle:
+            least = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[least:] + cycle[:least]))
+        else:
+            loops += 1
+    cycles.sort()
 
+    free = sum(map(len, cycles))
     euler = free + loops - (n + free) // 2 + 1
     boundary_count = len(cycles)
     doubled_genus = 2 - boundary_count - euler
@@ -271,40 +257,38 @@ def glue(word: GluingWord) -> GluedSurface:
 
 def _canonical(
     n: int, mu: list[int] | tuple[int, ...], labels: list[int] | tuple[int, ...]
-) -> bytes:
-    """The least encoding over all rotations."""
-    half = n // 2
-    best = b""
+) -> tuple[int, ...]:
+    """The least code sequence over all rotations: read from slot r, a glued
+    slot takes its partner's code when the partner came earlier and the next
+    fresh code otherwise, and a free slot takes its label plus n // 2 + 1."""
+    offset = n // 2 + 1
+    best: list[int] = []
     for r in range(n):
-        rename: dict[int, int] = {}
+        row: list[int] = []
         fresh = 0
-        row = bytearray(n)
         for t in range(n):
             i = t + r
             if i >= n:
                 i -= n
             partner = mu[i]
             if partner < 0:
-                code = half + 1 + labels[i]
-                if code > 255:
-                    raise DomainError(f"free label {labels[i]} too large to encode")
+                row.append(offset + labels[i])
+                continue
+            earlier = partner - r
+            if earlier < 0:
+                earlier += n
+            if earlier < t:
+                row.append(row[earlier])
             else:
-                pid = i if i < partner else partner
-                got = rename.get(pid)
-                if got is None:
-                    got = fresh
-                    rename[pid] = fresh
-                    fresh += 1
-                code = got
-            row[t] = code
-        key = bytes(row)
-        if not r or key < best:
-            best = key
-    return best
+                row.append(fresh)
+                fresh += 1
+        if not r or row < best:
+            best = row
+    return tuple(best)
 
 
 def canonicalize(word: GluingWord) -> CanonicalWord:
-    """Least encoding over all rotations; glued letters renamed by first
+    """Least code sequence over all rotations; glued letters renamed by first
     occurrence, free labels kept verbatim (glued codes sort before free)."""
     return CanonicalWord(word.size, _canonical(word.size, word.pairing, word.labels))
 
@@ -382,7 +366,7 @@ def _words_to_canonicalize(n: int, free: int) -> int:
 def enumerate_classes(
     size: int, free_labels: Iterable[int] = (), cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[tuple[CanonicalWord, GluedSurface]]:
-    """All equivalence classes of words, sorted by canonical encoding.
+    """All equivalence classes of words, sorted by canonical code sequence.
 
     Each class comes with its surface, which every word of the class
     builds. Only the words with the least label in slot 0 are
@@ -403,7 +387,7 @@ def enumerate_classes(
             f"canonicalize, over the budget of {_WORD_BUDGET}"
         )
     first, others = sorted(labels)[:1], sorted(labels)[1:]
-    classes: dict[bytes, GluedSurface] = {}
+    classes: dict[tuple[int, ...], GluedSurface] = {}
     for free_pos, mu in _iter_topologies(size, len(labels), pinned=bool(labels)):
         topology = None
         for perm in itertools.permutations(others):

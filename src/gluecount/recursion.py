@@ -51,11 +51,11 @@ each distinct sizes text once: from the code of its tail (the text after
 its first comma) when an earlier line holds that tail, as it does for 97 %
 of the texts in a saved file, and by splitting and checking it in full
 otherwise. The 31,142 entries of a g <= 3, L <= 5, n <= 4 memo load in
-75-130 ms on a 2-vCPU Xeon with CPython 3.11, about 0.65 of the time
-taken when every text was split and coded in full.
+75-130 ms on a 2-vCPU Xeon with CPython 3.11.
 `memo_store_load(path, verify=True)` re-derives every entry with a scratch
 table (never seeded from the file) and raises ConsistencyError naming the
-least (g, ns) that disagrees.
+least (g, ns) that disagrees, or CacheError naming an entry it cannot
+recompute.
 """
 
 from __future__ import annotations
@@ -151,6 +151,12 @@ class CountTable:
         for (genus, sizes), count in (entries or {}).items():
             if not 0 <= genus < _FIELD:
                 raise DomainError(f"genus {genus} is out of range: it must be below {_FIELD}")
+            # The loader's rule: a count is a decimal integer >= 0. A bool
+            # is an int to Python, but no count.
+            if type(count) is not int or count < 0:
+                raise DomainError(
+                    f"count {count!r} for g={genus}, ns={tuple(sizes)} is not an integer >= 0"
+                )
             self._codes[genus + _sizes_code(sorted(sizes, reverse=True))] = count
 
     @property
@@ -433,8 +439,13 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
             actual = scratch.get(code)
             if actual is None:
                 genus, sizes = code & _MASK, _sizes(code >> _BITS)
-                _reach(genus, sizes)
-                actual = _compute(genus, sizes, code, scratch)
+                try:
+                    _reach(genus, sizes)
+                    actual = _compute(genus, sizes, code, scratch)
+                except DomainError as exc:
+                    raise CacheError(
+                        f"{file}: entry g={genus}, ns={sizes} cannot be recomputed: {exc}"
+                    ) from None
             if actual != stored:
                 order = (code & _MASK, code >> _BITS)
                 if least is None or order < least[0]:

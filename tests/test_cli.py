@@ -362,6 +362,9 @@ def test_enumerate_output(capsys):
         "canon=a,a,2,1;g=0;boundaries=[(1,2)];punctures=1\n"
         "canon=a,1,a,2;g=0;boundaries=[(1),(2)];punctures=0\n"
     )
+    # A label past 255 is kept verbatim.
+    code, out, _ = run(capsys, "enumerate", "--N", "3", "--labels", "300")
+    assert (code, out) == (0, "canon=a,a,300;g=0;boundaries=[(300)];punctures=1\n")
 
 
 def test_enumerate_closed_square(capsys):

@@ -60,7 +60,7 @@ def rotated(w, turns):
 
 
 def decode(canon):
-    """The word a canonical encoding spells, labels kept: codes up to
+    """The word a canonical code sequence spells, labels kept: codes up to
     size // 2 name glued pairs, a larger code is a free label plus
     size // 2 + 1."""
     half = canon.size // 2
@@ -204,26 +204,27 @@ def union_find_topology(n, mu):
 
 def test_topology_matches_the_union_find_reference():
     checked = 0
-    for n in range(1, 10):
+    for n in range(1, 11):
         for free in range(n % 2, n + 1, 2):
             for _, mu in _iter_topologies(n, free):
                 assert _topology(n, mu) == union_find_topology(n, mu), mu
                 checked += 1
-    assert checked == 3735
+    assert checked == 13231
 
 
 @pytest.mark.parametrize(
     "mu, message",
     [
-        ((-1, 0), "never reached a free slot"),
-        ((-1, -1, 0), "boundary walk revisited a corner"),
-        ((0, 0), "loop walk revisited a corner"),
+        ((-1, 0), "corner walk revisited a corner"),
+        ((-1, -1, 0), "corner walk revisited a corner"),
+        ((0, 0), "corner walk revisited a corner"),
         ((0, 1), "does not give an integer genus"),
     ],
 )
 def test_topology_guards_its_invariants(mu, message):
     # Not pairings (GluingWord refuses them), but each breaks one invariant
-    # the corner walk checks instead of returning a wrong surface.
+    # the corner walk checks instead of returning a wrong surface: the hop
+    # is no permutation of the corners, or slot k pairs with itself.
     with pytest.raises(ConsistencyError, match=message):
         _topology(len(mu), mu)
 
@@ -272,9 +273,39 @@ def test_canonical_text():
     assert canonicalize(word("x,a,a,y")).text() == "a,a,2,1"
 
 
-def test_canonical_label_encoding_limit():
-    with pytest.raises(DomainError, match="too large"):
-        canonicalize(GluingWord((-1, -1), (300, 301)))
+def reference_canonical(n, mu, labels):
+    """A reference for `_canonical`: per rotation, glued pairs renamed
+    through a dict in order of first occurrence, the codes packed into
+    bytes, the least bytes kept. Bytes cap every code at 255, so this holds
+    only for small words."""
+    half = n // 2
+    best = b""
+    for r in range(n):
+        rename = {}
+        row = bytearray(n)
+        for t in range(n):
+            i = (t + r) % n
+            partner = mu[i]
+            if partner < 0:
+                row[t] = half + 1 + labels[i]
+            else:
+                row[t] = rename.setdefault(min(i, partner), len(rename))
+        if not r or bytes(row) < best:
+            best = bytes(row)
+    return best
+
+
+def test_canonical_takes_any_label_and_pair_count():
+    assert canonicalize(GluingWord((-1, -1), (300, 301))).text() == "300,301"
+    # 300 pairs, each slot glued to the one opposite it, then two free slots.
+    big = GluingWord(
+        tuple((i + 300) % 600 for i in range(600)) + (-1, -1), (0,) * 600 + (7, 3)
+    )
+    canon = canonicalize(big)
+    assert max(canon.encoded) == 602 // 2 + 1 + 7
+    decoded = decode(canon)
+    assert canonicalize(decoded) == canon
+    assert glue(decoded) == glue(big)
 
 
 def test_enumeration_parity_and_label_checks():
@@ -335,27 +366,34 @@ def test_enumerate_pentagon_single_label():
 
 @pytest.fixture(scope="module")
 def canonical_classes():
-    """Per (n, labels 1..f) with n <= 8: the number of raw words and the set
-    of their canonical forms."""
+    """Per (n, labels 1..f) with n <= 8: every raw word with its canonical
+    form."""
     found = {}
     for n in range(1, 9):
         for labels in label_runs(n):
-            forms = [canonicalize(w) for w in iter_words(n, labels)]
-            found[n, labels] = (len(forms), set(forms))
+            found[n, labels] = [(w, canonicalize(w)) for w in iter_words(n, labels)]
     return found
+
+
+def test_canonical_matches_the_byte_reference(canonical_classes):
+    for words in canonical_classes.values():
+        for w, canon in words:
+            assert canon.encoded == tuple(reference_canonical(w.size, w.pairing, w.labels)), w
+    assert sum(map(len, canonical_classes.values())) == 76192
 
 
 def test_each_class_holds_n_raw_words(canonical_classes):
     # What count_brute and enumerate_classes rest on: with at least one
     # (distinct) free label no rotation fixes a word, so every class is
     # exactly n rotations.
-    for (n, labels), (raw, classes) in canonical_classes.items():
+    for (n, labels), words in canonical_classes.items():
         if labels:
-            assert raw == n * len(classes), (n, labels)
+            assert len(words) == n * len({canon for _, canon in words}), (n, labels)
 
 
 def test_enumerate_classes_are_the_canonical_forms(canonical_classes):
-    for (n, labels), (_, classes) in canonical_classes.items():
+    for (n, labels), words in canonical_classes.items():
+        classes = {canon for _, canon in words}
         if n <= 7:
             listed = [canon for canon, _ in enumerate_classes(n, labels)]
             assert listed == sorted(classes, key=lambda c: c.encoded), (n, labels)

@@ -265,6 +265,33 @@ def test_table_refuses_a_key_with_no_positive_size(sizes):
     assert str(info.value) == f"all-zero size key {sizes}"
 
 
+@pytest.mark.parametrize("count", [-5, "x", 2.5, True], ids=repr)
+def test_table_refuses_a_count_that_is_not_an_integer(count):
+    # The loader reads a count as decimal digits, so no table can hold a
+    # count that a saved file could not give back.
+    with pytest.raises(DomainError) as info:
+        CountTable({(0, (1,)): count})
+    assert str(info.value) == f"count {count!r} for g=0, ns=(1,) is not an integer >= 0"
+
+
+def test_table_accepts_zero_and_long_counts():
+    table = CountTable({(0, (1,)): 0, (1, (2,)): 10**4400})
+    assert table.entries == {(0, (1,)): 0, (1, (2,)): 10**4400}
+
+
+def test_load_verify_names_the_file_for_an_entry_it_cannot_recompute(tmp_path):
+    path = tmp_path / "far.txt"
+    path.write_text("#gluecount-cache v1\ng=0;ns=4000,4000;count=1\n")
+    assert len(memo_store_load(path)) == 1
+    with pytest.raises(CacheError) as info:
+        memo_store_load(path, verify=True)
+    assert str(info.value) == (
+        f"{path}: entry g=0, ns=(4000, 4000) cannot be recomputed: g=0, L=2 is out of "
+        "range for the recursion: its polygon has 8002 edges, and the memo keys allow "
+        "at most 4095"
+    )
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "blank.txt"
     path.write_text("")

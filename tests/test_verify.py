@@ -55,7 +55,7 @@ def test_structural_reports_broken_size_bookkeeping(monkeypatch):
 def test_structural_reports_failed_walk(monkeypatch):
     def walk_fails_once(n, mu):
         if n == 6 and list(mu) == [-1, 3, 4, 1, 2, -1]:
-            raise ConsistencyError("boundary walk revisited a corner")
+            raise ConsistencyError("corner walk revisited a corner")
         return _topology(n, mu)
 
     monkeypatch.setattr("gluecount.verify._topology", walk_fails_once)
@@ -63,7 +63,7 @@ def test_structural_reports_failed_walk(monkeypatch):
     assert (result.passed, result.checked) == (False, 288)
     assert result.failure == (
         "walk or classify failed for mu=[-1, 3, 4, 1, 2, -1]: "
-        "boundary walk revisited a corner"
+        "corner walk revisited a corner"
     )
 
 
