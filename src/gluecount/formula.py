@@ -19,10 +19,19 @@ import). Rows are kept through genus _TABLE_GENUS = 150, where these tables
 and the tanh coefficients of `hz` hold 0.4 MB (2.0 MB through genus 300;
 tracemalloc, CPython 3.11); a higher genus computes its extra rows for that
 call only.
+
+The splitting sum multiplies one factor F_n(t)^c per distinct size n of
+multiplicity c, through t^g. A factor depends only on (n, c, g), so the
+process keeps the last _FACTOR_CACHE_SIZE = 128 factors used in a bounded
+cache (`_factor`). Only factors through genus _FACTOR_GENUS = 40 are cached,
+where 128 factors with sizes and multiplicities below 4096 hold under 0.8 MB
+(tracemalloc, CPython 3.10-3.13); a higher genus builds its factors for
+that call only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import Counter
@@ -50,6 +59,13 @@ class SurfaceSignature:
     def __post_init__(self) -> None:
         sizes = tuple(self.boundary_sizes)
         object.__setattr__(self, "boundary_sizes", sizes)
+        # A bool is an int to Python, but no genus or size. A float equal to
+        # an int would hash as that int in the caches of every route.
+        if type(self.genus) is not int:
+            raise SignatureError(f"genus must be an integer, got {self.genus!r}")
+        for n in sizes:
+            if type(n) is not int:
+                raise SignatureError(f"boundary sizes must be integers, got {n!r}")
         if self.genus < 0:
             raise SignatureError(f"genus must be >= 0, got {self.genus}")
         if len(sizes) < 1:
@@ -197,6 +213,29 @@ def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
     return p
 
 
+# The factor cache of the module docstring.
+_FACTOR_GENUS = 40
+_FACTOR_CACHE_SIZE = 128
+
+
+def _powered(
+    n: int, count: int, genus: int, odd_parts: list[int], w: list[list[int]] | None
+) -> tuple[int, ...]:
+    """Scaled coefficients of t^0..t^genus of F_n(t)**count (see
+    `_split_sum`), from the odd parts s_p/(2p+1) and, when count > 1, the
+    weight rows w, through row genus."""
+    f = [math.comb(2 * p + n, n) * odd_parts[p] for p in range(genus + 1)]
+    return tuple(_power(f, count, w) if count > 1 else f)
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _factor(n: int, count: int, genus: int) -> tuple[int, ...]:
+    """`_powered` from the shared tables, cached for the process: the
+    tuple is shared by every caller with these arguments."""
+    w = _weight_rows(genus) if count > 1 else None
+    return _powered(n, count, genus, _scale_tables(genus)[1], w)
+
+
 def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     """[t^genus] of prod_k F_{n_k}(t), F_n(t) = sum_p (2p+n)!/(n!(2p+1)!) t^p,
     as an integer numerator over its scale s_genus (see `_scales`).
@@ -204,25 +243,28 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     The coefficient is the sum over splittings p_1+...+p_L = genus of
     prod_k [t^(p_k)] F_{n_k}. F_n is kept as its scaled coefficients
     C(2p+n, n) * s_p/(2p+1). Each distinct size's series is raised to its
-    multiplicity by `_power`, and the D >= 1 distinct factors are
-    multiplied, truncated at t^genus: O(D*genus^2) integer operations;
-    listing the splittings would take C(genus+L-1, L-1).
+    multiplicity by `_power`, at O(genus^2) integer operations; through
+    genus _FACTOR_GENUS these D >= 1 factors come from the process's
+    factor cache (`_factor`). The first D-1 factors are multiplied,
+    truncated at t^genus, at O(genus^2) per product, and only [t^genus] of
+    their product with the last is taken, as one dot product at O(genus).
+    Listing the splittings would take C(genus+L-1, L-1) terms.
     """
     s, odd_parts = _scale_tables(genus)
     # One boundary takes no product.
     w = _weight_rows(genus) if len(sizes) > 1 else None
-    acc = None
-    for n, count in Counter(sizes).items():
-        f = [math.comb(2 * p + n, n) * odd_parts[p] for p in range(genus + 1)]
-        if count > 1:
-            f = _power(f, count, w)
-        if acc is None:
-            acc = f
-        else:
-            acc = [
-                sum(w[k][i] * acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)
-            ]
-    return acc[genus], s[genus]
+    counts = Counter(sizes).items()
+    if genus <= _FACTOR_GENUS:
+        factors = [_factor(n, count, genus) for n, count in counts]
+    else:
+        factors = [_powered(n, count, genus, odd_parts, w) for n, count in counts]
+    acc = factors[0]
+    if len(factors) == 1:
+        return acc[genus], s[genus]
+    for f in factors[1:-1]:
+        acc = [sum(w[k][i] * acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)]
+    f, wg = factors[-1], w[genus]
+    return sum(wg[i] * acc[i] * f[genus - i] for i in range(genus + 1)), s[genus]
 
 
 def count_closed(sig: SurfaceSignature) -> int:

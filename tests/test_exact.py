@@ -139,6 +139,14 @@ EXACT_DIVISIONS = [
         id="power-step",
     ),
     pytest.param(
+        # The same step inside the closed formula: F_1(t)^2 through t^2 is
+        # the factor of (1, 1) at genus 2, which the factor cache keeps.
+        "gluecount.formula._divide", _skewed_divide((2, 2)),
+        lambda: count_closed(SurfaceSignature(2, (1, 1))),
+        "Miller's power step at t^2, exponent 2: 4321/2 is not an integer",
+        id="power-step-closed",
+    ),
+    pytest.param(
         # C_1 = (12 * 3 - 12) / (4 * 3!) = 1 at g=1, skewed to 25/24.
         "gluecount.hz._divide", _skewed_divide((1, 1)), lambda: hz_tanh(1, 2),
         "tanh coefficient 1 at g=1: 25/24 is not an integer",
@@ -190,7 +198,11 @@ EXACT_DIVISIONS = [
 
 @pytest.mark.parametrize("target, replacement, call, message", EXACT_DIVISIONS)
 def test_inexact_division_raises(monkeypatch, empty_tables, target, replacement, call, message):
-    # Empty shared tables: a row an earlier test computed would skip its division.
+    # Empty shared tables and factor cache: a row or factor an earlier call
+    # computed would skip its division. The call first runs unpatched, and
+    # fills them, so the case fails if emptying misses one.
+    call()
+    empty_tables()
     monkeypatch.setattr(target, replacement)
     with pytest.raises(ConsistencyError) as info:
         call()

@@ -11,10 +11,13 @@ from gluecount import (
     AllPuncturesError,
     SignatureError,
     SurfaceSignature,
+    count_brute,
     count_closed,
+    count_recursive,
     factorial,
     polygon_size,
 )
+from gluecount import formula
 from gluecount.formula import _power, _scales, _split_sum, _weight_rows
 
 
@@ -36,6 +39,20 @@ def test_signature_rejects_negative_size():
 def test_signature_rejects_all_punctures_distinctly():
     with pytest.raises(AllPuncturesError, match="all-punctures unsupported"):
         SurfaceSignature(1, (0, 0, 0))
+
+
+NOT_INTEGERS = [(1.5, (1,)), (1, (1.0,)), (True, (1,)), (1, (True,))]
+
+
+@pytest.mark.parametrize("route", [count_closed, count_recursive, count_brute])
+@pytest.mark.parametrize("genus, sizes", NOT_INTEGERS)
+def test_signature_refuses_what_is_not_an_integer(route, genus, sizes):
+    # count_brute's histogram cache holds the key (5, 1) after this count,
+    # and 5.0 == 5 hashes alike, so a float would read that entry.
+    assert route(SurfaceSignature(1, (1,))) == 1
+    bad = genus if type(genus) is not int else sizes[0]
+    with pytest.raises(SignatureError, match=f"integers?, got {bad!r}$"):
+        route(SurfaceSignature(genus, sizes))
 
 
 def test_signature_accepts_lists_and_normalizes():
@@ -130,24 +147,46 @@ def test_one_gon_polynomials():
         assert count_closed(SurfaceSignature(1, (n,))) == expected
 
 
-def test_split_sum_matches_composition_sum():
-    # The sum over every ordered splitting p_1+...+p_L = g, listed directly.
-    def factor(p, n):
-        return Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1))
+def _splittings(genus, holes):
+    """Every ordered splitting p_1+...+p_holes = genus."""
+    if holes == 1:
+        yield (genus,)
+        return
+    for p in range(genus + 1):
+        for rest in _splittings(genus - p, holes - 1):
+            yield (p,) + rest
 
+
+def _composition_sum(genus, sizes):
+    # The splitting sum with every splitting listed directly.
+    factors = [_factor(genus, n) for n in sizes]
+    return sum(
+        math.prod(f[p] for f, p in zip(factors, parts))
+        for parts in _splittings(genus, len(sizes))
+    )
+
+
+# One, two and three or more distinct sizes.
+DEEP_SIZES = [(2,), (1, 1), (0, 0, 0), (3, 0), (2, 2, 1), (3, 1, 0), (4, 2, 1, 1)]
+
+
+def test_split_sum_matches_composition_sum(empty_tables):
     for g in range(5):
         for holes in range(1, 5):
             for sizes in itertools.product(range(5), repeat=holes):
-                expected = Fraction(0)
-                for parts in itertools.product(range(g + 1), repeat=holes):
-                    if sum(parts) == g:
-                        term = Fraction(1)
-                        for p, n in zip(parts, sizes):
-                            term *= factor(p, n)
-                        expected += term
                 value, scale = _split_sum(g, sizes)
                 assert scale == _scales(g)[g]
-                assert Fraction(value, scale) == expected, (g, sizes)
+                assert Fraction(value, scale) == _composition_sum(g, sizes), (g, sizes)
+    # Genus 0-30 from an empty factor cache, then from the full one, and one
+    # genus past the cached ones, whose factors are built for that call.
+    genera = [*range(31), formula._FACTOR_GENUS + 1]
+    for sizes in DEEP_SIZES:
+        empty_tables()
+        expected = [_composition_sum(g, sizes) for g in genera]
+        assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected, sizes
+        misses = formula._factor.cache_info().misses
+        assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected, sizes
+        assert formula._factor.cache_info().misses == misses, sizes
 
 
 def _factor(genus, n):
@@ -185,10 +224,16 @@ def test_split_sum_groups_equal_sizes(sizes):
 
 
 @pytest.mark.parametrize("sizes", GROUPED_SIZES)
-def test_split_sum_matches_fraction_kernel(sizes):
-    # The integer sum over its scale s_g is the Fraction kernel's value.
-    for g in range(13):
-        assert Fraction(*_split_sum(g, sizes)) == fraction_kernels.split_sum(g, sizes), g
+def test_split_sum_matches_fraction_kernel(sizes, empty_tables):
+    # The integer sum over its scale s_g is the Fraction kernel's value, at
+    # genus 0-30 from an empty factor cache and again from the full one, and
+    # one genus past the cached ones, whose factors are built for that call.
+    genera = [*range(31), formula._FACTOR_GENUS + 1]
+    expected = [fraction_kernels.split_sum(g, sizes) for g in genera]
+    assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
+    misses = formula._factor.cache_info().misses
+    assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
+    assert formula._factor.cache_info().misses == misses
 
 
 def test_scales_divide_along_products():

@@ -1,7 +1,8 @@
 """The shared series tables of `formula` and `hz`: the scales s_i, their
 odd parts s_i/(2i+1), the weight rows w[i] and the scaled tanh coefficients
 C_m. They grow on demand, only through formula._TABLE_GENUS, and no caller
-changes a row."""
+changes a row. Also the factor cache of `formula._split_sum`, and what it
+holds."""
 
 import math
 import sys
@@ -102,9 +103,49 @@ def test_threads_growing_to_different_genera_write_the_same_rows(empty_tables):
         sys.setswitchinterval(previous)
 
 
+def test_threads_sharing_factors_count_alike(empty_tables):
+    # Eight threads count overlapping signatures, whose distinct sizes share
+    # factors, on a shortened switch interval; each round starts from empty
+    # tables and an empty factor cache.
+    sigs = [
+        SurfaceSignature(g, sizes)
+        for g in (3, 9, 17, 30, formula._FACTOR_GENUS + 1)
+        for sizes in [(2, 1, 1), (1, 1, 2, 0), (2, 2, 1, 0), (0, 0, 1)]
+    ]
+    expected = [count_closed(sig) for sig in sigs]
+
+    def work(start):
+        try:
+            order = sigs[start:] + sigs[:start]
+            results[start] = [count_closed(sig) for sig in order]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            empty_tables()
+            results, errors = {}, []
+            threads = [threading.Thread(target=work, args=(start,)) for start in range(0, 16, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for start, counts in results.items():
+                assert counts == expected[start:] + expected[:start], start
+    finally:
+        sys.setswitchinterval(previous)
+
+
 def test_a_genus_past_the_cap_keeps_no_rows(empty_tables, monkeypatch, hz_recurrence):
     cap, genus = 4, 12
     monkeypatch.setattr(formula, "_TABLE_GENUS", cap)
+    # Past the cap the closed formula's factors are built, uncached, from
+    # the rows of that call.
+    monkeypatch.setattr(formula, "_FACTOR_GENUS", cap)
     for g in range(genus + 1):
         for n in (max(2 * g, 1), 2 * g + 1, 2 * g + 6):
             for route in ROUTES:
@@ -131,3 +172,19 @@ def test_full_tables_hold_under_600_kb(empty_tables):
         tracemalloc.stop()
     assert [len(table) for table in _tables().values()] == [cap + 1] * 4
     assert held < 600_000, held
+
+
+def test_full_factor_cache_holds_under_800_kb(empty_tables):
+    # The stated worst case: every factor at the highest cached genus, with
+    # sizes and multiplicities just below 4096.
+    genus = formula._FACTOR_GENUS
+    _weight_rows(genus)  # the shared tables are not counted
+    tracemalloc.start()
+    try:
+        for k in range(formula._FACTOR_CACHE_SIZE):
+            formula._factor(4095 - k, 4095 - k, genus)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert formula._factor.cache_info().currsize == formula._FACTOR_CACHE_SIZE
+    assert held < 800_000, held
