@@ -11,22 +11,19 @@ edges admits gluings that pair off some of its edges and leave the n_i edges
 of the boundaries free; `count_closed` evaluates the number of inequivalent
 such gluings directly, as an exact integer.
 
-The integer series behind it use three sequences that do not depend on the
-genus: the scales s_i (`_scales`), the product weights w[i][j]
-(`_weight_rows`) and the odd parts s_i/(2i+1). They are tables shared by the
-process, which a call extends under a lock by the rows it lacks (none at
-import). Rows are kept through genus _TABLE_GENUS = 150, where these tables
-and the tanh coefficients of `hz` hold 0.4 MB (2.0 MB through genus 300;
-tracemalloc, CPython 3.11); a higher genus computes its extra rows for that
-call only.
-
-The splitting sum multiplies one factor F_n(t)^c per distinct size n of
-multiplicity c, through t^g. A factor depends only on (n, c, g), so the
-process keeps the last _FACTOR_CACHE_SIZE = 128 factors used in a bounded
-cache (`_factor`). Only factors through genus _FACTOR_GENUS = 40 are cached,
-where 128 factors with sizes and multiplicities below 4096 hold under 0.8 MB
-(tracemalloc, CPython 3.10-3.13); a higher genus builds its factors for
-that call only.
+The integer series behind it are row tables shared by the process: the
+scales s_i (`_scales`), the product weights w[i][j] (`_weight_rows`) and,
+for each distinct size n of multiplicity c in the splitting sum, the
+coefficients of the factor F_n(t)^c (`_factor`). Row i of each depends only
+on rows below it, never on the genus asked for, so a call extends a table
+under a lock by the rows it lacks (none at import), and every later call
+reads a prefix. The scales and weights, like the tanh coefficients of `hz`,
+are kept through genus _TABLE_GENUS = 150, where the three hold 0.38 MB
+(tracemalloc, CPython 3.11). The factor tables of the last
+_FACTOR_CACHE_SIZE = 128 pairs (n, c) used are kept through genus
+_FACTOR_GENUS = 40, where 128 of them with sizes and multiplicities below
+4096 hold 0.77 MB (tracemalloc, CPython 3.11). A higher genus computes its
+extra rows for that call only.
 """
 
 from __future__ import annotations
@@ -107,33 +104,32 @@ def polygon_size(sig: SurfaceSignature) -> int:
 # genus pins: the weights take O(g^3 log g) bits.
 _TABLE_GENUS = 150
 _SCALES = [1]
-_ODD_PARTS = [1]
 _WEIGHTS = [[1]]
 _TABLES_LOCK = threading.Lock()
 
 
-def _grown(tables: tuple[list, ...], genus: int, grow: Callable[..., None]) -> tuple[list, ...]:
-    """Shared row tables holding rows 0..genus at least.
+def _grown(table: list, genus: int, grow: Callable[[list, int], None], cap: int) -> list:
+    """The shared row table `table`, or a copy, holding rows 0..genus at
+    least; the caller reads rows up to genus only, and changes none.
 
-    `grow(*tables, k)` appends rows to the lists in `tables` through row k,
-    appending to tables[0] last, so a reader that sees row k there finds
-    it in every table without taking the lock. It must not call back into
-    the tables: the lock is not reentrant. Rows through _TABLE_GENUS are
-    added to `tables` under the lock; rows past it to copies, returned in
-    their place.
+    `grow(table, k)` appends rows to `table` through row k, each row final
+    when appended, so a reader that sees row k there needs no lock. It must
+    not call back into the tables: the lock is not reentrant. Rows through
+    `cap` are added to `table` under the lock; rows past it to a copy,
+    returned in its place.
     """
-    if genus < len(tables[0]):
-        return tables
+    if genus < len(table):
+        return table
     with _TABLES_LOCK:
-        grow(*tables, min(genus, _TABLE_GENUS))
-    if genus > _TABLE_GENUS:
-        tables = tuple(table[:] for table in tables)
-        grow(*tables, genus)
-    return tables
+        grow(table, min(genus, cap))
+    if genus > cap:
+        table = table[:]
+        grow(table, genus)
+    return table
 
 
-def _grow_scales(s: list[int], odd: list[int], genus: int) -> None:
-    """Append rows len(s)..genus of the scales s and their odd parts."""
+def _grow_scales(s: list[int], genus: int) -> None:
+    """Append rows len(s)..genus of the scales s."""
     start = len(s)
     # s_i / s_(i-1) is 4 times the odd primes q for which (q-1)/2 divides i;
     # the primes come from a sieve of the odd numbers up to 2*genus+1.
@@ -146,30 +142,19 @@ def _grow_scales(s: list[int], odd: list[int], genus: int) -> None:
             d = (q - 1) // 2
             for i in range(-(-start // d) * d - start, genus + 1 - start, d):
                 steps[i] *= q
-    for i, step in enumerate(steps, start):
-        s_i = s[-1] * step
-        # Exact: 2i+1 divides s_i.
-        odd.append(s_i // (2 * i + 1))
-        s.append(s_i)
-
-
-def _scale_tables(genus: int) -> tuple[list[int], list[int]]:
-    """The scales of `_scales` and their odd parts s_i/(2i+1), through row
-    genus at least. The lists may be the shared tables: read rows up to
-    genus only, and change none."""
-    return _grown((_SCALES, _ODD_PARTS), genus, _grow_scales)
+    for step in steps:
+        s.append(s[-1] * step)
 
 
 def _weight_rows(genus: int) -> list[list[int]]:
     """The product weights w[i][j] = s_i / (s_j * s_(i-j)) for the scales s
-    of `_scales`, rows 0..genus at least, maybe the shared table: read rows
-    up to genus only, and change none.
+    of `_scales`, rows 0..genus (see `_grown`).
 
     Since floor(x) + floor(y) <= floor(x+y), s_j * s_(i-j) divides s_i, so
     each weight is an integer, and coefficient i of a truncated product of
     two scaled series is the integer sum_j w[i][j] * A_j * B_(i-j).
     """
-    s = _scale_tables(genus)[0]
+    s = _scales(genus)
 
     def grow(w: list[list[int]], top: int) -> None:
         for i in range(len(w), top + 1):
@@ -177,11 +162,12 @@ def _weight_rows(genus: int) -> list[list[int]]:
             half = [s[i] // (s[j] * s[i - j]) for j in range(i // 2 + 1)]
             w.append(half + half[(i - 1) // 2 :: -1])
 
-    return _grown((_WEIGHTS,), genus, grow)[0]
+    return _grown(_WEIGHTS, genus, grow, _TABLE_GENUS)
 
 
 def _scales(genus: int) -> list[int]:
-    """The coefficient scales s_0..s_genus of the integer series.
+    """The coefficient scales s_0..s_genus of the integer series (see
+    `_grown`).
 
     s_i is the product over primes q <= 2i+1 of q^floor(2i/(q-1)). A series
     with rational coefficients a_i is kept as the integers A_i = s_i * a_i.
@@ -190,50 +176,53 @@ def _scales(genus: int) -> list[int]:
     for every coefficient would need d divisible by each prime up to
     2*genus+1, and O(i*genus) bits.
     """
-    return _scale_tables(genus)[0][: genus + 1]
+    return _grown(_SCALES, genus, _grow_scales, _TABLE_GENUS)
 
 
-def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
-    """Coefficients of t^0..t^K in a(t)**exponent, for K = len(a) - 1, on
-    an integer scale whose product weights are w (see `_weight_rows`), with
-    a[0] == 1.
+def _power(a: list[int], exponent: int, w: list[list[int]], p: list[int]) -> list[int]:
+    """Extend p, the first coefficients of a(t)**exponent, through t^K for
+    K = len(a) - 1, and return it; on an integer scale whose product weights
+    are w (see `_weight_rows`), with a[0] == p[0] == 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,
-    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j); on the
-    scaled coefficients each term carries the weight w[i][j]. It costs
-    O(K^2) whatever the exponent. The power's scaled coefficients are
-    integers, so each step's division by i is exact and goes through
-    `_divide`.
+    p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j), so row
+    i needs only rows below it; on the scaled coefficients each term carries
+    the weight w[i][j]. It costs O(K^2) whatever the exponent. The power's
+    scaled coefficients are integers, so each step's division by i is exact
+    and goes through `_divide`.
     """
-    p = [1]
-    for i in range(1, len(a)):
+    for i in range(len(p), len(a)):
         wi = w[i]
         acc = sum(((exponent + 1) * j - i) * wi[j] * a[j] * p[i - j] for j in range(1, i + 1))
         p.append(_divide(acc, i, "Miller's power step at t^{}, exponent {}", i, exponent))
     return p
 
 
-# The factor cache of the module docstring.
+# The factor row tables of the module docstring.
 _FACTOR_GENUS = 40
 _FACTOR_CACHE_SIZE = 128
 
 
-def _powered(
-    n: int, count: int, genus: int, odd_parts: list[int], w: list[list[int]] | None
-) -> tuple[int, ...]:
-    """Scaled coefficients of t^0..t^genus of F_n(t)**count (see
-    `_split_sum`), from the odd parts s_p/(2p+1) and, when count > 1, the
-    weight rows w, through row genus."""
-    f = [math.comb(2 * p + n, n) * odd_parts[p] for p in range(genus + 1)]
-    return tuple(_power(f, count, w) if count > 1 else f)
-
-
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _factor(n: int, count: int, genus: int) -> tuple[int, ...]:
-    """`_powered` from the shared tables, cached for the process: the
-    tuple is shared by every caller with these arguments."""
-    w = _weight_rows(genus) if count > 1 else None
-    return _powered(n, count, genus, _scale_tables(genus)[1], w)
+def _factor_rows(n: int, count: int) -> list[int]:
+    """The shared row table of F_n(t)**count, grown by `_factor`."""
+    return [1]
+
+
+def _factor(n: int, count: int, genus: int, s: list[int], w: list | None) -> list[int]:
+    """Scaled coefficients of t^0..t^genus of F_n(t)**count (see `_grown`
+    and `_split_sum`), from the scales s and, when count > 1, the weight
+    rows w, through row genus."""
+
+    def grow(p: list[int], top: int) -> None:
+        # Exact: 2i+1 divides s_i.
+        f = [math.comb(2 * i + n, n) * (s[i] // (2 * i + 1)) for i in range(top + 1)]
+        if count > 1:
+            _power(f, count, w, p)
+        else:
+            p.extend(f[len(p) :])
+
+    return _grown(_factor_rows(n, count), genus, grow, _FACTOR_GENUS)
 
 
 def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
@@ -243,21 +232,17 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     The coefficient is the sum over splittings p_1+...+p_L = genus of
     prod_k [t^(p_k)] F_{n_k}. F_n is kept as its scaled coefficients
     C(2p+n, n) * s_p/(2p+1). Each distinct size's series is raised to its
-    multiplicity by `_power`, at O(genus^2) integer operations; through
-    genus _FACTOR_GENUS these D >= 1 factors come from the process's
-    factor cache (`_factor`). The first D-1 factors are multiplied,
-    truncated at t^genus, at O(genus^2) per product, and only [t^genus] of
-    their product with the last is taken, as one dot product at O(genus).
-    Listing the splittings would take C(genus+L-1, L-1) terms.
+    multiplicity by `_power`, at O(genus^2) integer operations, and these
+    D >= 1 factors are the process's factor row tables (`_factor`). The
+    first D-1 factors are multiplied, truncated at t^genus, at O(genus^2)
+    per product, and only [t^genus] of their product with the last is
+    taken, as one dot product at O(genus). Listing the splittings would
+    take C(genus+L-1, L-1) terms.
     """
-    s, odd_parts = _scale_tables(genus)
+    s = _scales(genus)
     # One boundary takes no product.
     w = _weight_rows(genus) if len(sizes) > 1 else None
-    counts = Counter(sizes).items()
-    if genus <= _FACTOR_GENUS:
-        factors = [_factor(n, count, genus) for n, count in counts]
-    else:
-        factors = [_powered(n, count, genus, odd_parts, w) for n, count in counts]
+    factors = [_factor(n, count, genus, s, w) for n, count in Counter(sizes).items()]
     acc = factors[0]
     if len(factors) == 1:
         return acc[genus], s[genus]

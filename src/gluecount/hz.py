@@ -23,16 +23,18 @@ the coefficients its caller reads, as integers. The splitting sum and
 (x/2)/tanh(x/2) keep each rational coefficient a_m as the integer s_m * a_m,
 on the scales s_m of `formula._scales`; hz_sum and hz_tanh divide s_g back
 out once, at the end, through `exact._divide`. The scaled tanh coefficients
-C_m are a table shared by the process, like the scales and weights of
-`formula`: grown on demand under a lock, never at import, and kept only
-through formula._TABLE_GENUS. The generating function keeps
-k! times its x^k coefficient and is compared cross-multiplied.
+C_m are a row table shared by the process, like the scales, weights and
+factors of `formula`, and grown by the same `formula._grown`: on demand
+under a lock, never at import, and kept only through formula._TABLE_GENUS.
+The generating function keeps k! times its x^k coefficient and is compared
+cross-multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import formula
 from .errors import DomainError
 from .exact import _divide, double_factorial_odd, factorial
 from .formula import (
@@ -51,6 +53,11 @@ __all__ = [
 
 
 def _validate(genus: int, n: int) -> None:
+    # A bool is an int to Python, but no genus or N; a float fails deep in
+    # the arithmetic (`SurfaceSignature`'s rule).
+    for name, value in (("genus", genus), ("N", n)):
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if genus < 0:
         raise DomainError(f"genus must be >= 0, got {genus}")
     if n < 1:
@@ -82,26 +89,25 @@ def hz_sum(genus: int, n: int) -> int:
 _HALF_RATIO = [1]
 
 
-def _half_ratio_coeffs(s: list[int], w: list[list[int]]) -> list[int]:
-    """C_m = s_m * c_m for m < len(s), where c_m is the coefficient of x^(2m)
-    in (x/2)/tanh(x/2), s are the scales of `formula._scales` and w their
-    weight rows from `formula._weight_rows` (rows past len(s) - 1 are not
-    read).
+def _half_ratio_coeffs(genus: int) -> list[int]:
+    """C_m = s_m * c_m for m <= genus (see `formula._grown`), where c_m is
+    the coefficient of x^(2m) in (x/2)/tanh(x/2) and s_m the scales of
+    `formula._scales`.
 
     The series is even, so it is kept as a series in x^2. c_m is
     B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and
     Legendre's formula), so every C_m is an integer and C_0 = 1. It is
     cosh(x/2) divided by sinh(x/2)/(x/2), whose coefficients 1/(4^k (2k)!)
     and 1/(4^k (2k+1)!) are cleared by 4^m (2m+1)!, so the x=0 pole never
-    appears:
+    appears, and with the weights w of `formula._weight_rows`:
 
         4^m (2m+1)! C_m = s_m (2m+1)
             - sum_{k=1..m} w[m][k] s_k 4^(m-k) (2m+1)!/(2k+1)! C_(m-k).
 
-    Coefficients missing from the shared table are computed from `s` and
-    `w`, and a failed division names the genus len(s) - 1 of this call.
+    A failed division names the genus of this call.
     """
-    genus = len(s) - 1
+    s = _scales(genus)
+    w = _weight_rows(genus)
 
     def grow(out: list[int], top: int) -> None:
         for m in range(len(out), top + 1):
@@ -113,8 +119,7 @@ def _half_ratio_coeffs(s: list[int], w: list[list[int]]) -> list[int]:
             denominator = 4**m * factorial(2 * m + 1)
             out.append(_divide(acc, denominator, "tanh coefficient {} at g={}", m, genus))
 
-    (table,) = _grown((_HALF_RATIO,), genus, grow)
-    return table[: genus + 1]
+    return _grown(_HALF_RATIO, genus, grow, formula._TABLE_GENUS)
 
 
 def hz_tanh(genus: int, n: int) -> int:
@@ -130,7 +135,7 @@ def hz_tanh(genus: int, n: int) -> int:
         return 0
     s = _scales(genus)
     w = _weight_rows(genus)
-    c = _power(_half_ratio_coeffs(s, w), n + 1, w)[genus]
+    c = _power(_half_ratio_coeffs(genus)[: genus + 1], n + 1, w, [1])[genus]
     denominator = factorial(n + 1) * factorial(n - 2 * genus) * s[genus]
     return _divide(factorial(2 * n) * c, denominator, "hz_tanh at g={}, N={}", genus, n)
 
@@ -208,6 +213,8 @@ def gf_identity_check(order: int) -> GfIdentityReport:
     matches, and if not, the smallest (x_power, y_power) where the two sides
     differ.
     """
+    if type(order) is not int:
+        raise DomainError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise DomainError(f"gf_identity_check requires order >= 1, got {order}")
 

@@ -1,6 +1,6 @@
 """Shared fixtures: the Harer-Zagier three-term recurrence for eps_g(N),
 CPython's default limit on int <-> str conversion, empty shared series
-tables and factor cache, and an environment that imports this checkout's
+tables and factor row tables, and an environment that imports this checkout's
 gluecount in a fresh interpreter."""
 
 import os
@@ -30,22 +30,21 @@ def default_int_digit_limit():
 @pytest.fixture
 def empty_tables(monkeypatch):
     """Give the shared tables of `formula` and `hz` only their row 0, and
-    empty the factor cache of `formula._split_sum`, for the test, so every
-    row and factor the test needs is computed, and every division behind
-    it made, by the call under test. The fixture's value empties them
-    again; the filled tables are put back after the test, and the cache is
-    emptied, so no factor built under a test's patches outlives it."""
+    drop the factor row tables of `formula._split_sum`, for the test, so
+    every row the test needs is computed, and every division behind it
+    made, by the call under test. The fixture's value empties them again;
+    the filled tables are put back after the test, and the factor tables
+    are dropped, so no row built under a test's patches outlives it."""
 
     def empty():
         monkeypatch.setattr(formula, "_SCALES", [1])
-        monkeypatch.setattr(formula, "_ODD_PARTS", [1])
         monkeypatch.setattr(formula, "_WEIGHTS", [[1]])
         monkeypatch.setattr(hz, "_HALF_RATIO", [1])
-        formula._factor.cache_clear()
+        formula._factor_rows.cache_clear()
 
     empty()
     yield empty
-    formula._factor.cache_clear()
+    formula._factor_rows.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 """The public surface: what `gluecount` exports, and the README's Python
-example run as written."""
+example and command lines run as written."""
 
 import dataclasses
 import re
 from pathlib import Path
 
 import gluecount
-from gluecount import formula
+from gluecount import cli, formula
 from gluecount.gluing import _iter_topologies
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -85,3 +85,25 @@ def test_readme_python_block_does_what_its_comments_say():
     # "the 105 pairings of the 8-gon that leave slot 0 and one other edge free"
     assert "the 105 pairings of the 8-gon" in block
     assert sum(1 for _ in _iter_topologies(8, 2, pinned=True)) == 105
+
+
+def test_readme_command_lines_print_what_is_shown(capsys, monkeypatch, tmp_path):
+    # Every `$ gluecount ...` line but `verify --level full`, whose suites
+    # test_acceptance.py runs at the same sizes; `...` stands for any run of
+    # lines. The cache file lands in tmp_path.
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n.*?```\n(.*?)```", text, re.S)
+    commands = re.split(r"^\$ gluecount (.*)\n", block, flags=re.M)[1:]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for command, shown in zip(commands[::2], commands[1::2]):
+        if command == "verify --level full":
+            continue
+        assert cli.main(command.split()) == 0, command
+        pattern = "".join(
+            r"(?:.*\n)*" if line == "..." else re.escape(line) + r"\n"
+            for line in shown.splitlines()
+        )
+        assert re.fullmatch(pattern, capsys.readouterr().out), command
+        ran.append(command.split()[0])
+    assert ran == ["count", "count", "count", "hz", "hz", "table", "enumerate"]

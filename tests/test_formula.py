@@ -177,16 +177,16 @@ def test_split_sum_matches_composition_sum(empty_tables):
                 value, scale = _split_sum(g, sizes)
                 assert scale == _scales(g)[g]
                 assert Fraction(value, scale) == _composition_sum(g, sizes), (g, sizes)
-    # Genus 0-30 from an empty factor cache, then from the full one, and one
-    # genus past the cached ones, whose factors are built for that call.
+    # Genus 0-30 from empty factor tables, then from the filled ones, and one
+    # genus past the rows they keep, which are built for that call.
     genera = [*range(31), formula._FACTOR_GENUS + 1]
     for sizes in DEEP_SIZES:
         empty_tables()
         expected = [_composition_sum(g, sizes) for g in genera]
         assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected, sizes
-        misses = formula._factor.cache_info().misses
+        misses = formula._factor_rows.cache_info().misses
         assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected, sizes
-        assert formula._factor.cache_info().misses == misses, sizes
+        assert formula._factor_rows.cache_info().misses == misses, sizes
 
 
 def _factor(genus, n):
@@ -226,14 +226,14 @@ def test_split_sum_groups_equal_sizes(sizes):
 @pytest.mark.parametrize("sizes", GROUPED_SIZES)
 def test_split_sum_matches_fraction_kernel(sizes, empty_tables):
     # The integer sum over its scale s_g is the Fraction kernel's value, at
-    # genus 0-30 from an empty factor cache and again from the full one, and
-    # one genus past the cached ones, whose factors are built for that call.
+    # genus 0-30 from empty factor tables and again from the filled ones, and
+    # one genus past the rows they keep, which are built for that call.
     genera = [*range(31), formula._FACTOR_GENUS + 1]
     expected = [fraction_kernels.split_sum(g, sizes) for g in genera]
     assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
-    misses = formula._factor.cache_info().misses
+    misses = formula._factor_rows.cache_info().misses
     assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
-    assert formula._factor.cache_info().misses == misses
+    assert formula._factor_rows.cache_info().misses == misses
 
 
 def test_scales_divide_along_products():
@@ -245,7 +245,8 @@ def test_scales_divide_along_products():
         primes = [q for q in range(2, 2 * i + 2) if all(q % r for r in range(2, q))]
         assert s[i] == math.prod(q ** (2 * i // (q - 1)) for q in primes), i
         assert s[i] % (2 * i + 1) == 0 and s[i] % 4**i == 0, i
-        assert _scales(i) == s[: i + 1]
+        # One table: a lower genus reads a prefix of the same list.
+        assert _scales(i) is s
         for j in range(i + 1):
             assert type(w[i][j]) is int and w[i][j] * s[j] * s[i - j] == s[i], (i, j)
 
@@ -273,7 +274,7 @@ def test_power_is_repeated_truncated_product():
         ones = [[1] * (i + 1) for i in range(len(a))]
         expected = [1] + [0] * (len(a) - 1)
         for e in range(7):
-            p = _power(a, e, ones)
+            p = _power(a, e, ones, [1])
             assert p == expected, (a, e)
             assert all(type(c) is int for c in p)
             unscaled = [Fraction(c, d**i) for i, c in enumerate(p)]
@@ -290,6 +291,11 @@ def test_power_on_weighted_scales():
         a = [int(c * s_i) for c, s_i in zip(rational, s)]
         assert [Fraction(c, s_i) for c, s_i in zip(a, s)] == rational
         for e in range(7):
-            p = _power(a, e, w)
+            p = _power(a, e, w, [1])
             unscaled = [Fraction(c, s_i) for c, s_i in zip(p, s)]
             assert unscaled == fraction_kernels.power(rational, e), (rational, e)
+            # Grown a row at a time, the power reads the same.
+            rows = [1]
+            for k in range(1, len(a)):
+                assert _power(a[: k + 1], e, w, rows) is rows
+            assert rows == p, (rational, e)

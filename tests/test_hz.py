@@ -1,6 +1,7 @@
 """One-vertex map counts eps_g(N): three routes, classical specializations."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,7 +18,7 @@ from gluecount import (
     hz_tanh,
     hz_toric,
 )
-from gluecount.formula import _scales, _weight_rows
+from gluecount.formula import _scales
 from gluecount.hz import _half_ratio_coeffs, _ratio_power_coeffs
 
 # eps_g(N) for N = 1..5, genus column g = 0, 1, 2, ...
@@ -94,6 +95,29 @@ def test_toric_domain():
         catalan(0)
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(partial(route, genus, n), genus if type(genus) is not int else n,
+                     id=f"{route.__name__}({genus!r}, {n!r})")
+        for route in (hz_sum, hz_tanh, hz_from_gluing_counts)
+        for genus, n in [(1.0, 3), (1, 3.0), (True, 3), (1, True)]
+    ]
+    + [
+        pytest.param(partial(fn, value), value, id=f"{fn.__name__}({value!r})")
+        for fn in (catalan, hz_toric, gf_identity_check)
+        for value in (3.0, True)
+    ],
+)
+def test_refuses_what_is_not_an_integer(call, value):
+    # A float used to fail deep in the arithmetic, and a bool to pass as 0
+    # or 1, or to reach `SurfaceSignature` first.
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
+    assert str(info.value).endswith(f"must be an integer, got {value!r}")
+
+
 def test_tanh_high_genus():
     assert hz_tanh(9, 18) == hz_sum(9, 18)
 
@@ -120,21 +144,21 @@ def _unscaled(coeffs, s):
 def test_half_angle_expansion():
     # (x/2)/tanh(x/2) = 1 + x^2/12 - x^4/720 + x^6/30240 - ..., kept in x^2
     # and scaled by s = 1, 12, 720, 60480: 1, 1, -1, 2.
-    s = _scales(3)
-    coeffs = _half_ratio_coeffs(s, _weight_rows(3)[:4])
+    s = _scales(3)[:4]
+    coeffs = _half_ratio_coeffs(3)[:4]
     assert (coeffs, s) == ([1, 1, -1, 2], [1, 12, 720, 60480])
     assert _unscaled(coeffs, s) == [1, Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240)]
 
 
-def test_half_angle_matches_fraction_kernel():
+def test_half_angle_matches_fraction_kernel(empty_tables):
     # The scales do not depend on the genus, so each genus gives a prefix.
-    s = _scales(60)
-    full = _half_ratio_coeffs(s, _weight_rows(60)[:61])
+    s = _scales(60)[:61]
+    full = _half_ratio_coeffs(60)[:61]
     assert all(type(c) is int for c in full)
     assert _unscaled(full, s) == fraction_kernels.half_ratio_coeffs(60)
     for g in range(60):
-        s_g = _scales(g)
-        assert _half_ratio_coeffs(s_g, _weight_rows(g)[: g + 1]) == full[: g + 1], g
+        empty_tables()
+        assert _half_ratio_coeffs(g)[: g + 1] == full[: g + 1], g
 
 
 def test_routes_match_fraction_kernels_on_one_row():

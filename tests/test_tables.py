@@ -1,8 +1,8 @@
-"""The shared series tables of `formula` and `hz`: the scales s_i, their
-odd parts s_i/(2i+1), the weight rows w[i] and the scaled tanh coefficients
-C_m. They grow on demand, only through formula._TABLE_GENUS, and no caller
-changes a row. Also the factor cache of `formula._split_sum`, and what it
-holds."""
+"""The shared series tables of `formula` and `hz`: the scales s_i, the
+weight rows w[i] and the scaled tanh coefficients C_m. They grow on demand,
+only through formula._TABLE_GENUS, and no caller changes a row. Also the
+factor row tables of `formula._split_sum`, one per (size, multiplicity),
+which grow only through formula._FACTOR_GENUS, and what they hold."""
 
 import math
 import sys
@@ -20,7 +20,7 @@ from gluecount import (
     hz_sum,
     hz_tanh,
 )
-from gluecount import formula, hz
+from gluecount import cli, formula, hz
 from gluecount.formula import _power, _scales, _weight_rows
 from gluecount.hz import _half_ratio_coeffs
 
@@ -30,14 +30,13 @@ ROUTES = (hz_sum, hz_tanh, hz_from_gluing_counts)
 def _tables():
     return {
         "scales": formula._SCALES,
-        "odd parts": formula._ODD_PARTS,
         "weights": formula._WEIGHTS,
         "tanh": hz._HALF_RATIO,
     }
 
 
 def _definitions(genus):
-    """The four tables through row genus, each from its definition."""
+    """The three tables through row genus, each from its definition."""
     s = [
         math.prod(
             q ** (2 * i // (q - 1))
@@ -50,7 +49,6 @@ def _definitions(genus):
     assert all(c.denominator == 1 for c in tanh)
     return {
         "scales": s,
-        "odd parts": [s_i // (2 * i + 1) for i, s_i in enumerate(s)],
         "weights": [[s[i] // (s[j] * s[i - j]) for j in range(i + 1)] for i in range(genus + 1)],
         "tanh": [c.numerator for c in tanh],
     }
@@ -64,9 +62,8 @@ def test_every_route_leaves_the_tables_as_defined(empty_tables, hz_recurrence):
                 assert route(g, n) == hz_recurrence[g][n], (route.__name__, g, n)
         for sizes in [(3, 2, 1), (2, 2, 0), (4,), (1, 1, 1, 1)]:
             count_closed(SurfaceSignature(g, sizes))
-        s = _scales(g)
         w = _weight_rows(g)[: g + 1]
-        _power(_half_ratio_coeffs(s, w), 3, w)
+        _power(_half_ratio_coeffs(g)[: g + 1], 3, w, [1])
     assert gf_identity_check(2 * genus + 1).holds
     assert _tables() == _definitions(genus)
 
@@ -140,23 +137,73 @@ def test_threads_sharing_factors_count_alike(empty_tables):
         sys.setswitchinterval(previous)
 
 
+def test_threads_growing_one_factor_write_the_same_rows(empty_tables):
+    # Eight threads grow the rows of one factor F_n^c to genera below, at and
+    # past formula._FACTOR_GENUS, each in its own order, on a shortened
+    # switch interval; each round starts from empty tables.
+    n, count = 2, 3
+    genera = (5, 18, 31, formula._FACTOR_GENUS, formula._FACTOR_GENUS + 5)
+    top = max(genera)
+    series = [
+        Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1)) for p in range(top + 1)
+    ]
+    s = _definitions(top)["scales"]
+    scaled = [c * s_i for c, s_i in zip(fraction_kernels.power(series, count), s)]
+    assert all(c.denominator == 1 for c in scaled)
+    expected = [c.numerator for c in scaled]
+
+    def work(start):
+        try:
+            for g in genera[start:] + genera[:start]:
+                rows = formula._factor(n, count, g, _scales(g), _weight_rows(g))
+                results.append((g, rows[: g + 1]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            empty_tables()
+            results, errors = [], []
+            threads = [threading.Thread(target=work, args=(k % len(genera),)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(results) == 8 * len(genera)
+            for g, rows in results:
+                assert rows == expected[: g + 1], g
+            assert formula._factor_rows(n, count) == expected[: formula._FACTOR_GENUS + 1]
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_a_table_builds_one_factor_per_size_and_multiplicity(empty_tables, capsys):
+    assert cli.main(["table", "--max-genus", "6", "--max-holes", "5", "--max-n", "3"]) == 0
+    capsys.readouterr()
+    # Sizes 0-3, each 1-5 times, except five punctures alone: 19 pairs, each
+    # grown through genus 6 in one row table.
+    assert formula._factor_rows.cache_info().misses == 19
+
+
 def test_a_genus_past_the_cap_keeps_no_rows(empty_tables, monkeypatch, hz_recurrence):
     cap, genus = 4, 12
     monkeypatch.setattr(formula, "_TABLE_GENUS", cap)
-    # Past the cap the closed formula's factors are built, uncached, from
-    # the rows of that call.
+    # Past the cap the closed formula's factor rows are built for that call.
     monkeypatch.setattr(formula, "_FACTOR_GENUS", cap)
     for g in range(genus + 1):
         for n in (max(2 * g, 1), 2 * g + 1, 2 * g + 6):
             for route in ROUTES:
                 assert route(g, n) == hz_recurrence[g][n], (route.__name__, g, n)
-    s = _scales(genus)
-    w = _weight_rows(genus)[: genus + 1]
     expected = _definitions(genus)
-    assert (s, w, _half_ratio_coeffs(s, w)) == (
+    assert (_scales(genus), _weight_rows(genus), _half_ratio_coeffs(genus)) == (
         expected["scales"], expected["weights"], expected["tanh"]
     )
     assert _tables() == _definitions(cap)
+    assert len(formula._factor_rows(1, 1)) == cap + 1
 
 
 def test_full_tables_hold_under_600_kb(empty_tables):
@@ -164,13 +211,11 @@ def test_full_tables_hold_under_600_kb(empty_tables):
     factorial(2 * cap + 1)  # the factorial table's own growth is not counted
     tracemalloc.start()
     try:
-        s = _scales(cap)
-        _half_ratio_coeffs(s, _weight_rows(cap)[: cap + 1])
-        del s
+        _half_ratio_coeffs(cap)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert [len(table) for table in _tables().values()] == [cap + 1] * 4
+    assert [len(table) for table in _tables().values()] == [cap + 1] * 3
     assert held < 600_000, held
 
 
@@ -178,13 +223,13 @@ def test_full_factor_cache_holds_under_800_kb(empty_tables):
     # The stated worst case: every factor at the highest cached genus, with
     # sizes and multiplicities just below 4096.
     genus = formula._FACTOR_GENUS
-    _weight_rows(genus)  # the shared tables are not counted
+    s, w = _scales(genus), _weight_rows(genus)  # the shared tables are not counted
     tracemalloc.start()
     try:
         for k in range(formula._FACTOR_CACHE_SIZE):
-            formula._factor(4095 - k, 4095 - k, genus)
+            formula._factor(4095 - k, 4095 - k, genus, s, w)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert formula._factor.cache_info().currsize == formula._FACTOR_CACHE_SIZE
+    assert formula._factor_rows.cache_info().currsize == formula._FACTOR_CACHE_SIZE
     assert held < 800_000, held
