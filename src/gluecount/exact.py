@@ -1,5 +1,5 @@
-"""Exact integer helpers: factorials, odd double factorials and the one
-exact division.
+"""Exact integer helpers: factorials, odd double factorials, the one exact
+division and `_grown`, the one growth path of every table the process shares.
 
 Everything here returns plain Python ints (arbitrary precision); no value is
 ever rounded. Every division in the package that must cancel goes through
@@ -10,17 +10,49 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import Callable
 
 from .errors import ConsistencyError, DomainError
 
 __all__ = ["factorial", "double_factorial_odd"]
+
+_TABLES_LOCK = threading.RLock()
+
+
+def _grown(table: list, top: int, grow: Callable[[list, int], None], cap: int) -> list:
+    """The shared row table `table`, or a copy, holding rows 0..top at
+    least; the caller reads rows up to top only, and changes none. The
+    factorials here, the memo's field powers of `recursion` and the series
+    tables of `formula` and `hz` all grow here, under one lock.
+
+    `grow(table, k)` appends rows to `table` through row k, each row final
+    when appended, so a reader that sees row k there needs no lock. Rows
+    through `cap` are added to `table` under the lock, unless it holds row
+    `cap` already; rows past it to a copy, returned in its place. The lock
+    is reentrant, so a grow may read another table, and grow it; it never
+    grows its own.
+    """
+    if top < len(table):
+        return table
+    if len(table) <= cap:
+        with _TABLES_LOCK:
+            grow(table, min(top, cap))
+    if top > cap:
+        table = table[:]
+        grow(table, top)
+    return table
+
 
 # Monotone factorial table for n < _TABLE_SIZE: grows on demand, never
 # evicted. Larger factorials are computed afresh, so one large argument
 # cannot pin every k! below it in memory.
 _TABLE_SIZE = 1024
 _FACTORIALS = [1]
-_FACTORIALS_LOCK = threading.Lock()
+
+
+def _grow_factorials(table: list[int], top: int) -> None:
+    for k in range(len(table), top + 1):
+        table.append(table[-1] * k)
 
 
 def factorial(n: int) -> int:
@@ -33,14 +65,19 @@ def factorial(n: int) -> int:
         return table[n]
     if n >= _TABLE_SIZE:
         return math.factorial(n)
-    with _FACTORIALS_LOCK:
-        while len(table) <= n:
-            table.append(table[-1] * len(table))
-    return table[n]
+    return _grown(table, n, _grow_factorials, _TABLE_SIZE - 1)[n]
+
+
+def _integer(name: str, value: object) -> None:
+    """DomainError naming `value` unless it is an int. A bool is an int to
+    Python, but no size, label or count."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = 1*3*5*...*(2n-1); the empty product 1 for n = 0."""
+    _integer("n", n)
     if n < 0:
         raise DomainError(f"double_factorial_odd requires n >= 0, got {n}")
     out = 1

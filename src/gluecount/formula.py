@@ -16,27 +16,26 @@ scales s_i (`_scales`), the product weights w[i][j] (`_weight_rows`) and,
 for each distinct size n of multiplicity c in the splitting sum, the
 coefficients of the factor F_n(t)^c (`_factor`). Row i of each depends only
 on rows below it, never on the genus asked for, so a call extends a table
-under a lock by the rows it lacks (none at import), and every later call
-reads a prefix. The scales and weights, like the tanh coefficients of `hz`,
-are kept through genus _TABLE_GENUS = 150, where the three hold 0.38 MB
-(tracemalloc, CPython 3.11). The factor tables of the last
-_FACTOR_CACHE_SIZE = 128 pairs (n, c) used are kept through genus
+through `exact._grown` by the rows it lacks (none at import), and every
+later call reads a prefix. The scales and weights, like the tanh
+coefficients of `hz`, are kept through genus _TABLE_GENUS = 150, where the
+three hold 0.38 MB (tracemalloc, CPython 3.11). The factor tables of the
+last _FACTOR_CACHE_SIZE = 128 pairs (n, c) used are kept through genus
 _FACTOR_GENUS = 40, where 128 of them with sizes and multiplicities below
 4096 hold 0.77 MB (tracemalloc, CPython 3.11). A higher genus computes its
-extra rows for that call only.
+extra rows once, for that call only: the scales and weights are fetched by
+the entry points `_split_sum` and `hz.hz_tanh` alone, and passed on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import AllPuncturesError, SignatureError
-from .exact import _divide, factorial
+from .exact import _divide, _grown, factorial
 
 __all__ = ["SurfaceSignature", "count_closed", "polygon_size"]
 
@@ -105,27 +104,6 @@ def polygon_size(sig: SurfaceSignature) -> int:
 _TABLE_GENUS = 150
 _SCALES = [1]
 _WEIGHTS = [[1]]
-_TABLES_LOCK = threading.Lock()
-
-
-def _grown(table: list, genus: int, grow: Callable[[list, int], None], cap: int) -> list:
-    """The shared row table `table`, or a copy, holding rows 0..genus at
-    least; the caller reads rows up to genus only, and changes none.
-
-    `grow(table, k)` appends rows to `table` through row k, each row final
-    when appended, so a reader that sees row k there needs no lock. It must
-    not call back into the tables: the lock is not reentrant. Rows through
-    `cap` are added to `table` under the lock; rows past it to a copy,
-    returned in its place.
-    """
-    if genus < len(table):
-        return table
-    with _TABLES_LOCK:
-        grow(table, min(genus, cap))
-    if genus > cap:
-        table = table[:]
-        grow(table, genus)
-    return table
 
 
 def _grow_scales(s: list[int], genus: int) -> None:
@@ -146,15 +124,14 @@ def _grow_scales(s: list[int], genus: int) -> None:
         s.append(s[-1] * step)
 
 
-def _weight_rows(genus: int) -> list[list[int]]:
-    """The product weights w[i][j] = s_i / (s_j * s_(i-j)) for the scales s
-    of `_scales`, rows 0..genus (see `_grown`).
+def _weight_rows(genus: int, s: list[int]) -> list[list[int]]:
+    """The product weights w[i][j] = s_i / (s_j * s_(i-j)), rows 0..genus
+    (see `exact._grown`), from the scales s of `_scales` through row genus.
 
     Since floor(x) + floor(y) <= floor(x+y), s_j * s_(i-j) divides s_i, so
     each weight is an integer, and coefficient i of a truncated product of
     two scaled series is the integer sum_j w[i][j] * A_j * B_(i-j).
     """
-    s = _scales(genus)
 
     def grow(w: list[list[int]], top: int) -> None:
         for i in range(len(w), top + 1):
@@ -167,7 +144,7 @@ def _weight_rows(genus: int) -> list[list[int]]:
 
 def _scales(genus: int) -> list[int]:
     """The coefficient scales s_0..s_genus of the integer series (see
-    `_grown`).
+    `exact._grown`).
 
     s_i is the product over primes q <= 2i+1 of q^floor(2i/(q-1)). A series
     with rational coefficients a_i is kept as the integers A_i = s_i * a_i.
@@ -210,9 +187,9 @@ def _factor_rows(n: int, count: int) -> list[int]:
 
 
 def _factor(n: int, count: int, genus: int, s: list[int], w: list | None) -> list[int]:
-    """Scaled coefficients of t^0..t^genus of F_n(t)**count (see `_grown`
-    and `_split_sum`), from the scales s and, when count > 1, the weight
-    rows w, through row genus."""
+    """Scaled coefficients of t^0..t^genus of F_n(t)**count (see
+    `exact._grown` and `_split_sum`), from the scales s and, when count > 1,
+    the weight rows w, through row genus."""
 
     def grow(p: list[int], top: int) -> None:
         # Exact: 2i+1 divides s_i.
@@ -241,7 +218,7 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     """
     s = _scales(genus)
     # One boundary takes no product.
-    w = _weight_rows(genus) if len(sizes) > 1 else None
+    w = _weight_rows(genus, s) if len(sizes) > 1 else None
     factors = [_factor(n, count, genus, s, w) for n, count in Counter(sizes).items()]
     acc = factors[0]
     if len(factors) == 1:

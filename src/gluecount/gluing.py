@@ -59,7 +59,7 @@ from .errors import (
     DomainError,
     ParityError,
 )
-from .exact import double_factorial_odd, factorial
+from .exact import _integer, double_factorial_odd, factorial
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = [
@@ -104,6 +104,9 @@ class GluingWord:
             raise DomainError(
                 f"pairing has {n} slots but labels has {len(labels)} entries"
             )
+        for i in range(n):
+            _integer(f"pairing entry {i}", pairing[i])
+            _integer(f"label {i}", labels[i])
         seen_labels = set()
         for i, partner in enumerate(pairing):
             if partner == -1:
@@ -376,9 +379,13 @@ def enumerate_classes(
     Refuses polygons larger than `cap`, as `count_brute` does, and shapes
     with more than `_WORD_BUDGET` words to canonicalize.
     """
+    _integer("polygon size", size)
+    _integer("cap", cap)
+    labels = tuple(free_labels)
+    for label in labels:
+        _integer("free label", label)
     if size > cap:
         raise CapExceededError(f"polygon size {size} exceeds enumeration cap {cap}")
-    labels = tuple(free_labels)
     _check_shape(size, labels)
     words = _words_to_canonicalize(size, len(labels))
     if words > _WORD_BUDGET:
@@ -444,6 +451,7 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     the label placements that match are counted (see `_placements`).
     Refuses polygons larger than `cap` rather than grinding silently.
     """
+    _integer("cap", cap)
     n = polygon_size(sig)
     if n > cap:
         raise CapExceededError(f"polygon size {n} exceeds enumeration cap {cap}")

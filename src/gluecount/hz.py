@@ -24,8 +24,8 @@ the coefficients its caller reads, as integers. The splitting sum and
 on the scales s_m of `formula._scales`; hz_sum and hz_tanh divide s_g back
 out once, at the end, through `exact._divide`. The scaled tanh coefficients
 C_m are a row table shared by the process, like the scales, weights and
-factors of `formula`, and grown by the same `formula._grown`: on demand
-under a lock, never at import, and kept only through formula._TABLE_GENUS.
+factors of `formula`, and grown by the same `exact._grown`: on demand,
+never at import, and kept only through formula._TABLE_GENUS.
 The generating function keeps k! times its x^k coefficient and is compared
 cross-multiplied.
 """
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 from . import formula
 from .errors import DomainError
-from .exact import _divide, double_factorial_odd, factorial
+from .exact import _divide, _grown, _integer, double_factorial_odd, factorial
 from .formula import (
-    SurfaceSignature, _grown, _power, _scales, _split_sum, _weight_rows, count_closed,
+    SurfaceSignature, _power, _scales, _split_sum, _weight_rows, count_closed,
 )
 
 __all__ = [
@@ -53,11 +53,8 @@ __all__ = [
 
 
 def _validate(genus: int, n: int) -> None:
-    # A bool is an int to Python, but no genus or N; a float fails deep in
-    # the arithmetic (`SurfaceSignature`'s rule).
-    for name, value in (("genus", genus), ("N", n)):
-        if type(value) is not int:
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+    _integer("genus", genus)
+    _integer("N", n)
     if genus < 0:
         raise DomainError(f"genus must be >= 0, got {genus}")
     if n < 1:
@@ -85,29 +82,27 @@ def hz_sum(genus: int, n: int) -> int:
     return _divide(value * factorial(2 * n), denominator, "hz_sum at g={}, N={}", genus, n)
 
 
-# The shared table of C_m of the module docstring (see `formula._grown`).
+# The shared table of C_m of the module docstring (see `exact._grown`).
 _HALF_RATIO = [1]
 
 
-def _half_ratio_coeffs(genus: int) -> list[int]:
-    """C_m = s_m * c_m for m <= genus (see `formula._grown`), where c_m is
-    the coefficient of x^(2m) in (x/2)/tanh(x/2) and s_m the scales of
-    `formula._scales`.
+def _half_ratio_coeffs(genus: int, s: list[int], w: list[list[int]]) -> list[int]:
+    """C_m = s_m * c_m for m <= genus (see `exact._grown`), where c_m is
+    the coefficient of x^(2m) in (x/2)/tanh(x/2), from the scales s and
+    weights w of `formula` through row genus.
 
     The series is even, so it is kept as a series in x^2. c_m is
     B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and
     Legendre's formula), so every C_m is an integer and C_0 = 1. It is
     cosh(x/2) divided by sinh(x/2)/(x/2), whose coefficients 1/(4^k (2k)!)
     and 1/(4^k (2k+1)!) are cleared by 4^m (2m+1)!, so the x=0 pole never
-    appears, and with the weights w of `formula._weight_rows`:
+    appears, and
 
         4^m (2m+1)! C_m = s_m (2m+1)
             - sum_{k=1..m} w[m][k] s_k 4^(m-k) (2m+1)!/(2k+1)! C_(m-k).
 
     A failed division names the genus of this call.
     """
-    s = _scales(genus)
-    w = _weight_rows(genus)
 
     def grow(out: list[int], top: int) -> None:
         for m in range(len(out), top + 1):
@@ -134,8 +129,8 @@ def hz_tanh(genus: int, n: int) -> int:
     if n < 2 * genus:
         return 0
     s = _scales(genus)
-    w = _weight_rows(genus)
-    c = _power(_half_ratio_coeffs(genus)[: genus + 1], n + 1, w, [1])[genus]
+    w = _weight_rows(genus, s)
+    c = _power(_half_ratio_coeffs(genus, s, w)[: genus + 1], n + 1, w, [1])[genus]
     denominator = factorial(n + 1) * factorial(n - 2 * genus) * s[genus]
     return _divide(factorial(2 * n) * c, denominator, "hz_tanh at g={}, N={}", genus, n)
 
@@ -213,8 +208,7 @@ def gf_identity_check(order: int) -> GfIdentityReport:
     matches, and if not, the smallest (x_power, y_power) where the two sides
     differ.
     """
-    if type(order) is not int:
-        raise DomainError(f"order must be an integer, got {order!r}")
+    _integer("order", order)
     if order < 1:
         raise DomainError(f"gf_identity_check requires order >= 1, got {order}")
 

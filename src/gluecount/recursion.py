@@ -63,14 +63,13 @@ from __future__ import annotations
 import os
 import re
 import sys
-import threading
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 from types import MappingProxyType
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
-from .exact import _divide, factorial
+from .exact import _divide, _grown, factorial
 from .formula import SurfaceSignature
 
 __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"]
@@ -86,18 +85,14 @@ _FIELD = 1 << _BITS  # every field of a code stays below this
 _MASK = _FIELD - 1
 _SIZE_LIMIT = 1 << 12  # sizes stay below this, so a code stays below 8 KiB
 
-# _POWERS[s] = P[s] = 2^(16(s+1)), grown on demand up to the largest size
-# reached (at most _SIZE_LIMIT entries, about 16 MiB).
+# _POWERS[s] = P[s] = 2^(16(s+1)), grown through `exact._grown` up to the
+# largest size reached (at most _SIZE_LIMIT entries, about 16 MiB).
 _POWERS = [_FIELD]
-_POWERS_LOCK = threading.Lock()
 
 
-def _grow(size: int) -> None:
-    """Extend _POWERS so that it covers `size`."""
-    if len(_POWERS) <= size:
-        with _POWERS_LOCK:
-            while len(_POWERS) <= size:
-                _POWERS.append(_POWERS[-1] << _BITS)
+def _grow_powers(powers: list[int], top: int) -> None:
+    for _ in range(len(powers), top + 1):
+        powers.append(powers[-1] << _BITS)
 
 
 def _sizes_code(sizes: Sequence[int]) -> int:
@@ -113,8 +108,8 @@ def _sizes_code(sizes: Sequence[int]) -> int:
         size, times = Counter(sizes).most_common(1)[0]
         if times > _MASK:
             raise DomainError(f"size {size} occurs {times} times, more than {_MASK}")
-    _grow(sizes[0])
-    return sum(map(_POWERS.__getitem__, sizes))
+    powers = _grown(_POWERS, sizes[0], _grow_powers, _SIZE_LIMIT - 1)
+    return sum(map(powers.__getitem__, sizes))
 
 
 def _sizes(part: int) -> tuple[int, ...]:
@@ -149,6 +144,10 @@ class CountTable:
     def __init__(self, entries: Mapping[MemoKey, int] | None = None) -> None:
         self._codes: dict[int, int] = {}
         for (genus, sizes), count in (entries or {}).items():
+            # The rule of `SurfaceSignature`: a bool or a float is no genus
+            # or size.
+            if type(genus) is not int or any(type(n) is not int for n in sizes):
+                raise DomainError(f"key {(genus, sizes)!r}: genus and sizes must be integers")
             if not 0 <= genus < _FIELD:
                 raise DomainError(f"genus {genus} is out of range: it must be below {_FIELD}")
             # The loader's rule: a count is a decimal integer >= 0. A bool
@@ -219,7 +218,7 @@ def _reach(genus: int, sizes: tuple[int, ...]) -> None:
             f"g={genus}, L={len(sizes)} is out of range for the recursion: its polygon "
             f"has {edges} edges, and the memo keys allow at most {_SIZE_LIMIT - 1}"
         )
-    _grow(edges)
+    _grown(_POWERS, edges, _grow_powers, _SIZE_LIMIT - 1)
 
 
 def _compute(genus: int, sizes: tuple[int, ...], code: int, entries: dict[int, int]) -> int:

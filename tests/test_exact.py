@@ -80,6 +80,13 @@ def test_double_factorial_rejects_negative():
         double_factorial_odd(-2)
 
 
+@pytest.mark.parametrize("n", [3.0, True], ids=repr)
+def test_double_factorial_refuses_what_is_not_an_integer(n):
+    with pytest.raises(DomainError) as info:
+        double_factorial_odd(n)
+    assert str(info.value) == f"n must be an integer, got {n!r}"
+
+
 def test_divide_returns_the_exact_quotient():
     assert _divide(factorial(10), factorial(7), "unused {}", 1) == 720
     assert _divide(0, 9, "unused") == 0

@@ -238,7 +238,7 @@ def test_split_sum_matches_fraction_kernel(sizes, empty_tables):
 
 def test_scales_divide_along_products():
     s = _scales(60)
-    w = _weight_rows(60)[:61]
+    w = _weight_rows(60, s)[:61]
     assert s[:4] == [1, 12, 720, 60480]
     for i in range(61):
         # The definition: the product over primes q <= 2i+1 of q^floor(2i/(q-1)).
@@ -287,7 +287,7 @@ def test_power_on_weighted_scales():
     for rational in (_factor(6, 0), _factor(9, 3), _factor(12, 1)):
         g = len(rational) - 1
         s = _scales(g)
-        w = _weight_rows(g)[: g + 1]
+        w = _weight_rows(g, s)[: g + 1]
         a = [int(c * s_i) for c, s_i in zip(rational, s)]
         assert [Fraction(c, s_i) for c, s_i in zip(a, s)] == rational
         for e in range(7):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -306,6 +307,32 @@ def test_canonical_takes_any_label_and_pair_count():
     decoded = decode(canon)
     assert canonicalize(decoded) == canon
     assert glue(decoded) == glue(big)
+
+
+DISC = SurfaceSignature(0, (2,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(GluingWord, (1.0, 0), (0, 0)), "pairing entry 0 must be an integer, got 1.0"),
+        (partial(GluingWord, (-1, -1), (1, True)), "label 1 must be an integer, got True"),
+        (partial(enumerate_classes, 4.0), "polygon size must be an integer, got 4.0"),
+        (partial(enumerate_classes, True, (1,)), "polygon size must be an integer, got True"),
+        (partial(enumerate_classes, 3, (1, 2.5, 3)), "free label must be an integer, got 2.5"),
+        (partial(enumerate_classes, 4, (), 12.0), "cap must be an integer, got 12.0"),
+        (partial(count_brute, DISC, None), "cap must be an integer, got None"),
+        (partial(count_brute, DISC, True), "cap must be an integer, got True"),
+    ],
+    ids=repr,
+)
+def test_word_layer_refuses_what_is_not_an_integer(call, message):
+    # A float used to raise a raw TypeError or pass into the printed classes,
+    # and a bool to pass as 0 or 1.
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
 
 
 def test_enumeration_parity_and_label_checks():

@@ -18,7 +18,7 @@ from gluecount import (
     hz_tanh,
     hz_toric,
 )
-from gluecount.formula import _scales
+from gluecount.formula import _scales, _weight_rows
 from gluecount.hz import _half_ratio_coeffs, _ratio_power_coeffs
 
 # eps_g(N) for N = 1..5, genus column g = 0, 1, 2, ...
@@ -141,11 +141,17 @@ def _unscaled(coeffs, s):
     return [Fraction(c, s_m) for c, s_m in zip(coeffs, s)]
 
 
+def _tanh_rows(genus):
+    """C_0..C_genus, from the scales and weights that `hz_tanh` passes."""
+    s = _scales(genus)
+    return _half_ratio_coeffs(genus, s, _weight_rows(genus, s))[: genus + 1]
+
+
 def test_half_angle_expansion():
     # (x/2)/tanh(x/2) = 1 + x^2/12 - x^4/720 + x^6/30240 - ..., kept in x^2
     # and scaled by s = 1, 12, 720, 60480: 1, 1, -1, 2.
     s = _scales(3)[:4]
-    coeffs = _half_ratio_coeffs(3)[:4]
+    coeffs = _tanh_rows(3)
     assert (coeffs, s) == ([1, 1, -1, 2], [1, 12, 720, 60480])
     assert _unscaled(coeffs, s) == [1, Fraction(1, 12), Fraction(-1, 720), Fraction(1, 30240)]
 
@@ -153,12 +159,12 @@ def test_half_angle_expansion():
 def test_half_angle_matches_fraction_kernel(empty_tables):
     # The scales do not depend on the genus, so each genus gives a prefix.
     s = _scales(60)[:61]
-    full = _half_ratio_coeffs(60)[:61]
+    full = _tanh_rows(60)
     assert all(type(c) is int for c in full)
     assert _unscaled(full, s) == fraction_kernels.half_ratio_coeffs(60)
     for g in range(60):
         empty_tables()
-        assert _half_ratio_coeffs(g)[: g + 1] == full[: g + 1], g
+        assert _tanh_rows(g) == full[: g + 1], g
 
 
 def test_routes_match_fraction_kernels_on_one_row():

@@ -274,6 +274,17 @@ def test_table_refuses_a_count_that_is_not_an_integer(count):
     assert str(info.value) == f"count {count!r} for g=0, ns=(1,) is not an integer >= 0"
 
 
+@pytest.mark.parametrize(
+    "key", [(1.5, (1,)), (True, (1,)), (0, (1.0,)), (0, (2, False))], ids=repr
+)
+def test_table_refuses_a_key_that_is_not_an_integer(key):
+    # The rule of its counts and of `SurfaceSignature`: a float used to raise
+    # a raw TypeError, and a bool to be stored as 0 or 1.
+    with pytest.raises(DomainError) as info:
+        CountTable({key: 1})
+    assert str(info.value) == f"key {key!r}: genus and sizes must be integers"
+
+
 def test_table_accepts_zero_and_long_counts():
     table = CountTable({(0, (1,)): 0, (1, (2,)): 10**4400})
     assert table.entries == {(0, (1,)): 0, (1, (2,)): 10**4400}

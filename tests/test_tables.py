@@ -2,25 +2,29 @@
 weight rows w[i] and the scaled tanh coefficients C_m. They grow on demand,
 only through formula._TABLE_GENUS, and no caller changes a row. Also the
 factor row tables of `formula._split_sum`, one per (size, multiplicity),
-which grow only through formula._FACTOR_GENUS, and what they hold."""
+which grow only through formula._FACTOR_GENUS, and what they hold; and the
+one reentrant lock that these, the factorials and the memo's field powers
+grow under."""
 
 import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import fraction_kernels
 from gluecount import (
     SurfaceSignature,
     count_closed,
+    count_recursive,
     factorial,
     gf_identity_check,
     hz_from_gluing_counts,
     hz_sum,
     hz_tanh,
 )
-from gluecount import cli, formula, hz
+from gluecount import cli, exact, formula, hz, recursion
 from gluecount.formula import _power, _scales, _weight_rows
 from gluecount.hz import _half_ratio_coeffs
 
@@ -62,8 +66,9 @@ def test_every_route_leaves_the_tables_as_defined(empty_tables, hz_recurrence):
                 assert route(g, n) == hz_recurrence[g][n], (route.__name__, g, n)
         for sizes in [(3, 2, 1), (2, 2, 0), (4,), (1, 1, 1, 1)]:
             count_closed(SurfaceSignature(g, sizes))
-        w = _weight_rows(g)[: g + 1]
-        _power(_half_ratio_coeffs(g)[: g + 1], 3, w, [1])
+        s = _scales(g)
+        w = _weight_rows(g, s)
+        _power(_half_ratio_coeffs(g, s, w)[: g + 1], 3, w, [1])
     assert gf_identity_check(2 * genus + 1).holds
     assert _tables() == _definitions(genus)
 
@@ -155,7 +160,8 @@ def test_threads_growing_one_factor_write_the_same_rows(empty_tables):
     def work(start):
         try:
             for g in genera[start:] + genera[:start]:
-                rows = formula._factor(n, count, g, _scales(g), _weight_rows(g))
+                s = _scales(g)
+                rows = formula._factor(n, count, g, s, _weight_rows(g, s))
                 results.append((g, rows[: g + 1]))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -199,11 +205,108 @@ def test_a_genus_past_the_cap_keeps_no_rows(empty_tables, monkeypatch, hz_recurr
             for route in ROUTES:
                 assert route(g, n) == hz_recurrence[g][n], (route.__name__, g, n)
     expected = _definitions(genus)
-    assert (_scales(genus), _weight_rows(genus), _half_ratio_coeffs(genus)) == (
+    s = _scales(genus)
+    w = _weight_rows(genus, s)
+    assert (s, w, _half_ratio_coeffs(genus, s, w)) == (
         expected["scales"], expected["weights"], expected["tanh"]
     )
     assert _tables() == _definitions(cap)
     assert len(formula._factor_rows(1, 1)) == cap + 1
+
+
+def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
+    # From tables full through the cap, a call past it extends each table it
+    # reads once, in a copy: only its entry point fetches the scales and
+    # weights, and a full shared table is not grown again under the lock.
+    cap, genus = formula._TABLE_GENUS, 175
+    sig = SurfaceSignature(genus, (3, 3, 2, 2, 1, 1))
+    hz_tanh(cap, 2 * cap + 1)
+    count_closed(SurfaceSignature(cap, sig.boundary_sizes))
+    names = {id(table): name for name, table in _tables().items()}
+    grown = formula._grown
+
+    def spy(table, top, grow, limit):
+        name = names.get(id(table), "factor")
+
+        def counted(rows, k):
+            before = len(rows)
+            grow(rows, k)
+            calls[name] += 1
+            added[name] += len(rows) - before
+
+        return grown(table, top, counted, limit)
+
+    monkeypatch.setattr(formula, "_grown", spy)
+    monkeypatch.setattr(hz, "_grown", spy)
+    calls, added = Counter(), Counter()
+    hz_tanh(genus, 360)
+    past = genus - cap
+    assert calls == {"scales": 1, "weights": 1, "tanh": 1}
+    assert added == {"scales": past, "weights": past, "tanh": past}
+    calls, added = Counter(), Counter()
+    count_closed(sig)
+    # Three factors, each held through formula._FACTOR_GENUS.
+    assert calls == {"scales": 1, "weights": 1, "factor": 3}
+    factor_past = genus - formula._FACTOR_GENUS
+    assert added == {"scales": past, "weights": past, "factor": 3 * factor_past}
+
+
+def test_one_reentrant_lock_grows_every_table(empty_tables, monkeypatch, hz_recurrence):
+    # The tanh grow calls `factorial` under the lock, and factorial grows its
+    # table under the same lock, so a lock that is not reentrant hangs there.
+    # The calls run in daemon threads joined with a timeout: a hang fails the
+    # test instead of pytest.
+    def fresh():
+        empty_tables()
+        monkeypatch.setattr(exact, "_FACTORIALS", [1])
+        monkeypatch.setattr(recursion, "_POWERS", [recursion._FIELD])
+
+    def run(plans):
+        results, errors = {}, []
+
+        def work(k):
+            try:
+                results[k] = [call(*args) for call, args, _ in plans[k]]
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(k,), daemon=True) for k in range(len(plans))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "a call never finished"
+        assert errors == []
+        for k, plan in enumerate(plans):
+            assert results[k] == [expected for _, _, expected in plan], k
+
+    def tanh(g, n):
+        return hz_tanh, (g, n), hz_recurrence[g][n]
+
+    def recursive(g, n):
+        sig = SurfaceSignature(g, (1,) + (0,) * (n - 2 * g))
+        return count_recursive, (sig,), hz_recurrence[g][n]
+
+    def fact(n):
+        return factorial, (n,), math.factorial(n)
+
+    fresh()
+    run([[tanh(20, 41)]])
+    plans = [
+        [tanh(3 * k + 2, 6 * k + 5 + k % 3), recursive(k % 4, 9), fact(97 * k + 300)]
+        for k in range(8)
+    ]
+    plans = [plan[k % 3 :] + plan[: k % 3] for k, plan in enumerate(plans)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fresh()
+            run(plans)
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_full_tables_hold_under_600_kb(empty_tables):
@@ -211,7 +314,8 @@ def test_full_tables_hold_under_600_kb(empty_tables):
     factorial(2 * cap + 1)  # the factorial table's own growth is not counted
     tracemalloc.start()
     try:
-        _half_ratio_coeffs(cap)
+        s = _scales(cap)
+        _half_ratio_coeffs(cap, s, _weight_rows(cap, s))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -223,7 +327,8 @@ def test_full_factor_cache_holds_under_800_kb(empty_tables):
     # The stated worst case: every factor at the highest cached genus, with
     # sizes and multiplicities just below 4096.
     genus = formula._FACTOR_GENUS
-    s, w = _scales(genus), _weight_rows(genus)  # the shared tables are not counted
+    s = _scales(genus)  # the shared tables are not counted
+    w = _weight_rows(genus, s)
     tracemalloc.start()
     try:
         for k in range(formula._FACTOR_CACHE_SIZE):
