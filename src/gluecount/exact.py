@@ -57,7 +57,14 @@ def _grow_factorials(table: list[int], top: int) -> None:
 
 def factorial(n: int) -> int:
     """n! for n >= 0. Repeated calls with n < 1024 are O(1) thanks to the
-    shared table."""
+    shared table. DomainError for anything that is not an int, a bool too."""
+    _integer("n", n)
+    return _factorial(n)
+
+
+def _factorial(n: int) -> int:
+    """`factorial` for a caller that passes ints only: a table hit makes
+    no type check."""
     if n < 0:
         raise DomainError(f"factorial requires n >= 0, got {n}")
     table = _FACTORIALS

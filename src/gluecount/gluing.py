@@ -59,7 +59,7 @@ from .errors import (
     DomainError,
     ParityError,
 )
-from .exact import _integer, double_factorial_odd, factorial
+from .exact import _integer, double_factorial_odd, _factorial as factorial  # no int check
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = [

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 from . import formula
 from .errors import DomainError
-from .exact import _divide, _grown, _integer, double_factorial_odd, factorial
+from .exact import _divide, _grown, _integer, double_factorial_odd
+from .exact import _factorial as factorial  # no int check
 from .formula import (
     SurfaceSignature, _power, _scales, _split_sum, _weight_rows, count_closed,
 )

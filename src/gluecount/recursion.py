@@ -31,8 +31,10 @@ powers:
     merge u, v:        code - P[u] - P[v] + P[u+v+2]
     cut u into x, y:   code - 1 - P[u] + P[x] + P[y]
 
-so a memo hit is one integer sum and one dict probe, and the sorted sizes
-are rebuilt from a code only when it misses. Every step keeps the polygon
+so a memo hit is one integer sum and one dict probe. On a miss the kernel
+reads the state's (size, multiplicity) pairs straight off the fields,
+largest first, and builds no sizes tuple; it decodes the sizes only to
+name them when a division fails. Every step keeps the polygon
 size N = n_1 + ... + n_L + 4g + 2L - 2 fixed, so no size reached exceeds N,
 no genus exceeds g and no size occurs more than L + g times. count_recursive
 refuses a signature with N >= 4096 before any work: every field then stays
@@ -64,12 +66,12 @@ import os
 import re
 import sys
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 from types import MappingProxyType
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
-from .exact import _divide, _grown, factorial
+from .exact import _divide, _grown, _factorial as factorial  # no int check
 from .formula import SurfaceSignature
 
 __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"]
@@ -146,7 +148,11 @@ class CountTable:
         for (genus, sizes), count in (entries or {}).items():
             # The rule of `SurfaceSignature`: a bool or a float is no genus
             # or size.
-            if type(genus) is not int or any(type(n) is not int for n in sizes):
+            if (
+                type(genus) is not int
+                or not isinstance(sizes, Iterable)
+                or any(type(n) is not int for n in sizes)
+            ):
                 raise DomainError(f"key {(genus, sizes)!r}: genus and sizes must be integers")
             if not 0 <= genus < _FIELD:
                 raise DomainError(f"genus {genus} is out of range: it must be below {_FIELD}")
@@ -184,19 +190,22 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     The table is trusted as-is: fill it only through this function, and load
     files with memo_store_load(path, verify=True) when provenance is in doubt.
     A signature whose polygon has 4096 edges or more raises DomainError
-    before any work. Signatures too deep
-    for Python's recursion limit (2g + L nested levels) raise DomainError;
-    the entries the table keeps stay valid.
+    before any work. The recursion nests 2g + L levels, one frame each; a
+    signature with 2g + L above half of Python's recursion limit (500 of
+    the default 1000) raises DomainError before any work too. Should a
+    caller's own deep stack make the recursion overflow anyway, the
+    DomainError is the same and the entries the table keeps stay valid.
 
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
     so time and memory grow with the number of such partitions, and no bound
     is set in advance. On a 2-vCPU Xeon with CPython 3.11, g=0 with 20
-    boundaries of size 1 takes 0.01 s (626 entries), with 40 0.6-1.0 s
-    (37k entries); g=6 with five boundaries of size 4 takes 0.4-0.55 s
+    boundaries of size 1 takes 0.01 s (626 entries), with 40 0.65-0.7 s
+    (37k entries); g=6 with five boundaries of size 4 takes 0.4-0.45 s
     (22.5k entries). g=0 with 100 boundaries of size 1 is out of practical
     reach. A key takes 2 bytes per size up to the largest size it holds, so
     boundaries of hundreds of edges cost more memory and time per entry:
-    g=2 with one boundary of size 800 takes 2.5 s and 76 MB (55k entries).
+    g=2 with one boundary of size 800 takes 1.4-2.2 s and 77 MB (55k
+    entries).
     """
     entries = memo._codes if memo is not None else {}
     genus = sig.genus
@@ -206,7 +215,7 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     hit = entries.get(code)
     if hit is not None:
         return hit
-    return _compute(genus, sizes, code, entries)
+    return _compute(genus, len(sizes), code, entries)
 
 
 def _reach(genus: int, sizes: tuple[int, ...]) -> None:
@@ -221,82 +230,99 @@ def _reach(genus: int, sizes: tuple[int, ...]) -> None:
     _grown(_POWERS, edges, _grow_powers, _SIZE_LIMIT - 1)
 
 
-def _compute(genus: int, sizes: tuple[int, ...], code: int, entries: dict[int, int]) -> int:
-    """Run the kernel from the top, turning a RecursionError into DomainError."""
-    try:
-        return _count(genus, sizes, code, entries)
-    except RecursionError:
-        raise DomainError(f"recursion too deep for g={genus}, L={len(sizes)}") from None
+def _compute(genus: int, holes: int, code: int, entries: dict[int, int]) -> int:
+    """Run the kernel from the top. Its 2g + L levels must fit in half of
+    Python's recursion limit, or DomainError is raised before any work; a
+    RecursionError, should the caller's own stack be deep, becomes the same
+    DomainError."""
+    if 2 * (2 * genus + holes) <= sys.getrecursionlimit():
+        try:
+            return _count(genus, code, entries)
+        except RecursionError:
+            pass
+    raise DomainError(f"recursion too deep for g={genus}, L={holes}")
 
 
-def _miss(genus: int, code: int, entries: dict[int, int]) -> int:
-    """The plain count for a child the memo does not hold: rebuild its
-    sizes, then run the kernel. Each level of the recursion is this frame
-    and a kernel frame, so Python's recursion limit stops it at about 500
-    levels rather than 1000."""
-    return _count(genus, _sizes(code >> _BITS), code, entries)
+class _Sizes:
+    """Formats as the sizes, non-increasing, that a code holds; they are
+    decoded only when a division fails and its message is made."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: int) -> None:
+        self.code = code
+
+    def __format__(self, spec: str) -> str:
+        return format(_sizes(self.code >> _BITS), spec)
 
 
-def _count(genus: int, sizes: tuple[int, ...], code: int, entries: dict[int, int]) -> int:
-    """The plain count for sorted `sizes` with code `code`, computed and
-    stored; the callers have already found no memo entry for it."""
-    holes = len(sizes)
+def _count(genus: int, code: int, entries: dict[int, int]) -> int:
+    """The plain count for the state `code` of genus `genus`, computed and
+    stored; the caller has found no memo entry for it. A child the memo
+    misses is computed by a call to this function, so each level of the
+    recursion is one frame."""
+    # The (size u, multiplicity c_u, weight w_u) of each distinct size,
+    # largest first, read off the code's fields: w_u = c_u m_u z_u!, where
+    # z_u! is the child's z! after removing one u, so z! unless u is 0.
+    part = code >> _BITS
+    zeros = holes = part & _MASK
+    whole = factorial(zeros) if zeros else 1
+    groups = []
+    while part > _MASK:
+        u = (part.bit_length() - 1) // _BITS
+        cu = part >> u * _BITS
+        part -= cu << u * _BITS
+        holes += cu
+        groups.append((u, cu, cu * u * whole))
     if genus == 0 and holes == 1:
         return 1
+    if zeros:
+        groups.append((0, zeros, zeros * factorial(zeros - 1)))
     powers = _POWERS
     get = entries.get
-    zeros = sizes.count(0)
-    whole = factorial(zeros)
-    # Equal sizes give equal children, so each distinct size u is visited
-    # once. w_u = c_u m_u z_u!, where z_u! is the child's z! after removing
-    # one u: z! unless u is 0.
-    less = factorial(zeros - 1) if zeros else 0
-    groups = [
-        (u, u or 1, cu, cu * (u or 1) * (whole if u else less))
-        for u, cu in [(u, sizes.count(u)) for u in dict.fromkeys(sizes)]
-    ]
 
-    merge_total = 0
-    for a, (u, mu, cu, wu) in enumerate(groups):
+    # total = 2 * (the merge sum) + (the cut sum).
+    total = 0
+    for a, (u, cu, _) in enumerate(groups):
         without_u = code - powers[u]
         if cu > 1:
             child = without_u - powers[u] + powers[2 * u + 2]
             plain = get(child)
             if plain is None:
-                plain = _miss(genus, child, entries)
-            pairs = cu * (cu - 1) // 2
-            merge_total += pairs * mu * mu * (whole if u else factorial(zeros - 2)) * plain
-        # Only v can be 0 here, since u > v.
+                plain = _count(genus, child, entries)
+            # 2 C(c_u, 2) m_u^2 times the child's z!.
+            total += cu * (cu - 1) * (u * u * whole if u else factorial(zeros - 2)) * plain
+        # Only v can be 0 here, since u > v, so m_u = u.
         inner = 0
-        for v, _, _, wv in groups[a + 1 :]:
+        for v, _, wv in groups[a + 1 :]:
             child = without_u - powers[v] + powers[u + v + 2]
             plain = get(child)
             if plain is None:
-                plain = _miss(genus, child, entries)
+                plain = _count(genus, child, entries)
             inner += wv * plain
-        merge_total += cu * mu * inner
+        total += 2 * cu * u * inner
 
-    cut_total = 0
-    if genus > 0:
-        for u, _, _, wu in groups:
+    if genus:
+        lower = genus - 1
+        for u, _, wu in groups:
             without_u = code - 1 - powers[u]
             acc = 0
             for x in range(1, u // 2 + 2):
                 child = without_u + powers[x] + powers[u + 2 - x]
                 plain = get(child)
                 if plain is None:
-                    plain = _miss(genus - 1, child, entries)
+                    plain = _count(lower, child, entries)
                 acc += plain
             # x and u + 2 - x cut off the same pair of sizes, so each term
             # counts twice, but the last one once when u is even: then
             # x = u + 2 - x.
-            cut_total += wu * (2 * acc - (0 if u % 2 else plain))
+            total += wu * (2 * acc - (0 if u % 2 else plain))
 
     where = "cut recursion at g={}, ns={}"
-    scaled = _divide(
-        2 * merge_total + cut_total, 2 * (holes + 2 * genus - 1), where, genus, sizes
-    )
-    plain = _divide(scaled, whole, where, genus, sizes)
+    sizes = _Sizes(code)
+    plain = _divide(total, 2 * (holes + 2 * genus - 1), where, genus, sizes)
+    if zeros:
+        plain = _divide(plain, whole, where, genus, sizes)
     entries[code] = plain
     return plain
 
@@ -440,7 +466,7 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
                 genus, sizes = code & _MASK, _sizes(code >> _BITS)
                 try:
                     _reach(genus, sizes)
-                    actual = _compute(genus, sizes, code, scratch)
+                    actual = _compute(genus, len(sizes), code, scratch)
                 except DomainError as exc:
                     raise CacheError(
                         f"{file}: entry g={genus}, ns={sizes} cannot be recomputed: {exc}"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GluecountError
-from .exact import _divide, double_factorial_odd, factorial
+from .exact import _divide, double_factorial_odd, _factorial as factorial  # no int check
 from .formula import SurfaceSignature, count_closed
 from .gluing import _iter_topologies, _placed, _relabel, _topology, count_brute
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric

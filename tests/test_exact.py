@@ -13,6 +13,7 @@ import pytest
 import gluecount
 from gluecount import (
     ConsistencyError,
+    CountTable,
     DomainError,
     SurfaceSignature,
     catalan,
@@ -59,6 +60,15 @@ def test_factorial_table_is_bounded():
 def test_factorial_rejects_negative():
     with pytest.raises(DomainError):
         factorial(-1)
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, "3"], ids=repr)
+def test_factorial_refuses_what_is_not_an_integer(n):
+    # True and False used to read the table's rows 1 and 0, and a float to
+    # raise a raw TypeError.
+    with pytest.raises(DomainError) as info:
+        factorial(n)
+    assert str(info.value) == f"n must be an integer, got {n!r}"
 
 
 def test_double_factorial_examples():
@@ -170,14 +180,6 @@ EXACT_DIVISIONS = [
         id="hz_toric",
     ),
     pytest.param(
-        # Every child the memo misses reads 1, so (g=0, ns=[1,1,1]) merges
-        # to 3 * 1 and 2 * 3 does not divide by 2 * (L + 2g - 1) = 4.
-        "gluecount.recursion._miss", lambda genus, code, entries: 1,
-        lambda: count_recursive(SurfaceSignature(0, (1, 1, 1))),
-        "cut recursion at g=0, ns=(1, 1, 1): 6/4 is not an integer",
-        id="recursion-step",
-    ),
-    pytest.param(
         "gluecount.recursion.factorial", _skewed_factorial(1, 7),
         lambda: count_recursive(SurfaceSignature(0, (1, 0))),
         "cut recursion at g=0, ns=(1, 0): 1/7 is not an integer",
@@ -214,6 +216,17 @@ def test_inexact_division_raises(monkeypatch, empty_tables, target, replacement,
     with pytest.raises(ConsistencyError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_inexact_recursion_step_raises():
+    # A table that holds 1 for (g=0, ns=[4,1]), where the count is 2: then
+    # (g=0, ns=[1,1,1]) merges to 3 * 1, and 2 * 3 does not divide by
+    # 2 * (L + 2g - 1) = 4.
+    memo = CountTable({(0, (4, 1)): 1})
+    with pytest.raises(ConsistencyError) as info:
+        count_recursive(SurfaceSignature(0, (1, 1, 1)), memo)
+    assert str(info.value) == "cut recursion at g=0, ns=(1, 1, 1): 6/4 is not an integer"
+    assert memo.entries == {(0, (4, 1)): 1}
 
 
 def test_inexact_division_raises_without_asserts(src_env):

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import time
 import tracemalloc
 
@@ -149,6 +150,45 @@ def test_too_deep_recursion_is_a_domain_error():
         assert count == count_closed(SurfaceSignature(genus, sizes))
 
 
+@pytest.mark.parametrize("genus, holes", [(250, 1), (0, 501)])
+def test_too_deep_recursion_is_refused_before_any_work(monkeypatch, genus, holes):
+    # 2g + L levels, one frame each, must fit in half of the recursion
+    # limit. g=0 with 501 ones would otherwise fit under the default limit
+    # of 1000 frames and walk an unbounded state space.
+    monkeypatch.setattr(recursion, "_count", _fail)
+    memo = CountTable()
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        count_recursive(SurfaceSignature(genus, (1,) * holes), memo)
+    assert time.perf_counter() - start < 0.5
+    assert str(info.value) == f"recursion too deep for g={genus}, L={holes}"
+    assert len(memo) == 0
+
+
+def test_depth_guard_follows_the_recursion_limit(monkeypatch):
+    # g=10 with one boundary is 21 levels: refused under a limit of 41,
+    # computed under 42.
+    sig = SurfaceSignature(10, (1,))
+    monkeypatch.setattr(recursion.sys, "getrecursionlimit", lambda: 41)
+    with pytest.raises(DomainError, match=r"^recursion too deep for g=10, L=1$"):
+        count_recursive(sig)
+    monkeypatch.setattr(recursion.sys, "getrecursionlimit", lambda: 42)
+    assert count_recursive(sig) == count_closed(sig)
+
+
+def test_recursion_error_from_a_deep_caller_is_a_domain_error():
+    # 2g + L = 400 passes the guard, but a caller already deep in its own
+    # stack leaves too few frames: the RecursionError becomes the same
+    # DomainError.
+    sig = SurfaceSignature(0, (1,) * 400)
+
+    def nested(depth):
+        return nested(depth - 1) if depth else count_recursive(sig)
+
+    with pytest.raises(DomainError, match=r"^recursion too deep for g=0, L=400$"):
+        nested(sys.getrecursionlimit() - 300)
+
+
 def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "memo.txt"
     memo_store_save(CountTable(), path)
@@ -275,11 +315,12 @@ def test_table_refuses_a_count_that_is_not_an_integer(count):
 
 
 @pytest.mark.parametrize(
-    "key", [(1.5, (1,)), (True, (1,)), (0, (1.0,)), (0, (2, False))], ids=repr
+    "key", [(1.5, (1,)), (True, (1,)), (0, (1.0,)), (0, (2, False)), (0, 3), (0, None)], ids=repr
 )
 def test_table_refuses_a_key_that_is_not_an_integer(key):
     # The rule of its counts and of `SurfaceSignature`: a float used to raise
-    # a raw TypeError, and a bool to be stored as 0 or 1.
+    # a raw TypeError, and a bool to be stored as 0 or 1. Sizes that are no
+    # sequence, like 3, raised a raw TypeError too.
     with pytest.raises(DomainError) as info:
         CountTable({key: 1})
     assert str(info.value) == f"key {key!r}: genus and sizes must be integers"
