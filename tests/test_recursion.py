@@ -235,6 +235,61 @@ def test_save_gives_the_mode_of_a_plain_open(tmp_path):
         os.umask(previous)
 
 
+def test_save_accepts_a_count_at_the_digit_limit(tmp_path, default_int_digit_limit):
+    # 10**4299 has 4300 digits, the limit, and more than 3 * 4300 bits, so
+    # the save converts it to check it.
+    path = tmp_path / "memo.txt"
+    memo = CountTable({(0, (1,)): 10**4299})
+    memo_store_save(memo, path)
+    assert path.read_text() == f"#gluecount-cache v1\ng=0;ns=1;count=1{'0' * 4299}\n"
+    memo = CountTable({(0, (1,)): 10**4299, (0, (2,)): 10**4300, (1, (1,)): 10**4400})
+    with pytest.raises(CacheError, match=r"g=0, ns=\(2,\).*limit of 4300"):
+        memo_store_save(memo, path)
+
+
+def test_save_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "memo.txt"
+    memo_store_save(CountTable(), target)
+    link = tmp_path / "link.txt"
+    link.symlink_to("real/memo.txt")
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    memo_store_save(memo, link)
+    assert os.readlink(link) == "real/memo.txt"
+    assert memo_store_load(target) == memo
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real"]
+    assert [p.name for p in target.parent.iterdir()] == ["memo.txt"]
+
+
+def test_save_through_a_dangling_symlink_makes_its_target(tmp_path):
+    (tmp_path / "real").mkdir()
+    link = tmp_path / "link.txt"
+    link.symlink_to("real/memo.txt")
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    memo_store_save(memo, link)
+    assert os.readlink(link) == "real/memo.txt"
+    assert memo_store_load(tmp_path / "real" / "memo.txt") == memo
+    # A link into a directory that does not exist fails as a plain open
+    # would, naming the path the caller gave.
+    far = tmp_path / "far.txt"
+    far.symlink_to("missing/memo.txt")
+    with pytest.raises(FileNotFoundError) as info:
+        memo_store_save(memo, far)
+    assert info.value.filename == str(far)
+    # So does a loop of links.
+    (tmp_path / "loop-a.txt").symlink_to("loop-b.txt")
+    (tmp_path / "loop-b.txt").symlink_to("loop-a.txt")
+    with pytest.raises(OSError) as info:
+        memo_store_save(memo, tmp_path / "loop-a.txt")
+    assert info.value.filename == str(tmp_path / "loop-a.txt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "far.txt", "link.txt", "loop-a.txt", "loop-b.txt", "real"
+    ]
+    assert (tmp_path / "loop-a.txt").is_symlink()
+
+
 def test_store_exact_format(tmp_path):
     memo = CountTable()
     count_recursive(SurfaceSignature(0, (1, 1)), memo)
@@ -592,17 +647,14 @@ def _mutate(rng, lines):
     return [header, *body]
 
 
-def test_load_matches_reference_on_saved_files(grid_files, tmp_path):
-    path = tmp_path / "grid.txt"
+def _check_saved_files(grid_files, path):
     for lines in grid_files:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert isinstance(_assert_loads_like_reference(path), CountTable)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_load_matches_reference_on_mutated_files(grid_files, tmp_path, seed):
+def _check_mutated_files(grid_files, path, seed):
     rng = random.Random(seed)
-    path = tmp_path / "mutated.txt"
     outcomes = set()
     for _ in range(60):
         lines = _mutate(rng, rng.choice(grid_files))
@@ -617,38 +669,52 @@ def test_load_matches_reference_on_mutated_files(grid_files, tmp_path, seed):
     assert "table" in outcomes and len(outcomes) >= 4, outcomes
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        ["g=0;ns=1;count=1", "g=0;ns=1,1;count=1", "g=0;ns=1,1,1;count=1"],
-        ["g=0;ns=2;count=1", "g=0;ns=1,2;count=1"],
-        ["g=0;ns=0,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=0,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=4096,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=4095,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=00002,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=01,1;count=1", "g=0;ns=1,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=1,;count=1"],
-        ["g=0;ns=1,1;count=1", "g=0;ns=2,,1,1;count=1"],
-        ["g=0;ns=,;count=1"],
-        ["g=0;ns=1;count=1", "g=65536;ns=2,1;count=1"],
-        ["g=0;ns=1;count=1", "g=0;ns=" + "9" * 5000 + ",1;count=1"],
-        ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
-         "g=0;ns=1," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
-        ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
-         "g=0;ns=2," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
-    ],
-    ids=[
-        "tails", "increasing", "all-zero", "zero-head", "head-4096", "head-4095",
-        "long-head", "leading-zero", "leading-comma", "trailing-comma", "double-comma",
-        "only-comma", "genus-65536", "overlong-head", "multiplicity-65536", "long-tail",
-    ],
-)
-def test_load_matches_reference_on_edge_cases(tmp_path, body, default_int_digit_limit):
-    path = tmp_path / "edge.txt"
+def _check_edge_case(path, body):
     path.write_text("\n".join(["#gluecount-cache v1", *body]) + "\n", encoding="utf-8")
     _assert_loads_like_reference(path)
+
+
+def test_load_matches_reference_on_saved_files(grid_files, tmp_path):
+    _check_saved_files(grid_files, tmp_path / "grid.txt")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_matches_reference_on_mutated_files(grid_files, tmp_path, seed):
+    _check_mutated_files(grid_files, tmp_path / "mutated.txt", seed)
+
+
+# Files that probe the loader's fast path and its refusals; each body
+# follows the header, one entry a line.
+EDGE_CASES = [
+    ["g=0;ns=1;count=1", "g=0;ns=1,1;count=1", "g=0;ns=1,1,1;count=1"],
+    ["g=0;ns=2;count=1", "g=0;ns=1,2;count=1"],
+    ["g=0;ns=0,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=0,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=4096,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=4095,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=00002,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=01,1;count=1", "g=0;ns=1,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=1,;count=1"],
+    ["g=0;ns=1,1;count=1", "g=0;ns=2,,1,1;count=1"],
+    ["g=0;ns=,;count=1"],
+    ["g=0;ns=1;count=1", "g=65536;ns=2,1;count=1"],
+    ["g=0;ns=1;count=1", "g=0;ns=" + "9" * 5000 + ",1;count=1"],
+    ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
+     "g=0;ns=1," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
+    ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
+     "g=0;ns=2," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
+]
+EDGE_IDS = [
+    "tails", "increasing", "all-zero", "zero-head", "head-4096", "head-4095",
+    "long-head", "leading-zero", "leading-comma", "trailing-comma", "double-comma",
+    "only-comma", "genus-65536", "overlong-head", "multiplicity-65536", "long-tail",
+]
+
+
+@pytest.mark.parametrize("body", EDGE_CASES, ids=EDGE_IDS)
+def test_load_matches_reference_on_edge_cases(tmp_path, body, default_int_digit_limit):
+    _check_edge_case(tmp_path / "edge.txt", body)
 
 
 def test_load_memory_stays_linear_in_the_line_length(tmp_path):
@@ -665,3 +731,146 @@ def test_load_memory_stays_linear_in_the_line_length(tmp_path):
         tracemalloc.stop()
     assert len(table) == 2
     assert peak < 64 * 2**20, peak
+
+
+def _traced(call):
+    """The result of `call()` and the traced memory (current, peak) as it
+    returned."""
+    tracemalloc.start()
+    try:
+        return call(), *tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_io_holds_one_block_of_lines(tmp_path, monkeypatch):
+    # A save that built every line and joined them peaked at 8.0 times the
+    # file's size here, and a load that kept every line at 5.8 times it
+    # above the table it returned; verify then recomputed with the file's
+    # text, its lines and its sizes-text index, 5.5 times the file, still
+    # held. Writing and splitting a block at a time, save and load stay
+    # below 4.4 times, and verify holds no more than the table when it
+    # starts to recompute.
+    memo = CountTable()
+    for genus in range(6):
+        for holes in range(1, 3):
+            for sizes in itertools.product(range(4), repeat=holes):
+                if any(sizes):
+                    count_recursive(SurfaceSignature(genus, sizes), memo)
+    path = tmp_path / "memo.txt"
+    memo_store_save(memo, path)
+    size = path.stat().st_size
+    assert len(memo) == 4098 and size > 3 * 32 * recursion._BLOCK
+    _, held, peak = _traced(lambda: memo_store_save(memo, path))
+    assert peak - held < 6 * size
+    table, held, peak = _traced(lambda: memo_store_load(path))
+    assert peak - held < 5 * size
+
+    # Tracing stops where the recompute starts, which it would slow 30-fold.
+    at_start = []
+    compute = recursion._compute
+
+    def first_compute(*args):
+        if tracemalloc.is_tracing():
+            at_start.append(tracemalloc.get_traced_memory())
+            tracemalloc.stop()
+        return compute(*args)
+
+    monkeypatch.setattr(recursion, "_compute", first_compute)
+    assert _traced(lambda: memo_store_load(path, verify=True))[0] == table
+    [(current, peak)] = at_start
+    assert peak - held < 5 * size
+    assert current - held < size / 2
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Save two lines a block and load 64 characters a block, two to four
+    lines of the test files, so that block edges fall all over them."""
+    monkeypatch.setattr(recursion, "_BLOCK", 2)
+
+
+@pytest.fixture(params=[False, True], ids=["real-blocks", "small-blocks"])
+def blocks(request):
+    """Run the test at the real block size, then at the small one."""
+    if request.param:
+        request.getfixturevalue("small_blocks")
+
+
+def test_small_blocks_save_the_same_bytes(grid_files, tmp_path, small_blocks):
+    path = tmp_path / "grid.txt"
+    for lines in grid_files:
+        data = ("\n".join(lines) + "\n").encode()
+        path.write_bytes(data)
+        memo_store_save(memo_store_load(path), path)
+        assert path.read_bytes() == data
+
+
+def test_small_blocks_load_saved_files_like_reference(grid_files, tmp_path, small_blocks):
+    _check_saved_files(grid_files, tmp_path / "grid.txt")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_small_blocks_load_mutated_files_like_reference(grid_files, tmp_path, small_blocks, seed):
+    _check_mutated_files(grid_files, tmp_path / "mutated.txt", seed)
+
+
+@pytest.mark.parametrize("body", EDGE_CASES, ids=EDGE_IDS)
+def test_small_blocks_load_edge_cases_like_reference(
+    tmp_path, small_blocks, body, default_int_digit_limit
+):
+    _check_edge_case(tmp_path / "edge.txt", body)
+
+
+# The line breaks that str.splitlines() knows besides "\n" and "\r\n".
+BREAKS = {"vt": "\x0b", "ff": "\x0c", "cr": "\r", "line-separator": "\u2028"}
+
+
+def _line_ends(lines, kind):
+    """The text of a cache file of `lines` (header first) whose line ends
+    are of `kind`: "crlf", "no-final-newline" or a key of BREAKS, which
+    then ends every third line."""
+    if kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    if kind == "no-final-newline":
+        return "\n".join(lines)
+    return "".join(line + (BREAKS[kind] if i % 3 == 2 else "\n") for i, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("kind", ["crlf", "no-final-newline", *BREAKS])
+def test_load_matches_reference_on_line_ends(grid_files, tmp_path, blocks, kind):
+    path = tmp_path / "ends.txt"
+    lines = grid_files[0][:16]
+    path.write_bytes(_line_ends(lines, kind).encode())
+    outcome = _assert_loads_like_reference(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert outcome == memo_store_load(path)
+    # A malformed last line is named by its number, counted across blocks.
+    path.write_bytes(_line_ends([*lines[:-1], "g=0;ns=1;count=x"], kind).encode())
+    outcome = _assert_loads_like_reference(path)
+    assert outcome[1].startswith(f"{path}: line 16: malformed entry"), outcome
+
+
+@pytest.mark.parametrize("kind", BREAKS)
+def test_load_matches_reference_on_a_break_inside_an_entry(grid_files, tmp_path, blocks, kind):
+    path = tmp_path / "split.txt"
+    lines = grid_files[0][:16]
+    lines[9] = lines[9].replace(";count=", BREAKS[kind] + ";count=")
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    outcome = _assert_loads_like_reference(path)
+    assert outcome[1].startswith(f"{path}: line 10: malformed entry"), outcome
+
+
+@pytest.mark.parametrize("odd", ["", " \t", "g=0;ns=1;count=x"], ids=["blank", "spaces", "malformed"])
+def test_load_matches_reference_with_an_odd_line_anywhere(grid_files, tmp_path, blocks, odd):
+    # Slid over the first lines, the odd line falls first, last and in the
+    # middle of a small block.
+    path = tmp_path / "odd.txt"
+    lines = grid_files[0][:16]
+    for at in range(1, len(lines) + 1):
+        path.write_text("\n".join([*lines[:at], odd, *lines[at:]]) + "\n", encoding="utf-8")
+        outcome = _assert_loads_like_reference(path)
+        if odd.startswith("g="):
+            assert outcome[1].startswith(f"{path}: line {at + 1}: malformed entry"), outcome
+        else:
+            assert isinstance(outcome, CountTable)
