@@ -36,11 +36,15 @@ mean equivalent words. A word with a free label has no rotational symmetry, so
 its class is exactly its N rotations and holds one word with a given label
 in slot 0. `count_brute` counts the classes whose surface matches a
 requested signature, labels and cyclic boundary order included (cyclic
-shifts only; traces are never compared reversed). It classifies each
-pairing with slot 0 free once, tallies them by shape, and counts the label
-placements with label 1 in slot 0 that fit the signature.
-`enumerate_classes` canonicalizes only the words with the least label in
-slot 0.
+shifts only; traces are never compared reversed). A word's m glued slots,
+numbered 0..m-1 in polygon order, form a chord diagram, which fixes the
+genus; with the free slots left out the corner walk is sigma(j) =
+partner(j) + 1, and the free slots just before glued slot j lie on the
+cycle of j. So a word read from a glued slot is a diagram, a spread of each
+boundary's n_i edges over the gaps of a cycle of its own, and one of the
+n_i rotations of its labels; cycles left empty are punctures. Each class
+holds m such words. `enumerate_classes` canonicalizes only the words with
+the least label in slot 0.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .errors import (
     DomainError,
     ParityError,
 )
-from .exact import _integer, double_factorial_odd, _factorial as factorial  # no int check
+from .exact import _divide, _integer, double_factorial_odd, _factorial as factorial  # no int check
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = [
@@ -406,36 +410,19 @@ def enumerate_classes(
     return [(CanonicalWord(size, key), classes[key]) for key in sorted(classes)]
 
 
-# Shared by every count_brute call with this shape: never mutate the result.
+# Shared by every count_brute call with this many glued slots: never mutate
+# the result.
 @functools.cache
-def _slot0_histogram(n: int, free: int) -> Counter:
-    """The topologies of `n` slots with `free` free slots, slot 0 among them,
-    counted by shape: (genus, punctures, length of slot 0's cycle, sorted
-    lengths of the other cycles)."""
-    histogram: Counter = Counter()
-    for _, mu in _iter_topologies(n, free, pinned=True):
-        genus, punctures, cycles = _topology(n, mu)
-        others = tuple(sorted(len(c) for c in cycles[1:]))
-        histogram[genus, punctures, len(cycles[0]), others] += 1
-    return histogram
-
-
-def _placements(histogram: Counter, sig: SurfaceSignature) -> int:
-    """count_brute's answer for `sig`, read from the slot-0 histogram of its
-    polygon size and boundary edge total.
-
-    Label 1 sits in slot 0, so slot 0's cycle carries the boundary holding
-    label 1 and exactly one placement of that boundary's labels fits it. The
-    c_l other boundaries of size l take c_l other cycles of length l, in
-    c_l! orders and with l cyclic shifts each.
-    """
-    first, *others = (size for size in sig.boundary_sizes if size)
-    others.sort()
-    weight = 1
-    for size, count in Counter(others).items():
-        weight *= factorial(count) * size**count
-    # Counter's lookup of a missing shape gives 0 and inserts nothing.
-    return weight * histogram[sig.genus, sig.puncture_count, first, tuple(others)]
+def _chord_classes(m: int) -> Counter:
+    """The chord diagrams on `m` glued slots counted by (genus, sorted
+    lengths of the sigma-cycles). Each is read as the 2m-gon whose even
+    slots pair as the diagram does: one free slot after each glued slot
+    makes every boundary one sigma-cycle, with the diagram's genus."""
+    classes: Counter = Counter()
+    for mu in _matchings([-1] * (2 * m), tuple(range(0, 2 * m, 2))):
+        genus, _, cycles = _topology(2 * m, mu)
+        classes[genus, tuple(sorted(map(len, cycles)))] += 1
+    return classes
 
 
 def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -444,15 +431,28 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     Boundary k of size s gets the next s consecutive labels (1-based, in the
     order the signature lists its boundaries); a class matches when genus and
     puncture count agree and the traced cycles equal the labeled targets up
-    to cyclic shift, under some assignment of traces to boundaries. Each
-    class is represented by its one word with label 1 in slot 0. Labels only
-    rename a pairing's slot cycles, so every pairing with slot 0 free is
-    classified once per (N, boundary edge total), shared by all calls, and
-    the label placements that match are counted (see `_placements`).
+    to cyclic shift, under some assignment of traces to boundaries. A chord
+    diagram of the m glued slots with the signature's genus has L cycles;
+    a boundary of size n_i > 0 takes one of length s in n_i * C(n_i + s - 1,
+    s - 1) ways (edges over its s gaps, labels in n_i rotations). The sum
+    counts each class m times, once per glued slot, so it is divided by m;
+    with m = 0 the polygon is a disc, one class. The diagrams are walked
+    once per m, shared by all calls.
     Refuses polygons larger than `cap` rather than grinding silently.
     """
     _integer("cap", cap)
     n = polygon_size(sig)
     if n > cap:
         raise CapExceededError(f"polygon size {n} exceeds enumeration cap {cap}")
-    return _placements(_slot0_histogram(n, sig.boundary_edge_total), sig)
+    glued = n - sig.boundary_edge_total
+    if not glued:
+        return 1
+    sizes = [size for size in sig.boundary_sizes if size]
+    total = 0
+    for (genus, lengths), diagrams in _chord_classes(glued).items():
+        if genus == sig.genus:
+            for taken in itertools.permutations(lengths, len(sizes)):
+                total += diagrams * math.prod(
+                    math.comb(size + s - 1, s - 1) for size, s in zip(sizes, taken)
+                )
+    return _divide(total * math.prod(sizes), glued, "brute count of {}", sig)

@@ -211,12 +211,12 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
     so time and memory grow with the number of such partitions, and no bound
     is set in advance. On a 2-vCPU Xeon with CPython 3.11, g=0 with 20
-    boundaries of size 1 takes 0.01 s (626 entries), with 40 0.65-0.7 s
-    (37k entries); g=6 with five boundaries of size 4 takes 0.4-0.45 s
+    boundaries of size 1 takes 0.01 s (626 entries), with 40 0.7 s
+    (37k entries); g=6 with five boundaries of size 4 takes 0.5 s
     (22.5k entries). g=0 with 100 boundaries of size 1 is out of practical
     reach. A key takes 2 bytes per size up to the largest size it holds, so
     boundaries of hundreds of edges cost more memory and time per entry:
-    g=2 with one boundary of size 800 takes 1.4-2.2 s and 77 MB (55k
+    g=2 with one boundary of size 800 takes 2.2-2.6 s and 77 MB (55k
     entries).
     """
     entries = memo._codes if memo is not None else {}

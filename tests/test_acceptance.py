@@ -31,13 +31,15 @@ def test_acceptance_closed_vs_recursive():
 
 
 def test_acceptance_brute_oracle():
-    # Named spot values first, then every signature with polygon size <= 12.
+    # Named spot values first, then every signature with polygon size <= 14.
     assert count_brute(SurfaceSignature(0, (1, 1))) == 1
     assert count_brute(SurfaceSignature(0, (1, 2))) == 2
     assert count_brute(SurfaceSignature(0, (1, 3))) == 3
     assert count_brute(SurfaceSignature(0, (1, 0, 0))) == 2
     assert count_brute(SurfaceSignature(1, (1,))) == 1
-    report(suite_brute_oracle(max_polygon=12))
+    result = suite_brute_oracle(max_polygon=14)
+    report(result)
+    assert result.checked == 311
 
 
 def test_acceptance_gf_identity():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import gluecount
 from gluecount import cli, formula
-from gluecount.gluing import _iter_topologies
+from gluecount.gluing import _chord_classes
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -82,9 +82,9 @@ def test_readme_python_block_does_what_its_comments_say():
         assert re.match(re.escape(repr(value)) + "(,|$)", comment.strip()), line
         stated.append(value)
     assert stated == [49, 49, 49, (0, ((1,), (2,)), 0), "a,a,2,1", (483, 483, 483)]
-    # "the 105 pairings of the 8-gon that leave slot 0 and one other edge free"
-    assert "the 105 pairings of the 8-gon" in block
-    assert sum(1 for _ in _iter_topologies(8, 2, pinned=True)) == 105
+    # "by walking the 15 chord diagrams of its 6 glued edges"
+    assert "the 15 chord diagrams of its 6 glued edges" in block
+    assert sum(_chord_classes(6).values()) == 15
 
 
 def test_readme_command_lines_print_what_is_shown(capsys, monkeypatch, tmp_path):

@@ -8,6 +8,7 @@ from functools import partial
 
 import pytest
 
+import reference_brute
 from gluecount import (
     CapExceededError,
     ConsistencyError,
@@ -24,7 +25,13 @@ from gluecount import (
     glue,
 )
 from gluecount.formula import polygon_size
-from gluecount.gluing import _iter_topologies, _placed, _topology, _words_to_canonicalize
+from gluecount.gluing import (
+    _chord_classes,
+    _iter_topologies,
+    _placed,
+    _topology,
+    _words_to_canonicalize,
+)
 from gluecount.verify import iter_polygon_signatures
 
 
@@ -486,7 +493,9 @@ def test_placement_rule_matches_the_per_word_count():
 
 
 def test_count_brute_hand_values():
-    assert count_brute(SurfaceSignature(0, (1,))) == 1
+    # No glued slot: the polygon is a disc, one class whatever its size.
+    for n in range(1, 13):
+        assert count_brute(SurfaceSignature(0, (n,))) == 1
     assert count_brute(SurfaceSignature(0, (1, 1))) == 1
     assert count_brute(SurfaceSignature(1, (1,))) == 1
     assert count_brute(SurfaceSignature(0, (2, 0))) == 2
@@ -504,11 +513,51 @@ def test_count_brute_matches_formula_on_a_sample():
         assert count_brute(sig) == count_closed(sig)
 
 
-def test_count_brute_cap():
-    with pytest.raises(CapExceededError):
+def test_count_brute_matches_the_slot0_histogram_route():
+    checked = 0
+    for sig in iter_polygon_signatures(12):
+        assert count_brute(sig) == reference_brute.slot0_count(sig), sig
+        checked += 1
+    assert checked == 170
+
+
+def test_chord_classes_are_the_harer_zagier_numbers(hz_recurrence):
+    # The genus totals of the diagrams on m glued slots are eps_g(m/2), the
+    # gluings of the m-gon, taken from the recurrence, not the three routes.
+    for m in range(2, 13, 2):
+        classes = _chord_classes(m)
+        assert sum(classes.values()) == double_factorial_odd(m // 2), m
+        by_genus = {}
+        for (genus, lengths), diagrams in classes.items():
+            assert sum(lengths) == m, (m, lengths)
+            by_genus[genus] = by_genus.get(genus, 0) + diagrams
+        assert by_genus == {g: hz_recurrence[g][m // 2] for g in range(m // 4 + 1)}, m
+
+
+@pytest.mark.parametrize(
+    "sig", [SurfaceSignature(0, (30, 20, 10, 0, 0)), SurfaceSignature(1, (40, 7))], ids=repr
+)
+def test_count_brute_reaches_large_polygons_with_few_glued_slots(sig):
+    # N = 68 with 8 glued slots and N = 53 with 6: the diagrams of the glued
+    # slots are walked, never the pairings of the whole polygon.
+    n = polygon_size(sig)
+    assert n > 50
+    assert count_brute(sig, cap=n) == count_closed(sig)
+
+
+def test_count_brute_cap(monkeypatch):
+    # The cap is checked before any chord diagram is walked.
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked chord diagrams past the cap")
+
+    _chord_classes.cache_clear()
+    monkeypatch.setattr("gluecount.gluing._matchings", refuse)
+    with pytest.raises(CapExceededError) as info:
         count_brute(SurfaceSignature(3, (3,)))
-    with pytest.raises(CapExceededError):
+    assert str(info.value) == "polygon size 15 exceeds enumeration cap 12"
+    with pytest.raises(CapExceededError) as info:
         count_brute(SurfaceSignature(0, (4, 4)), cap=7)
+    assert str(info.value) == "polygon size 10 exceeds enumeration cap 7"
 
 
 def test_enumerate_classes_cap(monkeypatch):
