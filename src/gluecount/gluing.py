@@ -79,8 +79,9 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 12
 
-# The most words one `enumerate_classes` call canonicalizes: N = 10 with 8
-# labels (181,440 words) fits, N = 12 with 10 labels (about 20M) does not.
+# The most words one `enumerate_classes` call canonicalizes, and the most
+# chord diagrams one `count_brute` call walks: N = 10 with 8 labels (181,440
+# words) and 14 glued slots (135,135) fit; N = 12 with 10 labels and 16 do not.
 _WORD_BUDGET = 200_000
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
@@ -438,13 +439,19 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     counts each class m times, once per glued slot, so it is divided by m;
     with m = 0 the polygon is a disc, one class. The diagrams are walked
     once per m, shared by all calls.
-    Refuses polygons larger than `cap` rather than grinding silently.
+    Refuses polygons larger than `cap`, and walks of more than `_WORD_BUDGET`
+    chord diagrams (m >= 16), rather than grinding silently.
     """
     _integer("cap", cap)
     n = polygon_size(sig)
     if n > cap:
         raise CapExceededError(f"polygon size {n} exceeds enumeration cap {cap}")
     glued = n - sig.boundary_edge_total
+    if (diagrams := double_factorial_odd(glued // 2)) > _WORD_BUDGET:
+        raise CapExceededError(
+            f"{glued} glued slots give {diagrams} chord diagrams to walk, "
+            f"over the budget of {_WORD_BUDGET}"
+        )
     if not glued:
         return 1
     sizes = [size for size in sig.boundary_sizes if size]

@@ -1,8 +1,7 @@
 """Cut recursion for the gluing counts, with a persistent memo table.
 
-The recursion works on a scaled variant T(g; n_1..n_L) = count * z! where z is
-the number of zero boundary sizes (T is what satisfies the clean identity; the
-plain count is recovered by dividing z! back out). With m_k = max(n_k, 1):
+The paper states the recursion on a scaled variant T(g; n_1..n_L) = count * z!,
+where z is the number of punctures (zero sizes). With m_k = max(n_k, 1):
 
     (L + 2g - 1) * T(g; n_1..n_L)
         = sum_{i<j} m_i m_j T(g; n_i+n_j+2, rest)
@@ -11,17 +10,21 @@ plain count is recovered by dividing z! back out). With m_k = max(n_k, 1):
 with T(0; n) = 1 for a single boundary, and T = 0 whenever the genus goes
 negative or no boundary remains. Merging two boundaries drops L by one;
 cutting a handle drops g by one, so 2g + L shrinks at every step and the
-recursion terminates. Both divisions (by 2(L+2g-1) and by z!) go through
-`exact._divide`, which raises ConsistencyError if one is not exact.
+recursion terminates.
 
-The sums are taken over distinct sizes, not over indices: equal sizes give
-equal children, so each child is computed once and weighted by how often it
-occurs. A merge of sizes u >= v that occur c_u and c_v times weighs
-C(c_u, 2) m_u^2 when u = v and c_u c_v m_u m_v otherwise; a cut of size u
-weighs c_u m_u. Within a cut, x and n_i+2-x split off the same pair of
-sizes, so x runs only to floor(n_i/2)+1 and each term counts twice unless
-x = n_i+2-x. New sizes are never 0, so a child's z is the parent's less the
-zeros the step removes, and the child's z! is part of its weight.
+New sizes are never 0, so z! cancels term by term: a step that removes one
+puncture occurs z times and the child's T carries (z-1)!, a merge of two
+punctures z(z-1)/2 times with the child's (z-2)!, and every other step keeps
+z. So the kernel sums plain counts, in which the punctures weigh as one
+group. The sums run over distinct sizes, not indices: each child is computed
+once and weighted by how often it occurs. Doubled to clear the 1/2, a merge
+of sizes u > v > 0 held by c_u and c_v boundaries weighs 2 c_u c_v u v, of u
+with itself c_u(c_u - 1) u^2, of u with the punctures 2 c_u u, and of two
+punctures 1; a cut of u > 0 weighs c_u u, and of a puncture 1. Within a cut,
+x and n_i+2-x split off the same pair of sizes, so x runs only to
+floor(n_i/2)+1 and each term counts twice unless x = n_i+2-x. The total goes
+through one `exact._divide` by 2(L+2g-1), which raises ConsistencyError if
+it is not exact.
 
 Memo keys: the memo holds one integer code per signature, with 16-bit
 fields: field 0 is the genus and field s+1 the number of boundaries of size
@@ -80,7 +83,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
-from .exact import _divide, _grown, _factorial as factorial  # no int check
+from .exact import _divide, _grown
 from .formula import SurfaceSignature
 
 __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"]
@@ -274,37 +277,34 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
     misses is computed by a call to this function, so each level of the
     recursion is one frame."""
     # The (size u, multiplicity c_u, weight w_u) of each distinct size,
-    # largest first, read off the code's fields: w_u = c_u m_u z_u!, where
-    # z_u! is the child's z! after removing one u, so z! unless u is 0.
+    # largest first, read off the code's fields: w_u = c_u u, and 1 for the
+    # punctures, which enter every step as a group (see the module docstring).
     part = code >> _BITS
-    zeros = holes = part & _MASK
-    whole = factorial(zeros) if zeros else 1
+    holes = 0
     groups = []
-    while part > _MASK:
+    while part:
         u = (part.bit_length() - 1) // _BITS
         cu = part >> u * _BITS
         part -= cu << u * _BITS
         holes += cu
-        groups.append((u, cu, cu * u * whole))
+        groups.append((u, cu, cu * u or 1))
     if genus == 0 and holes == 1:
         return 1
-    if zeros:
-        groups.append((0, zeros, zeros * factorial(zeros - 1)))
     powers = _POWERS
     get = entries.get
 
     # total = 2 * (the merge sum) + (the cut sum).
     total = 0
-    for a, (u, cu, _) in enumerate(groups):
+    for a, (u, cu, wu) in enumerate(groups):
         without_u = code - powers[u]
         if cu > 1:
             child = without_u - powers[u] + powers[2 * u + 2]
             plain = get(child)
             if plain is None:
                 plain = _count(genus, child, entries)
-            # 2 C(c_u, 2) m_u^2 times the child's z!.
-            total += cu * (cu - 1) * (u * u * whole if u else factorial(zeros - 2)) * plain
-        # Only v can be 0 here, since u > v, so m_u = u.
+            # 2 C(c_u, 2) u^2, or 1 for two punctures.
+            total += (cu * (cu - 1) * u * u if u else 1) * plain
+        # u > v, so only v can be the punctures; when u is, no v follows.
         inner = 0
         for v, _, wv in groups[a + 1 :]:
             child = without_u - powers[v] + powers[u + v + 2]
@@ -312,7 +312,7 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
             if plain is None:
                 plain = _count(genus, child, entries)
             inner += wv * plain
-        total += 2 * cu * u * inner
+        total += 2 * wu * inner
 
     if genus:
         lower = genus - 1
@@ -330,12 +330,9 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
             # x = u + 2 - x.
             total += wu * (2 * acc - (0 if u % 2 else plain))
 
-    where = "cut recursion at g={}, ns={}"
-    sizes = _Sizes(code)
-    plain = _divide(total, 2 * (holes + 2 * genus - 1), where, genus, sizes)
-    if zeros:
-        plain = _divide(plain, whole, where, genus, sizes)
-    entries[code] = plain
+    entries[code] = plain = _divide(
+        total, 2 * (holes + 2 * genus - 1), "cut recursion at g={}, ns={}", genus, _Sizes(code)
+    )
     return plain
 
 
@@ -352,23 +349,6 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
     codes = memo._codes
     ordered = sorted(codes)
     ordered.sort(key=_MASK.__and__)
-    # A count below 2^(3d) = 8^d has at most d digits, so only a longer one
-    # can exceed the int-to-str limit of d digits (0: no limit); the first
-    # such count in file order refuses the save before any file is made.
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    bits = 3 * digits
-    if digits and max(map(int.bit_length, codes.values()), default=0) > bits:
-        for code in ordered:
-            if codes[code].bit_length() > bits:
-                try:
-                    str(codes[code])
-                except ValueError as exc:
-                    raise CacheError(
-                        f"{target}: cannot save entry g={code & _MASK}, "
-                        f"ns={_sizes(code >> _BITS)}: its count has more digits than the "
-                        f"int-to-str conversion limit of {digits} "
-                        f"(see sys.set_int_max_str_digits)"
-                    ) from exc
     # The temporary file sits next to the file a symlink resolves to, so
     # the replace writes through the link; a dangling link gets its target
     # made, as a plain open(path, "w") would make it.
@@ -387,12 +367,21 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
             texts = {0: ""}
             for start in range(0, len(ordered), _BLOCK):
                 lines = []
-                for code in ordered[start : start + _BLOCK]:
-                    part = code >> _BITS
-                    text = texts.get(part)
-                    if text is None:
-                        text = texts[part] = _text(part, texts)
-                    lines.append(f"g={code & _MASK};ns={text};count={codes[code]}\n")
+                # A count over the int-to-str limit fails to format: the first, in file order.
+                try:
+                    for code in ordered[start : start + _BLOCK]:
+                        part = code >> _BITS
+                        text = texts.get(part)
+                        if text is None:
+                            text = texts[part] = _text(part, texts)
+                        lines.append(f"g={code & _MASK};ns={text};count={codes[code]}\n")
+                except ValueError as exc:
+                    raise CacheError(
+                        f"{target}: cannot save entry g={code & _MASK}, "
+                        f"ns={_sizes(code >> _BITS)}: its count has more digits than the "
+                        f"int-to-str conversion limit of {sys.get_int_max_str_digits()} "
+                        f"(see sys.set_int_max_str_digits)"
+                    ) from exc
                 handle.write("".join(lines))
         try:
             os.chmod(tmp, os.stat(target).st_mode & 0o7777)

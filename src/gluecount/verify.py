@@ -408,6 +408,7 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         return [
             suite_hz_table(max_agree=60),
             suite_closed_vs_recursive(3, 4, 6),
+            suite_closed_vs_recursive(6, 3, 3),
             suite_brute_oracle(14),
             suite_gf_identity(13),
             suite_specializations(12),

@@ -30,6 +30,12 @@ def test_acceptance_closed_vs_recursive():
     report(suite_closed_vs_recursive(max_genus=3, max_holes=4, max_n=6))
 
 
+def test_acceptance_closed_vs_recursive_along_the_genus():
+    result = suite_closed_vs_recursive(max_genus=6, max_holes=3, max_n=3)
+    report(result)
+    assert result.checked == 567
+
+
 def test_acceptance_brute_oracle():
     # Named spot values first, then every signature with polygon size <= 14.
     assert count_brute(SurfaceSignature(0, (1, 1))) == 1

@@ -180,9 +180,13 @@ EXACT_DIVISIONS = [
         id="hz_toric",
     ),
     pytest.param(
-        "gluecount.recursion.factorial", _skewed_factorial(1, 7),
+        # (1, 0) merges to (3,), a disc, which needs no division: the one
+        # division is the state's own, of 2 by 2 * (L + 2g - 1) = 2. Its
+        # format arguments hold a _Sizes, which _skewed_divide cannot match.
+        "gluecount.recursion._divide",
+        lambda numerator, *rest: _divide(numerator + 1, *rest),
         lambda: count_recursive(SurfaceSignature(0, (1, 0))),
-        "cut recursion at g=0, ns=(1, 0): 1/7 is not an integer",
+        "cut recursion at g=0, ns=(1, 0): 3/2 is not an integer",
         id="recursion-zeros",
     ),
     pytest.param(

@@ -558,6 +558,16 @@ def test_count_brute_cap(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         count_brute(SurfaceSignature(0, (4, 4)), cap=7)
     assert str(info.value) == "polygon size 10 exceeds enumeration cap 7"
+    # Within the cap, the chord diagrams are bounded too: m = 16 glued
+    # slots give 15!! of them, over the budget.
+    with pytest.raises(CapExceededError) as info:
+        count_brute(SurfaceSignature(4, (1,)), cap=17)
+    assert str(info.value) == (
+        "16 glued slots give 2027025 chord diagrams to walk, over the budget of 200000"
+    )
+    # m = 14 gives 13!! = 135,135 diagrams, within it: the walk starts.
+    with pytest.raises(AssertionError, match="walked chord diagrams"):
+        count_brute(SurfaceSignature(3, (1, 1)), cap=16)
 
 
 def test_enumerate_classes_cap(monkeypatch):

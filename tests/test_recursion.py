@@ -87,7 +87,18 @@ def test_memo_matches_pairwise_reference():
     assert memo.entries == reference
 
 
-@pytest.mark.parametrize("genus, sizes", [(2, (4,) * 5), (1, (1, 1, 1, 1, 0, 0)), (0, (3,) * 6)])
+@pytest.mark.parametrize(
+    "genus, sizes",
+    [
+        (2, (4,) * 5),
+        (1, (1, 1, 1, 1, 0, 0)),
+        (0, (3,) * 6),
+        # Many punctures: their group weights in every kind of step.
+        (2, (3,) + (0,) * 6),
+        (3, (2, 0, 0, 0)),
+        (0, (1,) + (0,) * 8),
+    ],
+)
 def test_repeated_sizes(genus, sizes):
     memo = CountTable()
     sig = SurfaceSignature(genus, sizes)
@@ -236,8 +247,7 @@ def test_save_gives_the_mode_of_a_plain_open(tmp_path):
 
 
 def test_save_accepts_a_count_at_the_digit_limit(tmp_path, default_int_digit_limit):
-    # 10**4299 has 4300 digits, the limit, and more than 3 * 4300 bits, so
-    # the save converts it to check it.
+    # 10**4299 has 4300 digits, the limit; 10**4300 has one more.
     path = tmp_path / "memo.txt"
     memo = CountTable({(0, (1,)): 10**4299})
     memo_store_save(memo, path)
@@ -795,6 +805,22 @@ def blocks(request):
     """Run the test at the real block size, then at the small one."""
     if request.param:
         request.getfixturevalue("small_blocks")
+
+
+def test_save_reports_an_overlong_count_in_a_later_block(
+    tmp_path, default_int_digit_limit, small_blocks
+):
+    # Two lines a block: the first two blocks are written before the
+    # third, which holds the first overlong count in file order, fails.
+    path = tmp_path / "memo.txt"
+    memo_store_save(CountTable(), path)
+    old = path.read_bytes()
+    entries = {(0, (size,)): size for size in range(1, 6)}
+    entries[0, (6,)] = entries[1, (1,)] = 10**4300
+    with pytest.raises(CacheError, match=r"g=0, ns=\(6,\).*limit of 4300"):
+        memo_store_save(CountTable(entries), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.txt"]
 
 
 def test_small_blocks_save_the_same_bytes(grid_files, tmp_path, small_blocks):
