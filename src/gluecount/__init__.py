@@ -8,7 +8,7 @@ that produce a prescribed surface, exactly:
 * `count_closed`     - closed formula (the fast route)
 * `count_recursive`  - boundary-merging / handle-cutting recursion with a
                        persistent memo table
-* `count_brute`      - exhaustive enumeration of gluing words (small polygons)
+* `count_brute`      - exhaustive enumeration of gluing words (few glued edges)
 * `hz_sum` / `hz_tanh` / `hz_from_gluing_counts`
                      - the classical closed-surface (Harer-Zagier) numbers by
                        three independent routes
@@ -30,7 +30,6 @@ from .errors import (
 from .exact import double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed, polygon_size
 from .gluing import (
-    DEFAULT_ENUMERATION_CAP,
     CanonicalWord,
     GluedSurface,
     GluingWord,
@@ -60,7 +59,6 @@ __all__ = [
     "CapExceededError",
     "ConsistencyError",
     "CountTable",
-    "DEFAULT_ENUMERATION_CAP",
     "DomainError",
     "GfIdentityReport",
     "GluecountError",

@@ -26,7 +26,7 @@ from .errors import (
     GluecountError,
 )
 from .formula import SurfaceSignature, count_closed
-from .gluing import DEFAULT_ENUMERATION_CAP, count_brute, enumerate_classes
+from .gluing import count_brute, enumerate_classes
 from .hz import hz_from_gluing_counts, hz_sum, hz_tanh
 from .recursion import CountTable, count_recursive, memo_store_load, memo_store_save
 from .verify import iter_bounded_signatures, run_suites
@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("closed", "recursive", "brute"), default="closed"
     )
     p_count.add_argument("--cache", help="memo file to load before / save after (recursive)")
-    p_count.add_argument(
-        "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-        help="largest polygon the brute method will enumerate",
-    )
     p_count.set_defaults(func=_cmd_count)
 
     p_hz = sub.add_parser("hz", help="closed-surface gluing numbers")
@@ -90,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--labels", type=_labels_arg, default=(),
         help="comma-separated distinct free labels (default: none)",
     )
-    p_enum.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_enum.add_argument("--out", help="output path (default: stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -131,7 +126,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             if len(memo) > loaded:
                 memo_store_save(memo, args.cache)
     else:
-        value = count_brute(sig, cap=args.cap)
+        value = count_brute(sig)
     print(value)
     return 0
 
@@ -182,7 +177,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     lines = []
-    for canon, surface in enumerate_classes(args.N, args.labels, cap=args.cap):
+    for canon, surface in enumerate_classes(args.N, args.labels):
         boundaries = ",".join(
             "(" + ",".join(str(lab) for lab in cycle) + ")"
             for cycle in surface.boundary_cycles

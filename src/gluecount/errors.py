@@ -34,7 +34,7 @@ class ParityError(DomainError):
 
 
 class CapExceededError(DomainError):
-    """A brute-force enumeration was requested above the configured cap."""
+    """A brute-force enumeration would exceed its work budget."""
 
 
 class CacheError(GluecountError, ValueError):

@@ -44,7 +44,9 @@ cycle of j. So a word read from a glued slot is a diagram, a spread of each
 boundary's n_i edges over the gaps of a cycle of its own, and one of the
 n_i rotations of its labels; cycles left empty are punctures. Each class
 holds m such words. `enumerate_classes` canonicalizes only the words with
-the least label in slot 0.
+the least label in slot 0. Both refuse, before any work, a call with more
+than `_WORD_BUDGET` words or chord diagrams: that budget, not the polygon
+size, is what limits the brute route.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -63,11 +66,10 @@ from .errors import (
     DomainError,
     ParityError,
 )
-from .exact import _divide, _integer, double_factorial_odd, _factorial as factorial  # no int check
+from .exact import _divide, _integer
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
     "GluingWord",
     "GluedSurface",
     "CanonicalWord",
@@ -77,11 +79,10 @@ __all__ = [
     "count_brute",
 ]
 
-DEFAULT_ENUMERATION_CAP = 12
-
 # The most words one `enumerate_classes` call canonicalizes, and the most
-# chord diagrams one `count_brute` call walks: N = 10 with 8 labels (181,440
-# words) and 14 glued slots (135,135) fit; N = 12 with 10 labels and 16 do not.
+# chord diagrams one `count_brute` call walks, whatever the polygon size:
+# N = 10 with 8 labels (181,440 words), N = 15 with 1 label (135,135) and 14
+# glued slots (135,135 diagrams) fit; N = 12 with 10 labels and 16 do not.
 _WORD_BUDGET = 200_000
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
@@ -360,19 +361,16 @@ def _placed(n: int, free_pos: Iterable[int], labels: Iterable[int]) -> list[int]
     return labs
 
 
-def _words_to_canonicalize(n: int, free: int) -> int:
-    """How many words `enumerate_classes` canonicalizes for `n` slots and
-    `free` labels: with labels, the C(n-1, f-1) choices of the other free
-    slots, the (n-f-1)!! pairings of the rest and the (f-1)! placements of
-    the other labels; with none, the (n-1)!! pairings."""
-    pairings = double_factorial_odd((n - free) // 2)
-    if not free:
-        return pairings
-    return math.comb(n - 1, free - 1) * pairings * factorial(free - 1)
+def _over_budget(factors: Iterable[int]) -> bool:
+    """Whether the product of `factors` (each at least 1) exceeds
+    `_WORD_BUDGET`. Stops at the first partial product over it, so a refusal
+    costs a few multiplications however large the count would be."""
+    products = itertools.accumulate(factors, operator.mul, initial=1)
+    return any(product > _WORD_BUDGET for product in products)
 
 
 def enumerate_classes(
-    size: int, free_labels: Iterable[int] = (), cap: int = DEFAULT_ENUMERATION_CAP
+    size: int, free_labels: Iterable[int] = ()
 ) -> list[tuple[CanonicalWord, GluedSurface]]:
     """All equivalence classes of words, sorted by canonical code sequence.
 
@@ -381,22 +379,23 @@ def enumerate_classes(
     canonicalized; with free labels each class holds exactly one of them.
     Without labels every word qualifies and a rotation can fix a word, so a
     class is kept at its first word and later ones are dropped.
-    Refuses polygons larger than `cap`, as `count_brute` does, and shapes
-    with more than `_WORD_BUDGET` words to canonicalize.
+    Refuses, before any enumeration, shapes with more than `_WORD_BUDGET`
+    words to canonicalize. With f labels these are the C(N-1, f-1) choices
+    of the other free slots, the (N-f-1)!! pairings of the rest and the
+    (f-1)! placements of the other labels, (N-1)(N-2)...(N-f+1) * (N-f-1)!!
+    in all; with none, the (N-1)!! pairings.
     """
     _integer("polygon size", size)
-    _integer("cap", cap)
     labels = tuple(free_labels)
     for label in labels:
         _integer("free label", label)
-    if size > cap:
-        raise CapExceededError(f"polygon size {size} exceeds enumeration cap {cap}")
     _check_shape(size, labels)
-    words = _words_to_canonicalize(size, len(labels))
-    if words > _WORD_BUDGET:
+    free = len(labels)
+    factors = itertools.chain(range(size - free + 1, size), range(1, size - free, 2))
+    if _over_budget(factors):
         raise CapExceededError(
-            f"{size} slots with {len(labels)} free labels give {words} words to "
-            f"canonicalize, over the budget of {_WORD_BUDGET}"
+            f"{size} slots with {free} free labels give more than {_WORD_BUDGET} "
+            "words to canonicalize"
         )
     first, others = sorted(labels)[:1], sorted(labels)[1:]
     classes: dict[tuple[int, ...], GluedSurface] = {}
@@ -426,7 +425,7 @@ def _chord_classes(m: int) -> Counter:
     return classes
 
 
-def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def count_brute(sig: SurfaceSignature) -> int:
     """Count equivalence classes matching `sig` by exhaustive enumeration.
 
     Boundary k of size s gets the next s consecutive labels (1-based, in the
@@ -438,19 +437,14 @@ def count_brute(sig: SurfaceSignature, cap: int = DEFAULT_ENUMERATION_CAP) -> in
     s - 1) ways (edges over its s gaps, labels in n_i rotations). The sum
     counts each class m times, once per glued slot, so it is divided by m;
     with m = 0 the polygon is a disc, one class. The diagrams are walked
-    once per m, shared by all calls.
-    Refuses polygons larger than `cap`, and walks of more than `_WORD_BUDGET`
-    chord diagrams (m >= 16), rather than grinding silently.
+    once per m, shared by all calls, so the cost depends on m and not on N.
+    Refuses, before any walk, more than `_WORD_BUDGET` chord diagrams: the
+    (m-1)!! of m >= 16, whatever the polygon size.
     """
-    _integer("cap", cap)
-    n = polygon_size(sig)
-    if n > cap:
-        raise CapExceededError(f"polygon size {n} exceeds enumeration cap {cap}")
-    glued = n - sig.boundary_edge_total
-    if (diagrams := double_factorial_odd(glued // 2)) > _WORD_BUDGET:
+    glued = polygon_size(sig) - sig.boundary_edge_total
+    if _over_budget(range(1, glued, 2)):
         raise CapExceededError(
-            f"{glued} glued slots give {diagrams} chord diagrams to walk, "
-            f"over the budget of {_WORD_BUDGET}"
+            f"{glued} glued slots give more than {_WORD_BUDGET} chord diagrams to walk"
         )
     if not glued:
         return 1

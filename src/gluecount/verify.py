@@ -166,7 +166,7 @@ def suite_brute_oracle(max_polygon: int = 12) -> SuiteResult:
     name = f"brute-vs-closed N<={max_polygon}"
     checked = 0
     for sig in iter_polygon_signatures(max_polygon):
-        brute = count_brute(sig, cap=max_polygon)
+        brute = count_brute(sig)
         closed = count_closed(sig)
         checked += 1
         if brute != closed:

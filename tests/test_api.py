@@ -19,7 +19,6 @@ PUBLIC = [
     "CapExceededError",
     "ConsistencyError",
     "CountTable",
-    "DEFAULT_ENUMERATION_CAP",
     "DomainError",
     "GfIdentityReport",
     "GluecountError",

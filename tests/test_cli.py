@@ -49,12 +49,12 @@ def test_count_rejects_all_punctures(capsys):
     assert "all-punctures unsupported" in err
 
 
-def test_count_brute_cap_exit(capsys):
-    code, _, err = run(
+def test_count_brute_past_twelve_edges(capsys):
+    # N = 15 with m = 12 glued edges: within the work budget, whatever N.
+    code, out, err = run(
         capsys, "count", "--genus", "3", "--holes", "3", "--method", "brute"
     )
-    assert code == 2
-    assert "cap" in err
+    assert (code, out, err) == (0, f"{count_closed(SurfaceSignature(3, (3,)))}\n", "")
 
 
 def test_count_recursive_cache_roundtrip(capsys, tmp_path):
@@ -285,6 +285,13 @@ def test_bad_usage_is_exit_two(capsys):
     assert run(capsys, "hz", "--genus", "1", "--N", "3", "--method", "nope")[0] == 2
     assert run(capsys, "count", "--genus", "0", "--holes", "x,y")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    for argv in (
+        ("count", "--genus", "0", "--holes", "2", "--method", "brute", "--cap", "12"),
+        ("enumerate", "--N", "4", "--cap", "12"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --cap 12" in err, argv
 
 
 def test_table_csv(capsys):
@@ -381,19 +388,17 @@ def test_enumerate_errors(capsys):
     assert code == 2
     assert "odd" in err
     assert run(capsys, "enumerate", "--N", "20")[0] == 2
-    # The cap is checked before the parity.
     code, _, err = run(capsys, "enumerate", "--N", "13", "--labels", "1,2")
-    assert (code, err) == (2, "error: polygon size 13 exceeds enumeration cap 12\n")
-    code, _, err = run(capsys, "enumerate", "--N", "5", "--labels", "1", "--cap", "4")
-    assert (code, err) == (2, "error: polygon size 5 exceeds enumeration cap 4\n")
+    assert (code, err) == (
+        2, "error: 13 slots minus 2 free labels leaves an odd number to pair\n"
+    )
 
 
 def test_enumerate_word_budget_exit(capsys):
     code, out, err = run(capsys, "enumerate", "--N", "12", "--labels", "1,2,3,4,5,6,7,8,9,10")
     assert (code, out) == (2, "")
     assert err == (
-        "error: 12 slots with 10 free labels give 19958400 words to canonicalize, "
-        "over the budget of 200000\n"
+        "error: 12 slots with 10 free labels give more than 200000 words to canonicalize\n"
     )
 
 

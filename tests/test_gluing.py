@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from functools import partial
 
 import pytest
@@ -30,7 +31,6 @@ from gluecount.gluing import (
     _iter_topologies,
     _placed,
     _topology,
-    _words_to_canonicalize,
 )
 from gluecount.verify import iter_polygon_signatures
 
@@ -327,9 +327,6 @@ DISC = SurfaceSignature(0, (2,))
         (partial(enumerate_classes, 4.0), "polygon size must be an integer, got 4.0"),
         (partial(enumerate_classes, True, (1,)), "polygon size must be an integer, got True"),
         (partial(enumerate_classes, 3, (1, 2.5, 3)), "free label must be an integer, got 2.5"),
-        (partial(enumerate_classes, 4, (), 12.0), "cap must be an integer, got 12.0"),
-        (partial(count_brute, DISC, None), "cap must be an integer, got None"),
-        (partial(count_brute, DISC, True), "cap must be an integer, got True"),
     ],
     ids=repr,
 )
@@ -542,66 +539,93 @@ def test_count_brute_reaches_large_polygons_with_few_glued_slots(sig):
     # slots are walked, never the pairings of the whole polygon.
     n = polygon_size(sig)
     assert n > 50
-    assert count_brute(sig, cap=n) == count_closed(sig)
+    assert count_brute(sig) == count_closed(sig)
 
 
 def test_count_brute_cap(monkeypatch):
-    # The cap is checked before any chord diagram is walked.
+    # The chord diagrams are bounded before any is walked: m = 16 glued
+    # slots give 15!! of them, over the budget.
     def refuse(*args, **kwargs):
-        raise AssertionError("walked chord diagrams past the cap")
+        raise AssertionError("walked chord diagrams")
 
     _chord_classes.cache_clear()
     monkeypatch.setattr("gluecount.gluing._matchings", refuse)
     with pytest.raises(CapExceededError) as info:
-        count_brute(SurfaceSignature(3, (3,)))
-    assert str(info.value) == "polygon size 15 exceeds enumeration cap 12"
-    with pytest.raises(CapExceededError) as info:
-        count_brute(SurfaceSignature(0, (4, 4)), cap=7)
-    assert str(info.value) == "polygon size 10 exceeds enumeration cap 7"
-    # Within the cap, the chord diagrams are bounded too: m = 16 glued
-    # slots give 15!! of them, over the budget.
-    with pytest.raises(CapExceededError) as info:
-        count_brute(SurfaceSignature(4, (1,)), cap=17)
-    assert str(info.value) == (
-        "16 glued slots give 2027025 chord diagrams to walk, over the budget of 200000"
-    )
+        count_brute(SurfaceSignature(4, (1,)))
+    assert str(info.value) == "16 glued slots give more than 200000 chord diagrams to walk"
     # m = 14 gives 13!! = 135,135 diagrams, within it: the walk starts.
     with pytest.raises(AssertionError, match="walked chord diagrams"):
-        count_brute(SurfaceSignature(3, (1, 1)), cap=16)
+        count_brute(SurfaceSignature(3, (1, 1)))
 
 
 def test_enumerate_classes_cap(monkeypatch):
-    # The cap is checked before anything is enumerated, and before the
-    # parity of the shape: 13 slots with two labels is a cap error.
+    # The words are bounded before any is enumerated: 15!! pairings of 16
+    # slots are over the budget, 13!! of 14 within it.
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated past the cap")
+        raise AssertionError("enumerated")
 
     monkeypatch.setattr("gluecount.gluing._iter_topologies", refuse)
-    with pytest.raises(CapExceededError, match="polygon size 14 exceeds enumeration cap 12"):
+    with pytest.raises(CapExceededError) as info:
+        enumerate_classes(16)
+    assert str(info.value) == (
+        "16 slots with 0 free labels give more than 200000 words to canonicalize"
+    )
+    with pytest.raises(AssertionError, match="enumerated"):
         enumerate_classes(14)
-    with pytest.raises(CapExceededError, match="cap 12"):
-        enumerate_classes(13, (1, 2))
-    with pytest.raises(CapExceededError, match="polygon size 5 exceeds enumeration cap 4"):
-        enumerate_classes(5, (1,), cap=4)
 
 
-def test_word_budget_counts_the_canonicalized_words():
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(count_brute, SurfaceSignature(50000, (1,))),
+        partial(enumerate_classes, 200_000),
+        partial(enumerate_classes, 10**6 + 1, (1,)),
+    ],
+    ids=["count_brute g=50000", "enumerate N=200000", "enumerate N=10**6+1 one label"],
+)
+def test_refusal_is_bounded_whatever_the_polygon_size(call, default_int_digit_limit):
+    # The budget test stops at the first partial product past it, so it
+    # never builds (N-1)!! nor prints a count past the digit limit.
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="more than 200000"):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_word_budget_counts_the_canonicalized_words(monkeypatch):
     # With labels, the pairings that leave slot 0 free times the (f-1)!
-    # placements of the other labels; with none, every pairing.
+    # placements of the other labels; with none, every pairing. A budget of
+    # exactly that many words starts the walk, one less refuses it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    def walks(n, labels, budget):
+        monkeypatch.setattr("gluecount.gluing._WORD_BUDGET", budget)
+        try:
+            enumerate_classes(n, labels)
+        except CapExceededError:
+            return False
+        except AssertionError:
+            return True
+        raise AssertionError("neither refused nor enumerated")
+
+    monkeypatch.setattr("gluecount.gluing._iter_topologies", refuse)
     for n in range(1, 11):
         for labels in label_runs(n):
             free = len(labels)
             pairings = sum(1 for _ in _iter_topologies(n, free, pinned=bool(free)))
-            expected = pairings * math.factorial(max(free - 1, 0))
-            assert _words_to_canonicalize(n, free) == expected, (n, free)
-    assert _words_to_canonicalize(10, 8) == 181_440
-    assert _words_to_canonicalize(12, 10) == 19_958_400
-    assert _words_to_canonicalize(16, 0) == 2_027_025
+            words = pairings * math.factorial(max(free - 1, 0))
+            assert not walks(n, labels, words - 1), (n, free)
+            assert walks(n, labels, words), (n, free)
+    for n, free, words in [(10, 8, 181_440), (12, 10, 19_958_400), (16, 0, 2_027_025)]:
+        labels = tuple(range(1, free + 1))
+        assert not walks(n, labels, words - 1), (n, free)
+        assert walks(n, labels, words), (n, free)
+        assert walks(n, labels, 200_000) == (words <= 200_000), (n, free)
 
 
 def test_enumerate_classes_word_budget(monkeypatch):
-    # Past the budget nothing is enumerated; the cap and the shape are
-    # checked first.
+    # Past the budget nothing is enumerated; the shape is checked first.
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated past the word budget")
 
@@ -609,12 +633,9 @@ def test_enumerate_classes_word_budget(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         enumerate_classes(11, range(1, 8))
     assert str(info.value) == (
-        "11 slots with 7 free labels give 453600 words to canonicalize, "
-        "over the budget of 200000"
+        "11 slots with 7 free labels give more than 200000 words to canonicalize"
     )
-    with pytest.raises(CapExceededError, match="2027025 words"):
-        enumerate_classes(16, cap=16)
-    with pytest.raises(CapExceededError, match="cap 12"):
+    with pytest.raises(CapExceededError, match="12 free labels give more than 200000"):
         enumerate_classes(14, range(1, 13))
     with pytest.raises(ParityError):
         enumerate_classes(12, range(1, 10))
@@ -626,5 +647,5 @@ def test_enumerate_classes_word_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr("gluecount.gluing._WORD_BUDGET", 15)
     assert len(enumerate_classes(6, (1, 2))) == 15
     monkeypatch.setattr("gluecount.gluing._WORD_BUDGET", 14)
-    with pytest.raises(CapExceededError, match="15 words"):
+    with pytest.raises(CapExceededError, match="more than 14 words"):
         enumerate_classes(6, (1, 2))
