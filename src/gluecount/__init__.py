@@ -8,7 +8,7 @@ that produce a prescribed surface, exactly:
 * `count_closed`     - closed formula (the fast route)
 * `count_recursive`  - boundary-merging / handle-cutting recursion with a
                        persistent memo table
-* `count_brute`      - exhaustive enumeration of gluing words (few glued edges)
+* `count_brute`      - walk of the chord diagrams of the glued edges (few of them)
 * `hz_sum` / `hz_tanh` / `hz_from_gluing_counts`
                      - the classical closed-surface (Harer-Zagier) numbers by
                        three independent routes

@@ -112,6 +112,8 @@ def _check_recursive(sig: SurfaceSignature, closed: int, recursive: int) -> None
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    if args.cache and args.method != "recursive":
+        raise DomainError(f"--cache needs --method recursive, not {args.method}")
     sig = SurfaceSignature(args.genus, args.holes)
     if args.method == "closed":
         value = count_closed(sig)

@@ -77,7 +77,7 @@ import os
 import re
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -113,13 +113,13 @@ def _grow_powers(powers: list[int], top: int) -> None:
 
 
 def _sizes_code(sizes: Sequence[int]) -> int:
-    """The code of genus 0 with `sizes`, non-increasing; DomainError when a
-    size or its multiplicity does not fit its field, or when no size is
-    positive."""
-    if sizes and not 0 <= sizes[-1] <= sizes[0] < _SIZE_LIMIT:
+    """The code of genus 0 with `sizes`, non-empty and non-increasing;
+    DomainError when a size or its multiplicity does not fit its field, or
+    when no size is positive."""
+    if not 0 <= sizes[-1] <= sizes[0] < _SIZE_LIMIT:
         size = sizes[0] if sizes[0] >= _SIZE_LIMIT else sizes[-1]
         raise DomainError(f"size {size} is out of range: sizes must be in 0..{_SIZE_LIMIT - 1}")
-    if not sizes or not sizes[0]:
+    if not sizes[0]:
         raise DomainError(f"all-zero size key {tuple(sizes)}")
     if len(sizes) > _MASK:
         size, times = Counter(sizes).most_common(1)[0]
@@ -156,28 +156,11 @@ def _text(part: int, texts: dict[int, str]) -> str:
 
 
 class CountTable:
-    """Memoized plain counts, one per signature, keyed by its code."""
+    """Memoized plain counts, one per signature, keyed by its code; only
+    `count_recursive` and `memo_store_load` fill a table."""
 
-    def __init__(self, entries: Mapping[MemoKey, int] | None = None) -> None:
+    def __init__(self) -> None:
         self._codes: dict[int, int] = {}
-        for (genus, sizes), count in (entries or {}).items():
-            # The rule of `SurfaceSignature`: a bool or a float is no genus
-            # or size.
-            if (
-                type(genus) is not int
-                or not isinstance(sizes, Iterable)
-                or any(type(n) is not int for n in sizes)
-            ):
-                raise DomainError(f"key {(genus, sizes)!r}: genus and sizes must be integers")
-            if not 0 <= genus < _FIELD:
-                raise DomainError(f"genus {genus} is out of range: it must be below {_FIELD}")
-            # The loader's rule: a count is a decimal integer >= 0. A bool
-            # is an int to Python, but no count.
-            if type(count) is not int or count < 0:
-                raise DomainError(
-                    f"count {count!r} for g={genus}, ns={tuple(sizes)} is not an integer >= 0"
-                )
-            self._codes[genus + _sizes_code(sorted(sizes, reverse=True))] = count
 
     @property
     def entries(self) -> Mapping[MemoKey, int]:
@@ -202,8 +185,8 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     """Count gluings for `sig` by the cut recursion.
 
     Passing the same CountTable across calls shares all intermediate results.
-    The table is trusted as-is: fill it only through this function, and load
-    files with memo_store_load(path, verify=True) when provenance is in doubt.
+    Only this function and memo_store_load fill a table, and a load trusts
+    the file: use memo_store_load(path, verify=True) when provenance is in doubt.
     A signature whose polygon has 4096 edges or more raises DomainError
     before any work. The recursion nests 2g + L levels, one frame each; a
     signature with 2g + L above half of Python's recursion limit (500 of

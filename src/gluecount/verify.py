@@ -161,8 +161,8 @@ def suite_closed_vs_recursive(
     return SuiteResult(name, True, checked)
 
 
-def suite_brute_oracle(max_polygon: int = 12) -> SuiteResult:
-    """Exhaustive enumeration against the closed formula, small polygons."""
+def suite_brute_oracle(max_polygon: int = 14) -> SuiteResult:
+    """The brute route against the closed formula; N <= 14 is the full-level contract."""
     name = f"brute-vs-closed N<={max_polygon}"
     checked = 0
     for sig in iter_polygon_signatures(max_polygon):

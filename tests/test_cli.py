@@ -8,10 +8,10 @@ import sys
 import time
 
 import pytest
+from cache_text import cache_table
 
 from gluecount import (
     CacheError,
-    CountTable,
     SurfaceSignature,
     count_closed,
     hz_tanh,
@@ -98,6 +98,22 @@ def test_warm_cache_query_leaves_the_file_alone(capsys, tmp_path, argv):
     assert (after.st_mode, after.st_mtime_ns, after.st_ino) == (
         before.st_mode, before.st_mtime_ns, before.st_ino,
     )
+
+
+@pytest.mark.parametrize(
+    "argv, method",
+    [([], "closed"), (["--method", "closed"], "closed"), (["--method", "brute"], "brute")],
+)
+def test_count_refuses_a_cache_without_the_recursion(capsys, tmp_path, argv, method):
+    # Only the recursion reads or warms a memo, so a cache given to another
+    # route would be ignored while the user took it as warmed.
+    cache = tmp_path / "memo.txt"
+    code, out, err = run(
+        capsys, "count", "--genus", "1", "--holes", "2", *argv, "--cache", str(cache)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --cache needs --method recursive, not {method}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_save_into_missing_directory_names_the_cache(capsys, tmp_path):
@@ -216,8 +232,9 @@ def test_main_gives_back_the_callers_digit_limit(capsys, tmp_path, default_int_d
         assert run(capsys, *argv)[0] == expected, argv
         assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits, argv
     # So memo_store_save still refuses a count it could not read back.
+    memo = cache_table("g=0;ns=1;count=1" + "0" * 4400)
     with pytest.raises(CacheError, match="limit of 4300"):
-        memo_store_save(CountTable({(0, (1,)): 10**4400}), tmp_path / "memo.txt")
+        memo_store_save(memo, tmp_path / "memo.txt")
     sys.set_int_max_str_digits(5000)
     assert run(capsys, "hz", "--genus", "0", "--N", "8000")[0] == 0
     assert sys.get_int_max_str_digits() == 5000

@@ -9,11 +9,11 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from cache_text import cache_table
 
 import gluecount
 from gluecount import (
     ConsistencyError,
-    CountTable,
     DomainError,
     SurfaceSignature,
     catalan,
@@ -226,7 +226,7 @@ def test_inexact_recursion_step_raises():
     # A table that holds 1 for (g=0, ns=[4,1]), where the count is 2: then
     # (g=0, ns=[1,1,1]) merges to 3 * 1, and 2 * 3 does not divide by
     # 2 * (L + 2g - 1) = 4.
-    memo = CountTable({(0, (4, 1)): 1})
+    memo = cache_table("g=0;ns=4,1;count=1")
     with pytest.raises(ConsistencyError) as info:
         count_recursive(SurfaceSignature(0, (1, 1, 1)), memo)
     assert str(info.value) == "cut recursion at g=0, ns=(1, 1, 1): 6/4 is not an integer"
