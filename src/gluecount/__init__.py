@@ -27,7 +27,6 @@ from .errors import (
     ParityError,
     SignatureError,
 )
-from .exact import double_factorial_odd, factorial
 from .formula import SurfaceSignature, count_closed, polygon_size
 from .gluing import (
     CanonicalWord,
@@ -72,9 +71,7 @@ __all__ = [
     "count_brute",
     "count_closed",
     "count_recursive",
-    "double_factorial_odd",
     "enumerate_classes",
-    "factorial",
     "gf_identity_check",
     "glue",
     "hz_from_gluing_counts",

@@ -46,6 +46,12 @@ def _labels_arg(text: str) -> tuple[int, ...]:
     return _sizes_arg(text) if text else ()
 
 
+def _cache_arg(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gluecount",
@@ -62,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--method", choices=("closed", "recursive", "brute"), default="closed"
     )
-    p_count.add_argument("--cache", help="memo file to load before / save after (recursive)")
+    p_count.add_argument(
+        "--cache", type=_cache_arg, help="memo file to load before / save after (recursive)"
+    )
     p_count.set_defaults(func=_cmd_count)
 
     p_hz = sub.add_parser("hz", help="closed-surface gluing numbers")
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-n", type=int, default=0)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", help="output path (default: stdout)")
-    p_table.add_argument("--cache", help="warm this memo file while tabulating")
+    p_table.add_argument("--cache", type=_cache_arg, help="warm this memo file while tabulating")
     p_table.set_defaults(func=_cmd_table)
 
     p_enum = sub.add_parser("enumerate", help="dump gluing-word classes")
@@ -112,16 +120,16 @@ def _check_recursive(sig: SurfaceSignature, closed: int, recursive: int) -> None
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.cache and args.method != "recursive":
+    if args.cache is not None and args.method != "recursive":
         raise DomainError(f"--cache needs --method recursive, not {args.method}")
     sig = SurfaceSignature(args.genus, args.holes)
     if args.method == "closed":
         value = count_closed(sig)
     elif args.method == "recursive":
-        memo = memo_store_load(args.cache) if args.cache else CountTable()
+        memo = memo_store_load(args.cache) if args.cache is not None else CountTable()
         loaded = len(memo)
         value = count_recursive(sig, memo)
-        if args.cache:
+        if args.cache is not None:
             # Entries loaded from the file are trusted as written, so the
             # answer they produced is checked before it is printed or saved.
             _check_recursive(sig, count_closed(sig), value)
@@ -148,7 +156,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for flag, bound in bounds:
         if bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
-    memo = memo_store_load(args.cache) if args.cache else None
+    memo = memo_store_load(args.cache) if args.cache is not None else None
     loaded = len(memo) if memo is not None else 0
     rows = []
     for sig in iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n):

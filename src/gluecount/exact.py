@@ -1,5 +1,5 @@
-"""Exact integer helpers: factorials, odd double factorials, the one exact
-division and `_grown`, the one growth path of every table the process shares.
+"""Private exact integer helpers: the one factorial, the odd double factorial,
+the one exact division and `_grown`, the one growth path of every shared table.
 
 Everything here returns plain Python ints (arbitrary precision); no value is
 ever rounded. Every division in the package that must cancel goes through
@@ -13,8 +13,6 @@ import threading
 from typing import Callable
 
 from .errors import ConsistencyError, DomainError
-
-__all__ = ["factorial", "double_factorial_odd"]
 
 _TABLES_LOCK = threading.RLock()
 
@@ -55,16 +53,9 @@ def _grow_factorials(table: list[int], top: int) -> None:
         table.append(table[-1] * k)
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0. Repeated calls with n < 1024 are O(1) thanks to the
-    shared table. DomainError for anything that is not an int, a bool too."""
-    _integer("n", n)
-    return _factorial(n)
-
-
 def _factorial(n: int) -> int:
-    """`factorial` for a caller that passes ints only: a table hit makes
-    no type check."""
+    """n! for an int n >= 0, read from the shared table for n < 1024.
+    DomainError for n < 0, which would read the table from its end."""
     if n < 0:
         raise DomainError(f"factorial requires n >= 0, got {n}")
     table = _FACTORIALS
@@ -82,15 +73,9 @@ def _integer(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def double_factorial_odd(n: int) -> int:
-    """(2n-1)!! = 1*3*5*...*(2n-1); the empty product 1 for n = 0."""
-    _integer("n", n)
-    if n < 0:
-        raise DomainError(f"double_factorial_odd requires n >= 0, got {n}")
-    out = 1
-    for k in range(1, 2 * n, 2):
-        out *= k
-    return out
+def _double_factorial_odd(n: int) -> int:
+    """(2n-1)!! = 1*3*5*...*(2n-1) for an int n >= 0; 1 for n = 0."""
+    return math.prod(range(1, 2 * n, 2))
 
 
 def _divide(numerator: int, denominator: int, what: str, *args: object) -> int:

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AllPuncturesError, SignatureError
-from .exact import _divide, _grown, _factorial as factorial  # no int check
+from .exact import _divide, _grown, _factorial as factorial
 
 __all__ = ["SurfaceSignature", "count_closed", "polygon_size"]
 

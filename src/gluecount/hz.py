@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 from . import formula
 from .errors import DomainError
-from .exact import _divide, _grown, _integer, double_factorial_odd
-from .exact import _factorial as factorial  # no int check
+from .exact import _divide, _double_factorial_odd, _grown, _integer, _factorial as factorial
 from .formula import (
     SurfaceSignature, _power, _scales, _split_sum, _weight_rows, count_closed,
 )
@@ -223,7 +222,7 @@ def gf_identity_check(order: int) -> GfIdentityReport:
 
     for xp in range(order + 1):
         lhs_scale = factorial(xp)
-        rhs_scale = double_factorial_odd(max(xp - 1, 0))
+        rhs_scale = _double_factorial_odd(max(xp - 1, 0))
         for yp in range(order + 1):
             if lhs[xp][yp] * lhs_scale != rhs[xp][yp] * rhs_scale:
                 return GfIdentityReport(False, (xp, yp), order)

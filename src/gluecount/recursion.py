@@ -113,12 +113,13 @@ def _grow_powers(powers: list[int], top: int) -> None:
 
 
 def _sizes_code(sizes: Sequence[int]) -> int:
-    """The code of genus 0 with `sizes`, non-empty and non-increasing;
+    """The code of genus 0 with `sizes`, non-empty, non-increasing and >= 0;
     DomainError when a size or its multiplicity does not fit its field, or
     when no size is positive."""
-    if not 0 <= sizes[-1] <= sizes[0] < _SIZE_LIMIT:
-        size = sizes[0] if sizes[0] >= _SIZE_LIMIT else sizes[-1]
-        raise DomainError(f"size {size} is out of range: sizes must be in 0..{_SIZE_LIMIT - 1}")
+    if sizes[0] >= _SIZE_LIMIT:
+        raise DomainError(
+            f"size {sizes[0]} is out of range: sizes must be in 0..{_SIZE_LIMIT - 1}"
+        )
     if not sizes[0]:
         raise DomainError(f"all-zero size key {tuple(sizes)}")
     if len(sizes) > _MASK:
@@ -389,27 +390,22 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
     entries = _read(file)
     if verify:
         scratch: dict[int, int] = {}
-        least = None
-        for code, stored in entries.items():
-            actual = scratch.get(code)
-            if actual is None:
+        for code in entries:
+            if code not in scratch:
                 genus, sizes = code & _MASK, _sizes(code >> _BITS)
                 try:
                     _reach(genus, sizes)
-                    actual = _compute(genus, len(sizes), code, scratch)
+                    _compute(genus, len(sizes), code, scratch)
                 except DomainError as exc:
                     raise CacheError(
                         f"{file}: entry g={genus}, ns={sizes} cannot be recomputed: {exc}"
                     ) from None
-            if actual != stored:
-                order = (code & _MASK, code >> _BITS)
-                if least is None or order < least[0]:
-                    least = (order, stored, actual)
-        if least is not None:
-            (genus, part), stored, actual = least
+        wrong = [code for code, stored in entries.items() if scratch[code] != stored]
+        if wrong:
+            code = min(wrong, key=lambda code: (code & _MASK, code >> _BITS))
             raise ConsistencyError(
-                f"{file}: entry g={genus}, ns={_sizes(part)} holds {stored}, "
-                f"recomputed {actual}"
+                f"{file}: entry g={code & _MASK}, ns={_sizes(code >> _BITS)} "
+                f"holds {entries[code]}, recomputed {scratch[code]}"
             )
     table = CountTable()
     table._codes = entries

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import GluecountError
-from .exact import _divide, double_factorial_odd, _factorial as factorial  # no int check
+from .exact import _divide, _double_factorial_odd, _factorial as factorial
 from .formula import SurfaceSignature, count_closed
 from .gluing import _iter_topologies, _placed, _relabel, _topology, count_brute
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric
@@ -298,7 +298,7 @@ def suite_row_sums(max_n: int = 10) -> SuiteResult:
     checked = 0
     for n in range(1, max_n + 1):
         row = sum(hz_sum(g, n) for g in range(0, n // 2 + 1))
-        expected = double_factorial_odd(n)
+        expected = _double_factorial_odd(n)
         checked += 1
         if row != expected:
             return SuiteResult(

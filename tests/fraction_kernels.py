@@ -2,15 +2,19 @@
 test references.
 
 Each computes the unscaled rational coefficients that the package's integer
-kernels carry multiplied by their scales. They are slower and
-share no code with the package beyond `factorial` and `double_factorial_odd`,
-so agreement with them checks the scaling and every exact division behind it.
+kernels carry multiplied by their scales. They are slower and share no
+code with the package, so agreement with them checks the scaling and every
+exact division behind it.
 """
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
-from gluecount import double_factorial_odd, factorial
+
+def double_factorial_odd(n):
+    """(2n-1)!! = 1*3*5*...*(2n-1) for n >= 0, as (2n)!/(2^n n!)."""
+    return factorial(2 * n) // (2**n * factorial(n))
 
 
 def power(a, exponent):

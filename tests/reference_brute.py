@@ -10,9 +10,9 @@ reproduce.
 
 import functools
 from collections import Counter
+from math import factorial
 
 from gluecount import SurfaceSignature
-from gluecount.exact import _factorial as factorial
 from gluecount.formula import polygon_size
 from gluecount.gluing import _iter_topologies, _topology
 

@@ -32,9 +32,7 @@ PUBLIC = [
     "count_brute",
     "count_closed",
     "count_recursive",
-    "double_factorial_odd",
     "enumerate_classes",
-    "factorial",
     "gf_identity_check",
     "glue",
     "hz_from_gluing_counts",

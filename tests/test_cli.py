@@ -116,6 +116,27 @@ def test_count_refuses_a_cache_without_the_recursion(capsys, tmp_path, argv, met
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--genus", "1", "--holes", "2", "--method", "recursive"],
+        ["count", "--genus", "1", "--holes", "2"],
+        ["table", "--max-genus", "1", "--max-holes", "1", "--max-n", "2"],
+    ],
+    ids=["count-recursive", "count-closed", "table"],
+)
+def test_empty_cache_path_is_refused(capsys, tmp_path, monkeypatch, argv):
+    # An unset shell variable passed as --cache "$MEMO" used to run the
+    # query uncached, and a closed count past the recursion-only refusal.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--cache", "")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"gluecount {argv[0]}: error: argument --cache: expected a file path, got ''"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_save_into_missing_directory_names_the_cache(capsys, tmp_path):
     cache = tmp_path / "missing" / "memo.txt"
     code, out, err = run(

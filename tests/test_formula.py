@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,7 +15,6 @@ from gluecount import (
     count_brute,
     count_closed,
     count_recursive,
-    factorial,
     polygon_size,
 )
 from gluecount import formula

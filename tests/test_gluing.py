@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 import reference_brute
+from fraction_kernels import double_factorial_odd
 from gluecount import (
     CapExceededError,
     ConsistencyError,
@@ -21,7 +22,6 @@ from gluecount import (
     canonicalize,
     count_brute,
     count_closed,
-    double_factorial_odd,
     enumerate_classes,
     glue,
 )

@@ -656,9 +656,16 @@ def _check_mutated_files(grid_files, path, seed):
     assert "table" in outcomes and len(outcomes) >= 4, outcomes
 
 
-def _check_edge_case(path, body):
+def _check_edge_case(path, body, outcome):
+    """Load `body` after the header: both loaders agree, and give `outcome`,
+    the entries loaded or the (line number, message) of the refusal."""
     path.write_text("\n".join(["#gluecount-cache v1", *body]) + "\n", encoding="utf-8")
-    _assert_loads_like_reference(path)
+    loaded = _assert_loads_like_reference(path)
+    if isinstance(outcome, dict):
+        assert isinstance(loaded, CountTable) and loaded.entries == outcome
+    else:
+        lineno, message = outcome
+        assert loaded == (CacheError, f"{path}: line {lineno}: {message}")
 
 
 def test_load_matches_reference_on_saved_files(grid_files, tmp_path):
@@ -670,37 +677,75 @@ def test_load_matches_reference_on_mutated_files(grid_files, tmp_path, seed):
     _check_mutated_files(grid_files, tmp_path / "mutated.txt", seed)
 
 
+def _int_refusal(text):
+    """What int() says of `text` at CPython's default digit limit, which
+    Python versions word differently; None on a Python without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return None
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+ONES = ",".join(["1"] * (2**16 - 1))
+
 # Files that probe the loader's fast path and its refusals; each body
-# follows the header, one entry a line.
+# follows the header, one entry a line, and is paired with its outcome.
 EDGE_CASES = [
-    ["g=0;ns=1;count=1", "g=0;ns=1,1;count=1", "g=0;ns=1,1,1;count=1"],
-    ["g=0;ns=2;count=1", "g=0;ns=1,2;count=1"],
-    ["g=0;ns=0,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=0,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=4096,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=4095,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=00002,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=01,1;count=1", "g=0;ns=1,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=1,;count=1"],
-    ["g=0;ns=1,1;count=1", "g=0;ns=2,,1,1;count=1"],
-    ["g=0;ns=,;count=1"],
-    ["g=0;ns=1;count=1", "g=65536;ns=2,1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=" + "9" * 5000 + ",1;count=1"],
-    ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
-     "g=0;ns=1," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
-    ["g=0;ns=" + ",".join(["1"] * (2**16 - 1)) + ";count=1",
-     "g=0;ns=2," + ",".join(["1"] * (2**16 - 1)) + ";count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=0,0;count=1"],
-    ["g=0;ns=1;count=0"],
-    ["g=0;ns=1;count=1", "g=0;ns=2;count=-5"],
-    ["g=0;ns=1;count=1", "g=0;ns=2;count=x"],
-    ["g=0;ns=1;count=1", "g=0;ns=2;count=2.5"],
-    ["g=0;ns=1;count=1", "g=1.5;ns=1;count=1"],
-    ["g=0;ns=1;count=1", "g=0;ns=1.0;count=1"],
+    (["g=0;ns=1;count=1", "g=0;ns=1,1;count=1", "g=0;ns=1,1,1;count=1"],
+     {(0, (1,)): 1, (0, (1, 1)): 1, (0, (1, 1, 1)): 1}),
+    (["g=0;ns=2;count=1", "g=0;ns=1,2;count=1"],
+     (3, "sizes must be non-increasing, got (1, 2)")),
+    (["g=0;ns=0,1;count=1"],
+     (2, "sizes must be non-increasing, got (0, 1)")),
+    (["g=0;ns=1;count=1", "g=0;ns=0,1;count=1"],
+     (3, "sizes must be non-increasing, got (0, 1)")),
+    (["g=0;ns=1;count=1", "g=0;ns=4096,1;count=1"],
+     (3, "size 4096 is out of range: sizes must be in 0..4095")),
+    (["g=0;ns=1;count=1", "g=0;ns=4095,1;count=1"],
+     {(0, (1,)): 1, (0, (4095, 1)): 1}),
+    (["g=0;ns=1;count=1", "g=0;ns=00002,1;count=1"],
+     {(0, (1,)): 1, (0, (2, 1)): 1}),
+    (["g=0;ns=1;count=1", "g=0;ns=01,1;count=1", "g=0;ns=1,1;count=1"],
+     (4, "duplicate key g=0, ns=(1, 1)")),
+    (["g=0;ns=1;count=1", "g=0;ns=,1;count=1"],
+     (3, "malformed entry 'g=0;ns=,1;count=1'")),
+    (["g=0;ns=1;count=1", "g=0;ns=1,;count=1"],
+     (3, "malformed entry 'g=0;ns=1,;count=1'")),
+    (["g=0;ns=1,1;count=1", "g=0;ns=2,,1,1;count=1"],
+     (3, "malformed entry 'g=0;ns=2,,1,1;count=1'")),
+    (["g=0;ns=,;count=1"],
+     (2, "malformed entry 'g=0;ns=,;count=1'")),
+    (["g=0;ns=1;count=1", "g=65536;ns=2,1;count=1"],
+     (3, "genus 65536 is out of range: it must be below 65536")),
+    (["g=0;ns=1;count=1", "g=0;ns=" + "9" * 5000 + ",1;count=1"],
+     (3, f"unreadable number: {_int_refusal('9' * 5000)}")),
+    (["g=0;ns=" + ONES + ";count=1", "g=0;ns=1," + ONES + ";count=1"],
+     (3, "size 1 occurs 65536 times, more than 65535")),
+    (["g=0;ns=" + ONES + ";count=1", "g=0;ns=2," + ONES + ";count=1"],
+     {(0, (1,) * (2**16 - 1)): 1, (0, (2,) + (1,) * (2**16 - 1)): 1}),
+    (["g=0;ns=1;count=1", "g=0;ns=0,0;count=1"],
+     (3, "all-zero size key (0, 0)")),
+    (["g=0;ns=1;count=0"],
+     {(0, (1,)): 0}),
+    (["g=0;ns=1;count=1", "g=0;ns=2;count=-5"],
+     (3, "malformed entry 'g=0;ns=2;count=-5'")),
+    (["g=0;ns=1;count=1", "g=0;ns=2;count=x"],
+     (3, "malformed entry 'g=0;ns=2;count=x'")),
+    (["g=0;ns=1;count=1", "g=0;ns=2;count=2.5"],
+     (3, "malformed entry 'g=0;ns=2;count=2.5'")),
+    (["g=0;ns=1;count=1", "g=1.5;ns=1;count=1"],
+     (3, "malformed entry 'g=1.5;ns=1;count=1'")),
+    (["g=0;ns=1;count=1", "g=0;ns=1.0;count=1"],
+     (3, "malformed entry 'g=0;ns=1.0;count=1'")),
 ]
 EDGE_IDS = [
-    "tails", "increasing", "all-zero", "zero-head", "head-4096", "head-4095",
+    "tails", "increasing", "increasing-from-zero", "zero-head", "head-4096", "head-4095",
     "long-head", "leading-zero", "leading-comma", "trailing-comma", "double-comma",
     "only-comma", "genus-65536", "overlong-head", "multiplicity-65536", "long-tail",
     "zero-sizes", "zero-count", "negative-count", "letter-count", "fraction-count",
@@ -708,9 +753,9 @@ EDGE_IDS = [
 ]
 
 
-@pytest.mark.parametrize("body", EDGE_CASES, ids=EDGE_IDS)
-def test_load_matches_reference_on_edge_cases(tmp_path, body, default_int_digit_limit):
-    _check_edge_case(tmp_path / "edge.txt", body)
+@pytest.mark.parametrize("body, outcome", EDGE_CASES, ids=EDGE_IDS)
+def test_load_matches_reference_on_edge_cases(tmp_path, body, outcome, default_int_digit_limit):
+    _check_edge_case(tmp_path / "edge.txt", body, outcome)
 
 
 def test_load_memory_stays_linear_in_the_line_length(tmp_path):
@@ -830,11 +875,11 @@ def test_small_blocks_load_mutated_files_like_reference(grid_files, tmp_path, sm
     _check_mutated_files(grid_files, tmp_path / "mutated.txt", seed)
 
 
-@pytest.mark.parametrize("body", EDGE_CASES, ids=EDGE_IDS)
+@pytest.mark.parametrize("body, outcome", EDGE_CASES, ids=EDGE_IDS)
 def test_small_blocks_load_edge_cases_like_reference(
-    tmp_path, small_blocks, body, default_int_digit_limit
+    tmp_path, small_blocks, body, outcome, default_int_digit_limit
 ):
-    _check_edge_case(tmp_path / "edge.txt", body)
+    _check_edge_case(tmp_path / "edge.txt", body, outcome)
 
 
 # The line breaks that str.splitlines() knows besides "\n" and "\r\n".

@@ -18,7 +18,6 @@ from gluecount import (
     SurfaceSignature,
     count_closed,
     count_recursive,
-    factorial,
     gf_identity_check,
     hz_from_gluing_counts,
     hz_sum,
@@ -150,7 +149,8 @@ def test_threads_growing_one_factor_write_the_same_rows(empty_tables):
     genera = (5, 18, 31, formula._FACTOR_GENUS, formula._FACTOR_GENUS + 5)
     top = max(genera)
     series = [
-        Fraction(factorial(2 * p + n), factorial(n) * factorial(2 * p + 1)) for p in range(top + 1)
+        Fraction(math.factorial(2 * p + n), math.factorial(n) * math.factorial(2 * p + 1))
+        for p in range(top + 1)
     ]
     s = _definitions(top)["scales"]
     scaled = [c * s_i for c, s_i in zip(fraction_kernels.power(series, count), s)]
@@ -252,7 +252,7 @@ def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
 
 
 def test_one_reentrant_lock_grows_every_table(empty_tables, monkeypatch, hz_recurrence):
-    # The tanh grow calls `factorial` under the lock, and factorial grows its
+    # The tanh grow calls `_factorial` under the lock, and it grows its
     # table under the same lock, so a lock that is not reentrant hangs there.
     # The calls run in daemon threads joined with a timeout: a hang fails the
     # test instead of pytest.
@@ -290,7 +290,7 @@ def test_one_reentrant_lock_grows_every_table(empty_tables, monkeypatch, hz_recu
         return count_recursive, (sig,), hz_recurrence[g][n]
 
     def fact(n):
-        return factorial, (n,), math.factorial(n)
+        return exact._factorial, (n,), math.factorial(n)
 
     fresh()
     run([[tanh(20, 41)]])
@@ -311,7 +311,7 @@ def test_one_reentrant_lock_grows_every_table(empty_tables, monkeypatch, hz_recu
 
 def test_full_tables_hold_under_600_kb(empty_tables):
     cap = formula._TABLE_GENUS
-    factorial(2 * cap + 1)  # the factorial table's own growth is not counted
+    exact._factorial(2 * cap + 1)  # the factorial table's own growth is not counted
     tracemalloc.start()
     try:
         s = _scales(cap)
