@@ -395,7 +395,7 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
                 genus, sizes = code & _MASK, _sizes(code >> _BITS)
                 try:
                     _reach(genus, sizes)
-                    _compute(genus, len(sizes), code, scratch)
+                    scratch[code] = _compute(genus, len(sizes), code, scratch)
                 except DomainError as exc:
                     raise CacheError(
                         f"{file}: entry g={genus}, ns={sizes} cannot be recomputed: {exc}"

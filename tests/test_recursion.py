@@ -451,6 +451,18 @@ def test_verify_names_the_least_disagreeing_key(tmp_path):
         memo_store_load(path, verify=True)
 
 
+def test_verify_checks_genus_zero_one_boundary_entries(tmp_path):
+    # The recursion returns 1 for a disk without storing it, so verify must
+    # keep the recomputed value itself.
+    path = tmp_path / "disk.txt"
+    path.write_text("#gluecount-cache v1\ng=0;ns=3;count=1\n")
+    assert memo_store_load(path, verify=True).entries == {(0, (3,)): 1}
+    path.write_text("#gluecount-cache v1\ng=0;ns=3;count=2\n")
+    with pytest.raises(ConsistencyError) as info:
+        memo_store_load(path, verify=True)
+    assert str(info.value) == f"{path}: entry g=0, ns=(3,) holds 2, recomputed 1"
+
+
 POWER = [1 << 16 * (size + 1) for size in range(64)]
 
 
