@@ -46,7 +46,7 @@ def _labels_arg(text: str) -> tuple[int, ...]:
     return _sizes_arg(text) if text else ()
 
 
-def _cache_arg(text: str) -> str:
+def _path_arg(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("expected a file path, got ''")
     return text
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("closed", "recursive", "brute"), default="closed"
     )
     p_count.add_argument(
-        "--cache", type=_cache_arg, help="memo file to load before / save after (recursive)"
+        "--cache", type=_path_arg, help="memo file to load before / save after (recursive)"
     )
     p_count.set_defaults(func=_cmd_count)
 
@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-holes", type=int, default=0)
     p_table.add_argument("--max-n", type=int, default=0)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--out", help="output path (default: stdout)")
-    p_table.add_argument("--cache", type=_cache_arg, help="warm this memo file while tabulating")
+    p_table.add_argument("--out", type=_path_arg, help="output path (default: stdout)")
+    p_table.add_argument("--cache", type=_path_arg, help="warm this memo file while tabulating")
     p_table.set_defaults(func=_cmd_table)
 
     p_enum = sub.add_parser("enumerate", help="dump gluing-word classes")
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--labels", type=_labels_arg, default=(),
         help="comma-separated distinct free labels (default: none)",
     )
-    p_enum.add_argument("--out", help="output path (default: stdout)")
+    p_enum.add_argument("--out", type=_path_arg, help="output path (default: stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run consistency suites")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)

@@ -49,20 +49,26 @@ Persistence: a CountTable can be saved to / loaded from a small text format,
     g=<int>;ns=<comma-separated sizes, non-increasing>;count=<decimal integer>
 
 with entry lines sorted by (g, ns). The file must be UTF-8: any other byte
-sequence is refused with CacheError naming its byte offset. Unknown versions
-are refused; malformed lines, and keys that do not fit a code, are reported
-with their line number. The saver formats and writes 1024 lines at a
-time; the loader decodes the whole file, then splits it into blocks of
-about as many lines, each cut just after a line feed, and counts lines
-across them. Neither holds every line at once: a save peaks at about four
-times the file's size above the memo, a load at about four times it above
-the table it returns (tracemalloc, the 18,642-entry, 0.56 MiB file of a g <= 3,
-L <= 4, n <= 5 memo: 2.2 and 2.3 MiB). The loader codes each distinct
-sizes text once: from the code of its tail (the text after its first comma)
-when an earlier line holds that tail, as it does for 97 % of the texts in a
-saved file, and by splitting and checking it in full otherwise. The 31,142
-entries of a g <= 3, L <= 5, n <= 4 memo load in 78-115 ms (median 100 ms)
-on a 2-vCPU Xeon with CPython 3.11.
+sequence is refused with CacheError naming its byte offset, before any
+error of a line. Unknown versions are refused; malformed lines, and keys
+that do not fit a code, are reported with their line number. The saver
+formats and writes 1024 lines at a time. The loader streams the file: it
+reads 32 KiB at a time through one incremental UTF-8 decoder, cuts the
+text just after the last line feed of each read, and counts lines across
+the blocks. When it refuses a line, it decodes the rest of the file first,
+so that an undecodable byte further on is still the error raised. Neither
+holds every line at once: a save peaks at about four times the file's size
+above the memo, a load at up to three times it above the table it
+returns (tracemalloc: for the 18,642-entry, 0.56 MiB file of a g <= 3,
+L <= 4, n <= 5 memo, 2.2 MiB for a save and 1.2 MiB for a load; for the
+3.1 MiB file of the g = 14 memo of (1,), 8.2 MiB for a load). The loader
+codes each distinct sizes text once: from the code of its tail (the text
+after its first comma) when an earlier line holds that tail, as it does
+for 97 % of the texts in a saved file, and by splitting and checking it in
+full otherwise. A genus-0 entry is keyed by that same code, so the index of
+sizes texts holds no second copy of the codes it shares with the table.
+The 31,142 entries of a g <= 3, L <= 5, n <= 4 memo load in 60-100 ms on a
+2-vCPU Xeon with CPython 3.11.
 `memo_store_load(path, verify=True)` re-derives every entry with a scratch
 table (never seeded from the file) once the file's text and its index of
 sizes texts are freed, so on that memo it peaks no higher than a plain
@@ -73,11 +79,13 @@ symlink writes the file the link points to and keeps the link.
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator, Mapping, Sequence
+from contextlib import closing
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -90,8 +98,8 @@ __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"
 
 _HEADER = "#gluecount-cache v1"
 _LINE_RE = re.compile(r"g=(\d+);ns=([\d,]+);count=(\d+)")
-# A save formats and writes _BLOCK lines at a time; a load splits its text
-# _BLOCK * 32 characters at a time, about as many lines of a saved file.
+# A save formats and writes _BLOCK lines at a time; a load reads _BLOCK * 32
+# bytes at a time, about as many lines of a saved file.
 _BLOCK = 1024
 
 # A decoded memo key: (genus, sizes sorted non-increasing).
@@ -385,8 +393,8 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
     file = Path(path)
     if not file.exists():
         return CountTable()
-    # The file's text, its lines and the sizes-text index are gone once
-    # _read returns, before any recompute.
+    # The file's text blocks, their lines and the sizes-text index are gone
+    # once _read returns, before any recompute.
     entries = _read(file)
     if verify:
         scratch: dict[int, int] = {}
@@ -414,15 +422,52 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
 
 def _read(file: Path) -> dict[int, int]:
     """The entries {code: count} that the cache file `file` holds."""
-    # The whole file is decoded first, so an undecodable byte is reported,
-    # with its offset, before any line is.
-    try:
-        text = file.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CacheError(
-            f"{file}: not UTF-8 text: {exc.reason} at byte offset {exc.start}"
-        ) from None
-    lines = chain.from_iterable(map(str.splitlines, _blocks(text)))
+    # A line's error waits until the rest of the file is decoded, so an
+    # undecodable byte anywhere is reported, with its offset, before it.
+    with closing(_blocks(file)) as blocks:
+        try:
+            return _parse(file, chain.from_iterable(map(str.splitlines, blocks)))
+        except CacheError as exc:
+            error = exc
+        deque(blocks, maxlen=0)
+    raise error
+
+
+def _blocks(file: Path) -> Iterator[str]:
+    """The text of `file`, read _BLOCK * 32 bytes at a time through one
+    UTF-8 decoder and cut into blocks. Each block but the last ends just
+    after a "\\n", so no line or "\\r\\n" spans two blocks, and the blocks'
+    lines are the lines of the file's text. An undecodable byte raises
+    CacheError naming its offset in the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    rest = ""  # the text read since the last "\n"
+    with open(file, "rb") as handle:
+        while True:
+            data = handle.read(_BLOCK * 32)
+            # The file offset of the decoder's input: it holds back the bytes
+            # of a character that the last read cut.
+            start = read - len(decoder.getstate()[0])
+            read += len(data)
+            try:
+                text = decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                raise CacheError(
+                    f"{file}: not UTF-8 text: {exc.reason} at byte offset {start + exc.start}"
+                ) from None
+            if not data:
+                break
+            cut = text.rfind("\n") + 1
+            if cut:
+                block, rest = rest + text[:cut], text[cut:]
+                yield block
+            else:
+                rest += text
+    yield rest
+
+
+def _parse(file: Path, lines: Iterator[str]) -> dict[int, int]:
+    """The entries {code: count} that the lines of the cache file `file` hold."""
     header = next(lines, None)
     if header is None:
         raise CacheError(f"{file}: empty file, expected header {_HEADER!r}")
@@ -486,20 +531,11 @@ def _read(file: Path) -> dict[int, int]:
                 f"{file}: line {lineno}: genus {genus} is out of range: it must be below {_FIELD}"
             )
         known = len(entries)
-        entries[genus + part] = count
+        # A genus-0 key is the index's own code: the index holds no copy of it.
+        entries[genus + part if genus else part] = count
         if len(entries) == known:
             raise CacheError(
                 f"{file}: line {lineno}: duplicate key g={genus}, ns={_sizes(part >> _BITS)}"
             )
     return entries
 
-
-def _blocks(text: str) -> Iterator[str]:
-    """`text` cut into blocks of about _BLOCK lines. Each block but the last
-    ends just after a "\\n", so no line or "\\r\\n" spans two blocks, and
-    the blocks' lines are the lines of `text`.splitlines()."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK * 32) + 1 or len(text)
-        yield text[start:end]
-        start = end

@@ -137,6 +137,26 @@ def test_empty_cache_path_is_refused(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-genus", "1", "--max-holes", "1", "--max-n", "2"],
+        ["enumerate", "--N", "2"],
+    ],
+    ids=["table", "enumerate"],
+)
+def test_empty_out_path_is_refused(capsys, tmp_path, monkeypatch, argv):
+    # An unset shell variable passed as --out "$FILE" used to print the
+    # output to stdout and exit 0.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"gluecount {argv[0]}: error: argument --out: expected a file path, got ''"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_save_into_missing_directory_names_the_cache(capsys, tmp_path):
     cache = tmp_path / "missing" / "memo.txt"
     code, out, err = run(

@@ -818,6 +818,11 @@ def test_cache_io_holds_one_block_of_lines(tmp_path, monkeypatch):
     assert peak - held < 6 * size
     table, held, peak = _traced(lambda: memo_store_load(path))
     assert peak - held < 5 * size
+    # Read and decoded a chunk at a time, with the sizes-text index sharing
+    # the genus-0 codes of the table, a plain load stays below 3.5 times;
+    # the loader that decoded the whole file and kept its own codes peaked
+    # at 4.1 times.
+    assert peak - held < 3.5 * size, (peak - held) / size
 
     # Tracing stops where the recompute starts, which it would slow 30-fold.
     at_start = []
@@ -838,8 +843,8 @@ def test_cache_io_holds_one_block_of_lines(tmp_path, monkeypatch):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Save two lines a block and load 64 characters a block, two to four
-    lines of the test files, so that block edges fall all over them."""
+    """Save two lines a block and load 64 bytes a read, two to four lines
+    of the test files, so that block and read edges fall all over them."""
     monkeypatch.setattr(recursion, "_BLOCK", 2)
 
 
@@ -946,3 +951,86 @@ def test_load_matches_reference_with_an_odd_line_anywhere(grid_files, tmp_path, 
             assert outcome[1].startswith(f"{path}: line {at + 1}: malformed entry"), outcome
         else:
             assert isinstance(outcome, CountTable)
+
+
+def _cut_by_a_read(data, piece, keep):
+    """`data`, the bytes of a cache file, with blank lines put in before the
+    line that holds the first `piece`, so that one of the loader's reads
+    ends just after the first `keep` bytes of that `piece`."""
+    at = data.index(piece)
+    start = data.rindex(b"\n", 0, at) + 1
+    return data[:start] + b"\n" * (-(at + keep) % (recursion._BLOCK * 32)) + data[start:]
+
+
+# A line whose end, or whose sizes, hold a character or line break that a
+# read can cut: (the line, the piece to cut, how many of its bytes go first).
+CUT = {
+    "arabic-indic-digit": ("g=0;ns=\u0663;count=1\n", "\u0663", 1),
+    "line-separator-1": ("g=0;ns=3;count=1\u2028", "\u2028", 1),
+    "line-separator-2": ("g=0;ns=3;count=1\u2028", "\u2028", 2),
+    "crlf": ("g=0;ns=3;count=1\r\n", "\r\n", 1),
+}
+
+
+@pytest.mark.parametrize("kind", CUT)
+def test_a_character_or_crlf_cut_by_a_read_loads_as_before(tmp_path, blocks, kind):
+    line, piece, keep = CUT[kind]
+    path = tmp_path / "cut.txt"
+    head = "#gluecount-cache v1\ng=0;ns=1;count=1\ng=0;ns=2;count=1\n" + line
+    data = _cut_by_a_read((head + "g=0;ns=4;count=1\n").encode(), piece.encode(), keep)
+    data.decode("utf-8")  # only a read cuts the character
+    path.write_bytes(data)
+    outcome = _assert_loads_like_reference(path)
+    assert outcome.entries == {(0, (size,)): 1 for size in range(1, 5)}
+    # The line after the cut is counted as one line, not two.
+    data = _cut_by_a_read((head + "g=0;ns=4;count=x\n").encode(), piece.encode(), keep)
+    path.write_bytes(data)
+    lineno = len(data.decode("utf-8").splitlines())
+    assert _assert_loads_like_reference(path) == (
+        CacheError, f"{path}: line {lineno}: malformed entry 'g=0;ns=4;count=x'"
+    )
+
+
+# Undecodable bytes, each after a chunk's worth of blank lines so that it is
+# read after the line that holds the file's first line error: (the bytes
+# with the fault, the piece a read cuts or None, how many of its bytes go
+# first). A cut sequence is refused at its first byte, in the read before.
+UNDECODABLE = {
+    "invalid-start": (b"g=0;ns=1;count=1\xff\n", None, 0),
+    "cut-sequence": (b"g=0;ns=1;count=1\xe2\x82;\n", b"\xe2\x82;", 2),
+    "truncated-at-end": (b"g=0;ns=1;count=1\xf0\x9f", None, 0),
+}
+LINE_FAULTS = {
+    "header": ("#gluecount-cache v2", "g=0;ns=2;count=1"),
+    "malformed": ("#gluecount-cache v1", "g=0;ns=2;count=x"),
+    "duplicate": ("#gluecount-cache v1", "g=0;ns=1;count=1"),
+}
+
+
+@pytest.mark.parametrize("fault", LINE_FAULTS)
+@pytest.mark.parametrize("bad", UNDECODABLE)
+def test_an_undecodable_byte_read_after_a_line_error_comes_first(tmp_path, blocks, fault, bad):
+    chunk = recursion._BLOCK * 32
+    header, faulty = LINE_FAULTS[fault]
+    tail, piece, keep = UNDECODABLE[bad]
+    # The euro sign straddles the end of the first read, whose lines hold
+    # the line error, so the rest of the file decodes only in the same
+    # decoder that holds its first byte.
+    data = _cut_by_a_read(
+        f"{header}\ng=0;ns=1;count=1\n{faulty}\n\u20ac\n".encode(), "\u20ac".encode(), 1
+    ) + b"\n" * chunk + tail
+    assert data.index("\u20ac".encode()) == chunk - 1
+    if piece is not None:
+        data = _cut_by_a_read(data, piece, keep)
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as decoded:
+        data.decode("utf-8")
+    assert decoded.value.start >= 2 * chunk
+    with pytest.raises(CacheError) as info:
+        memo_store_load(path)
+    assert str(info.value) == (
+        f"{path}: not UTF-8 text: {decoded.value.reason} at byte offset {decoded.value.start}"
+    )
+    with pytest.raises(UnicodeDecodeError, match=decoded.value.reason):
+        reference_loader.load(path)
