@@ -11,7 +11,9 @@ that produce a prescribed surface, exactly:
 * `count_brute`      - walk of the chord diagrams of the glued edges (few of them)
 * `hz_sum` / `hz_tanh` / `hz_from_gluing_counts`
                      - the classical closed-surface (Harer-Zagier) numbers by
-                       three independent routes
+                       three routes that share the closed formula's series
+                       code; `verify` checks them against the Harer-Zagier
+                       recurrence, which shares none of it
 
 All arithmetic is on integers and exact; nothing here ever rounds.
 """

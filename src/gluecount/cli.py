@@ -111,12 +111,26 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_recursive(sig: SurfaceSignature, closed: int, recursive: int) -> None:
-    if recursive != closed:
-        raise ConsistencyError(
-            f"closed and recursive disagree at g={sig.genus}, "
-            f"ns={list(sig.sorted_sizes())}: {closed} vs {recursive}"
-        )
+def _cached_recursive(sigs: Sequence[SurfaceSignature], cache: str) -> list[int]:
+    """Each signature's count by the recursion on the memo in `cache`,
+    saved if it grew. Entries loaded from the file are trusted as written,
+    so every answer is checked against its closed count first, and nothing
+    is printed or saved before all of them agree."""
+    memo = memo_store_load(cache)
+    loaded = len(memo)
+    values = []
+    for sig in sigs:
+        value = count_recursive(sig, memo)
+        closed = count_closed(sig)
+        if value != closed:
+            raise ConsistencyError(
+                f"closed and recursive disagree at g={sig.genus}, "
+                f"ns={list(sig.sorted_sizes())}: {closed} vs {value}"
+            )
+        values.append(value)
+    if len(memo) > loaded:
+        memo_store_save(memo, cache)
+    return values
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -125,18 +139,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     sig = SurfaceSignature(args.genus, args.holes)
     if args.method == "closed":
         value = count_closed(sig)
-    elif args.method == "recursive":
-        memo = memo_store_load(args.cache) if args.cache is not None else CountTable()
-        loaded = len(memo)
-        value = count_recursive(sig, memo)
-        if args.cache is not None:
-            # Entries loaded from the file are trusted as written, so the
-            # answer they produced is checked before it is printed or saved.
-            _check_recursive(sig, count_closed(sig), value)
-            if len(memo) > loaded:
-                memo_store_save(memo, args.cache)
-    else:
+    elif args.method == "brute":
         value = count_brute(sig)
+    elif args.cache is None:
+        value = count_recursive(sig, CountTable())
+    else:
+        [value] = _cached_recursive([sig], args.cache)
     print(value)
     return 0
 
@@ -156,32 +164,29 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for flag, bound in bounds:
         if bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
-    memo = memo_store_load(args.cache) if args.cache is not None else None
-    loaded = len(memo) if memo is not None else 0
-    rows = []
-    for sig in iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n):
-        value = count_closed(sig)
-        if memo is not None:
-            _check_recursive(sig, value, count_recursive(sig, memo))
-        rows.append((sig.genus, sig.sorted_sizes(), value))
+    sigs = iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n)
+    if args.cache is None:
+        rows = ((sig, count_closed(sig)) for sig in sigs)
+    else:
+        sigs = list(sigs)
+        rows = zip(sigs, _cached_recursive(sigs, args.cache))
 
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["g", "ns", "count"])
-        for genus, sizes, value in rows:
-            writer.writerow([genus, "|".join(str(n) for n in sizes), str(value)])
+        for sig, value in rows:
+            sizes = "|".join(str(n) for n in sig.sorted_sizes())
+            writer.writerow([sig.genus, sizes, str(value)])
         text = buffer.getvalue()
     else:
         payload = [
-            {"g": genus, "ns": list(sizes), "count": str(value)}
-            for genus, sizes, value in rows
+            {"g": sig.genus, "ns": list(sig.sorted_sizes()), "count": str(value)}
+            for sig, value in rows
         ]
         text = json.dumps(payload, indent=2) + "\n"
 
     _emit(text, args.out)
-    if memo is not None and len(memo) > loaded:
-        memo_store_save(memo, args.cache)
     return 0
 
 

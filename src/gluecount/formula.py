@@ -252,10 +252,7 @@ def count_closed(sig: SurfaceSignature) -> int:
     holes = len(sizes)
     total = sum(sizes)
     zeros = sizes.count(0)
-
-    size_product = 1
-    for n in sizes:
-        size_product *= n if n > 0 else 1
+    size_product = math.prod(filter(None, sizes))  # each m_k = max(n_k, 1)
 
     value, scale = _split_sum(g, sizes)
     numerator = value * size_product * factorial(total + 4 * g + 2 * holes - 3)

@@ -1,4 +1,4 @@
-"""Harer-Zagier numbers by three independent routes, plus classical checks.
+"""Harer-Zagier numbers by three routes, plus classical checks.
 
 eps_g(N) counts complete pairwise gluings of a 2N-gon into a closed
 orientable genus-g surface. Three ways to compute it live here:
@@ -12,6 +12,11 @@ orientable genus-g surface. Three ways to compute it live here:
   with one 1-gon boundary and N-2g punctures is produced by gluings of the
   same 2N-gon with one edge left free, so the polygon count with signature
   (g, [1, 0, ..., 0]) equals eps_g(N).
+
+The routes are not independent: hz_sum and hz_from_gluing_counts both
+evaluate `formula._split_sum`, and hz_tanh shares `formula._power`,
+`_scales` and `_weight_rows` with it. The independent check is
+`verify._hz_recurrence`, which takes integers only.
 
 For N < 2g every route returns 0 (the table's empty cells). All values are
 exact integers.

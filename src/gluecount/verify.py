@@ -1,11 +1,15 @@
-"""Verification suites: each function re-derives a body of counts two ways
-and reports agreement. The CLI `verify` subcommand and the acceptance tests
-both run these.
+"""Verification suites. Most re-derive a body of counts by independent
+routes and report agreement; the structural suite checks invariants of
+every raw word, and the gf-identity suite one generating-function identity.
+Each suite yields its checks to `_run`, which counts them and stops at the
+first failure. The CLI `verify` subcommand and the acceptance tests both
+run these.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -105,98 +109,103 @@ def _hz_recurrence(max_n: int) -> list[list[int]]:
     return eps
 
 
+class _Broken(Exception):
+    """An invariant of the structural suite's set-up, not a counted check."""
+
+
+def _run(name: str, checks: Iterator[bool | str]) -> SuiteResult:
+    """A suite's result from its checks, each True when it holds and its
+    failure text otherwise: the first failure stops the suite, and it is
+    counted. A `_Broken` raised between checks fails the suite uncounted."""
+    checked = 0
+    try:
+        for checked, outcome in enumerate(checks, 1):
+            if outcome is not True:
+                return SuiteResult(name, False, checked, outcome)
+    except _Broken as exc:
+        return SuiteResult(name, False, checked, str(exc))
+    return SuiteResult(name, True, checked)
+
+
 def suite_hz_table(max_agree: int = 60) -> SuiteResult:
     """Classical table by all three routes, plus each route against the
     Harer-Zagier recurrence to N = max_agree (one check per (g, N))."""
-    name = "hz-table-three-routes"
-    checked = 0
-    routes = (("sum", hz_sum), ("series", hz_tanh), ("gluing", hz_from_gluing_counts))
-    for n in range(1, 6):
-        for g in range(0, n // 2 + 2):
-            expected = HZ_TABLE.get((g, n), 0)
-            for label, fn in routes:
-                got = fn(g, n)
-                checked += 1
-                if got != expected:
-                    return SuiteResult(
-                        name, False, checked,
-                        f"{label} route gives {got} at g={g}, N={n}, expected {expected}",
+
+    def checks() -> Iterator[bool | str]:
+        routes = (("sum", hz_sum), ("series", hz_tanh), ("gluing", hz_from_gluing_counts))
+        for n in range(1, 6):
+            for g in range(0, n // 2 + 2):
+                expected = HZ_TABLE.get((g, n), 0)
+                for label, fn in routes:
+                    got = fn(g, n)
+                    yield got == expected or (
+                        f"{label} route gives {got} at g={g}, N={n}, expected {expected}"
                     )
-    eps = _hz_recurrence(max_agree)
-    for n in range(1, max_agree + 1):
-        for g in range(0, n // 2 + 2):
-            a, b, c = hz_sum(g, n), hz_tanh(g, n), hz_from_gluing_counts(g, n)
-            checked += 1
-            if not (a == b == c == eps[g][n]):
-                return SuiteResult(
-                    name, False, checked,
+        eps = _hz_recurrence(max_agree)
+        for n in range(1, max_agree + 1):
+            for g in range(0, n // 2 + 2):
+                a, b, c = hz_sum(g, n), hz_tanh(g, n), hz_from_gluing_counts(g, n)
+                yield a == b == c == eps[g][n] or (
                     f"routes disagree at g={g}, N={n}: recurrence={eps[g][n]}, "
-                    f"sum={a}, series={b}, gluing={c}",
+                    f"sum={a}, series={b}, gluing={c}"
                 )
-    return SuiteResult(name, True, checked)
+
+    return _run("hz-table-three-routes", checks())
 
 
 def suite_closed_vs_recursive(
     max_genus: int = 3, max_holes: int = 4, max_n: int = 6
 ) -> SuiteResult:
     """Closed formula against the cut recursion over ordered size tuples."""
-    name = f"closed-vs-recursive g<={max_genus} L<={max_holes} n<={max_n}"
-    memo = CountTable()
-    checked = 0
-    for g in range(max_genus + 1):
-        for holes in range(1, max_holes + 1):
-            for sizes in itertools.product(range(max_n + 1), repeat=holes):
-                if sum(sizes) == 0:
-                    continue
-                sig = SurfaceSignature(g, sizes)
-                closed = count_closed(sig)
-                recursive = count_recursive(sig, memo)
-                checked += 1
-                if closed != recursive:
-                    return SuiteResult(
-                        name, False, checked,
+
+    def checks() -> Iterator[bool | str]:
+        memo = CountTable()
+        for g in range(max_genus + 1):
+            for holes in range(1, max_holes + 1):
+                for sizes in itertools.product(range(max_n + 1), repeat=holes):
+                    if sum(sizes) == 0:
+                        continue
+                    sig = SurfaceSignature(g, sizes)
+                    closed = count_closed(sig)
+                    recursive = count_recursive(sig, memo)
+                    yield closed == recursive or (
                         f"sig=(g={g}, ns={list(sizes)}): closed={closed}, "
-                        f"recursive={recursive}",
+                        f"recursive={recursive}"
                     )
-    return SuiteResult(name, True, checked)
+
+    return _run(f"closed-vs-recursive g<={max_genus} L<={max_holes} n<={max_n}", checks())
 
 
 def suite_brute_oracle(max_polygon: int = 14) -> SuiteResult:
     """The brute route against the closed formula; N <= 14 is the full-level contract."""
-    name = f"brute-vs-closed N<={max_polygon}"
-    checked = 0
-    for sig in iter_polygon_signatures(max_polygon):
-        brute = count_brute(sig)
-        closed = count_closed(sig)
-        checked += 1
-        if brute != closed:
-            return SuiteResult(
-                name, False, checked,
+
+    def checks() -> Iterator[bool | str]:
+        for sig in iter_polygon_signatures(max_polygon):
+            brute = count_brute(sig)
+            closed = count_closed(sig)
+            yield brute == closed or (
                 f"sig=(g={sig.genus}, ns={list(sig.boundary_sizes)}): "
-                f"brute={brute}, closed={closed}",
+                f"brute={brute}, closed={closed}"
             )
-    return SuiteResult(name, True, checked)
+
+    return _run(f"brute-vs-closed N<={max_polygon}", checks())
 
 
 def suite_gf_identity(order: int = 13) -> SuiteResult:
     """Bivariate generating-function identity, exact through x^order."""
-    name = f"gf-identity K={order}"
-    report = gf_identity_check(order)
-    if not report.holds:
-        return SuiteResult(
-            name, False, 1, f"first discrepancy at (x,y) power {report.first_discrepancy}"
-        )
-    return SuiteResult(name, True, 1)
+
+    def checks() -> Iterator[bool | str]:
+        report = gf_identity_check(order)
+        yield report.holds or f"first discrepancy at (x,y) power {report.first_discrepancy}"
+
+    return _run(f"gf-identity K={order}", checks())
 
 
 def _sphere_reference(sizes: tuple[int, ...]) -> int:
     total = sum(sizes)
     holes = len(sizes)
-    product = 1
-    for n in sizes:
-        product *= n
     return _divide(
-        product * factorial(total + 2 * holes - 3),
+        math.prod(sizes) * factorial(total + 2 * holes - 3),
         factorial(total + holes - 1),
         "sphere reference at ns={}", sizes,
     )
@@ -205,13 +214,10 @@ def _sphere_reference(sizes: tuple[int, ...]) -> int:
 def _torus_reference(sizes: tuple[int, ...]) -> int:
     total = sum(sizes)
     holes = len(sizes)
-    product = 1
-    for n in sizes:
-        product *= n
-    # product/4 * (S+2L+1)!/(S+L+1)! * sum_k (n_k+1)(n_k+2)/6, over one denominator.
+    # prod(ns)/4 * (S+2L+1)!/(S+L+1)! * sum_k (n_k+1)(n_k+2)/6, over one denominator.
     bracket = sum((n + 1) * (n + 2) for n in sizes)
     return _divide(
-        product * factorial(total + 2 * holes + 1) * bracket,
+        math.prod(sizes) * factorial(total + 2 * holes + 1) * bracket,
         24 * factorial(total + holes + 1),
         "torus reference at ns={}", sizes,
     )
@@ -258,53 +264,42 @@ def _torus_printed(sizes: tuple[int, ...]) -> int:
 def suite_specializations(max_catalan: int = 12) -> SuiteResult:
     """Genus-0/1 reductions: Catalan and toric sequences, and the short
     polynomial forms of the sphere and torus counts."""
-    name = "specializations"
-    checked = 0
-    for n in range(1, max_catalan + 1):
-        checked += 1
-        if catalan(n) != hz_sum(0, n):
-            return SuiteResult(name, False, checked, f"catalan mismatch at N={n}")
-    for n in range(2, max_catalan + 1):
-        checked += 1
-        if hz_toric(n) != hz_sum(1, n):
-            return SuiteResult(name, False, checked, f"toric mismatch at N={n}")
-    for holes in range(1, 6):
-        for sizes in itertools.product((1, 2, 3), repeat=holes):
-            sphere = SurfaceSignature(0, sizes)
-            torus = SurfaceSignature(1, sizes)
-            closed0 = count_closed(sphere)
-            closed1 = count_closed(torus)
-            checks = [
-                ("sphere-general", _sphere_reference(sizes), closed0),
-                ("sphere-printed", _sphere_printed(sizes), closed0),
-                ("torus-general", _torus_reference(sizes), closed1),
-            ]
-            if holes <= 4:
-                checks.append(("torus-printed", _torus_printed(sizes), closed1))
-            for label, expected, got in checks:
-                checked += 1
-                if expected != got:
-                    return SuiteResult(
-                        name, False, checked,
+
+    def checks() -> Iterator[bool | str]:
+        for n in range(1, max_catalan + 1):
+            yield catalan(n) == hz_sum(0, n) or f"catalan mismatch at N={n}"
+        for n in range(2, max_catalan + 1):
+            yield hz_toric(n) == hz_sum(1, n) or f"toric mismatch at N={n}"
+        for holes in range(1, 6):
+            for sizes in itertools.product((1, 2, 3), repeat=holes):
+                closed0 = count_closed(SurfaceSignature(0, sizes))
+                closed1 = count_closed(SurfaceSignature(1, sizes))
+                forms = [
+                    ("sphere-general", _sphere_reference(sizes), closed0),
+                    ("sphere-printed", _sphere_printed(sizes), closed0),
+                    ("torus-general", _torus_reference(sizes), closed1),
+                ]
+                if holes <= 4:
+                    forms.append(("torus-printed", _torus_printed(sizes), closed1))
+                for label, expected, got in forms:
+                    yield expected == got or (
                         f"{label} mismatch at ns={list(sizes)}: "
-                        f"formula={expected}, closed={got}",
+                        f"formula={expected}, closed={got}"
                     )
-    return SuiteResult(name, True, checked)
+
+    return _run("specializations", checks())
 
 
 def suite_row_sums(max_n: int = 10) -> SuiteResult:
     """Sum over genus of the closed-gluing numbers equals (2N-1)!!."""
-    name = f"row-sums N<={max_n}"
-    checked = 0
-    for n in range(1, max_n + 1):
-        row = sum(hz_sum(g, n) for g in range(0, n // 2 + 1))
-        expected = _double_factorial_odd(n)
-        checked += 1
-        if row != expected:
-            return SuiteResult(
-                name, False, checked, f"row N={n} sums to {row}, expected {expected}"
-            )
-    return SuiteResult(name, True, checked)
+
+    def checks() -> Iterator[bool | str]:
+        for n in range(1, max_n + 1):
+            row = sum(hz_sum(g, n) for g in range(0, n // 2 + 1))
+            expected = _double_factorial_odd(n)
+            yield row == expected or f"row N={n} sums to {row}, expected {expected}"
+
+    return _run(f"row-sums N<={max_n}", checks())
 
 
 def _index(
@@ -357,42 +352,37 @@ def suite_structural(max_polygon: int = 9) -> SuiteResult:
     label cycles, traced by label (`_trace`), are the pairing's cycles
     relabelled by `gluing._relabel`. Labels only rename slots, so the
     position cycles relabelled by the placement give what the slot cycles
-    relabelled by the placed word's labels give.
+    relabelled by the placed word's labels give. A pairing that breaks one
+    of its own invariants fails the suite without counting a check.
     """
-    name = f"structural-invariants N<={max_polygon}"
-    checked = 0
-    for n in range(1, max_polygon + 1):
-        for free in range(n % 2, n + 1, 2):
-            labels = tuple(range(1, free + 1))
-            for free_pos, mu in _iter_topologies(n, free):
-                try:
-                    genus, punctures, cycles = _topology(n, mu)
-                except GluecountError as exc:
-                    return SuiteResult(
-                        name, False, checked, f"walk or classify failed for mu={mu}: {exc}"
-                    )
-                if sorted(itertools.chain.from_iterable(cycles)) != list(free_pos):
-                    return SuiteResult(
-                        name, False, checked,
-                        f"boundary walks do not partition the free slots for mu={mu}",
-                    )
-                holes = len(cycles) + punctures
-                if free + 4 * genus + 2 * holes - 2 != n:
-                    return SuiteResult(
-                        name, False, checked,
-                        f"size bookkeeping broken for mu={mu}: "
-                        f"sum={free}, g={genus}, holes={holes}, n={n}",
-                    )
-                positions, succ = _index(free_pos, cycles)
-                for perm in itertools.permutations(labels):
-                    checked += 1
-                    if _trace(succ, perm) != list(_relabel(positions, perm)):
-                        return SuiteResult(
-                            name, False, checked,
-                            f"relabelled cycles differ from the traced ones for "
-                            f"mu={mu}, labels={_placed(n, free_pos, perm)}",
+
+    def checks() -> Iterator[bool | str]:
+        for n in range(1, max_polygon + 1):
+            for free in range(n % 2, n + 1, 2):
+                labels = tuple(range(1, free + 1))
+                for free_pos, mu in _iter_topologies(n, free):
+                    try:
+                        genus, punctures, cycles = _topology(n, mu)
+                    except GluecountError as exc:
+                        raise _Broken(f"walk or classify failed for mu={mu}: {exc}") from exc
+                    if sorted(itertools.chain.from_iterable(cycles)) != list(free_pos):
+                        raise _Broken(
+                            f"boundary walks do not partition the free slots for mu={mu}"
                         )
-    return SuiteResult(name, True, checked)
+                    holes = len(cycles) + punctures
+                    if free + 4 * genus + 2 * holes - 2 != n:
+                        raise _Broken(
+                            f"size bookkeeping broken for mu={mu}: "
+                            f"sum={free}, g={genus}, holes={holes}, n={n}"
+                        )
+                    positions, succ = _index(free_pos, cycles)
+                    for perm in itertools.permutations(labels):
+                        yield _trace(succ, perm) == list(_relabel(positions, perm)) or (
+                            f"relabelled cycles differ from the traced ones for "
+                            f"mu={mu}, labels={_placed(n, free_pos, perm)}"
+                        )
+
+    return _run(f"structural-invariants N<={max_polygon}", checks())
 
 
 def run_suites(level: str = "quick") -> list[SuiteResult]:

@@ -158,14 +158,19 @@ def test_empty_out_path_is_refused(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_cache_save_into_missing_directory_names_the_cache(capsys, tmp_path):
+    # The save comes before any output, so a failed one prints no count or
+    # table and writes no --out file.
     cache = tmp_path / "missing" / "memo.txt"
-    code, out, err = run(
-        capsys, "count", "--genus", "1", "--holes", "2",
-        "--method", "recursive", "--cache", str(cache),
-    )
-    assert (code, out) == (1, "")
-    assert err == f"io error: [Errno 2] No such file or directory: '{cache}'\n"
-    assert list(tmp_path.iterdir()) == []
+    table = ["table", "--max-genus", "1", "--max-holes", "1", "--max-n", "2"]
+    for argv in (
+        ["count", "--genus", "1", "--holes", "2", "--method", "recursive"],
+        table,
+        [*table, "--out", str(tmp_path / "table.csv")],
+    ):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (1, ""), argv
+        assert err == f"io error: [Errno 2] No such file or directory: '{cache}'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_count_recursive_too_deep_is_exit_two(capsys):

@@ -4,10 +4,73 @@ word by label."""
 
 import itertools
 
-from gluecount import SurfaceSignature, count_closed
+import pytest
+
+from gluecount import SurfaceSignature, count_closed, count_recursive, hz_sum
 from gluecount.errors import ConsistencyError
 from gluecount.gluing import _iter_topologies, _placed, _topology
-from gluecount.verify import _index, _trace, suite_brute_oracle, suite_structural
+from gluecount.hz import GfIdentityReport
+from gluecount.verify import (
+    _index,
+    _trace,
+    suite_brute_oracle,
+    suite_closed_vs_recursive,
+    suite_gf_identity,
+    suite_hz_table,
+    suite_row_sums,
+    suite_specializations,
+    suite_structural,
+)
+
+
+def hz_sum_off_at(genus, n):
+    def off_by_one(g, big_n):
+        return hz_sum(g, big_n) + ((g, big_n) == (genus, n))
+
+    return off_by_one
+
+
+def recursive_off_by_one(sig, memo):
+    return count_recursive(sig, memo) + (sig == SurfaceSignature(1, (2, 0)))
+
+
+def closed_off_by_one(sig):
+    return count_closed(sig) + (sig == SurfaceSignature(1, (1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "target, patch, suite, expected",
+    [
+        (
+            "hz_sum", hz_sum_off_at(1, 7), lambda: suite_hz_table(60),
+            (False, 71, "routes disagree at g=1, N=7: recurrence=12012, "
+             "sum=12013, series=12012, gluing=12012"),
+        ),
+        (
+            "count_recursive", recursive_off_by_one, lambda: suite_closed_vs_recursive(2, 2, 2),
+            (False, 18, "sig=(g=1, ns=[2, 0]): closed=49, recursive=50"),
+        ),
+        (
+            "count_closed", closed_off_by_one, lambda: suite_specializations(12),
+            (False, 94, "torus-general mismatch at ns=[1, 2, 3]: formula=16302, closed=16303"),
+        ),
+        (
+            "hz_sum", hz_sum_off_at(1, 7), lambda: suite_row_sums(10),
+            (False, 7, "row N=7 sums to 135136, expected 135135"),
+        ),
+        (
+            "gf_identity_check", lambda order: GfIdentityReport(False, (3, 2), order),
+            lambda: suite_gf_identity(13),
+            (False, 1, "first discrepancy at (x,y) power (3, 2)"),
+        ),
+    ],
+    ids=["hz-table", "closed-vs-recursive", "specializations", "row-sums", "gf-identity"],
+)
+def test_suite_reports_first_failure(monkeypatch, target, patch, suite, expected):
+    # Each suite stops at its first failed check, counts it, and names it.
+    monkeypatch.setattr(f"gluecount.verify.{target}", patch)
+    result = suite()
+    assert (result.passed, result.checked, result.failure) == expected
 
 
 def test_brute_oracle_reports_first_disagreement(monkeypatch):
