@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ConsistencyError, DomainError
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import AllPuncturesError, SignatureError
 from .exact import _divide, _grown, _factorial as factorial
@@ -40,8 +40,53 @@ from .exact import _divide, _grown, _factorial as factorial
 __all__ = ["SurfaceSignature", "count_closed", "polygon_size"]
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its two or more fields in `__slots__` and sets each
+    once in its `__init__` through `object.__setattr__`. An instance equals
+    only an instance of the same class with equal fields, hashes as the
+    tuple of its fields, reprs as `Name(field=value, ...)`, refuses
+    assignment and deletion with `AttributeError`, and pickles and copies
+    by calling its class on its fields. It is written out so that no
+    command pays for importing the standard library's class generator, which
+    took a third of the start-up.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+        # One getter per class reads all the fields in one C call; a
+        # generator over the names made hashing 4 and equality 12 times slower.
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields(self)
+
+
+class SurfaceSignature(_Frozen):
     """Target surface: genus plus the multiset of boundary sizes.
 
     Invalid combinations are rejected at construction time, so any instance
@@ -49,21 +94,21 @@ class SurfaceSignature:
     outside the scope of every counting route and gets its own error.
     """
 
+    __slots__ = ("genus", "boundary_sizes")
     genus: int
     boundary_sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        sizes = tuple(self.boundary_sizes)
-        object.__setattr__(self, "boundary_sizes", sizes)
+    def __init__(self, genus: int, boundary_sizes: tuple[int, ...]) -> None:
+        sizes = tuple(boundary_sizes)
         # A bool is an int to Python, but no genus or size. A float equal to
         # an int would hash as that int in the caches of every route.
-        if type(self.genus) is not int:
-            raise SignatureError(f"genus must be an integer, got {self.genus!r}")
+        if type(genus) is not int:
+            raise SignatureError(f"genus must be an integer, got {genus!r}")
         for n in sizes:
             if type(n) is not int:
                 raise SignatureError(f"boundary sizes must be integers, got {n!r}")
-        if self.genus < 0:
-            raise SignatureError(f"genus must be >= 0, got {self.genus}")
+        if genus < 0:
+            raise SignatureError(f"genus must be >= 0, got {genus}")
         if len(sizes) < 1:
             raise SignatureError("at least one boundary component is required")
         for n in sizes:
@@ -73,6 +118,19 @@ class SurfaceSignature:
             raise AllPuncturesError(
                 "all-punctures unsupported: at least one boundary size must be positive"
             )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_sizes", sizes)
+
+    # Signatures are the values callers compare and key tables by, so these
+    # two read the fields by name: through the base's getter each call took
+    # 40-70 % longer (CPython 3.10-3.13).
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.genus, self.boundary_sizes) == (other.genus, other.boundary_sizes)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.boundary_sizes))
 
     @property
     def holes(self) -> int:

@@ -57,8 +57,7 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -67,7 +66,7 @@ from .errors import (
     ParityError,
 )
 from .exact import _divide, _integer
-from .formula import SurfaceSignature, polygon_size
+from .formula import SurfaceSignature, _Frozen, polygon_size
 
 __all__ = [
     "GluingWord",
@@ -88,21 +87,19 @@ _WORD_BUDGET = 200_000
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
 
-@dataclass(frozen=True)
-class GluingWord:
+class GluingWord(_Frozen):
     """One polygon word: per-slot partner index (-1 = free) and free labels.
 
     `labels[i]` is the positive label of free slot i and 0 at glued slots.
     """
 
+    __slots__ = ("pairing", "labels")
     pairing: tuple[int, ...]
     labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        pairing = tuple(self.pairing)
-        labels = tuple(self.labels)
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, pairing: tuple[int, ...], labels: tuple[int, ...]) -> None:
+        pairing = tuple(pairing)
+        labels = tuple(labels)
         n = len(pairing)
         if n < 1:
             raise DomainError("a gluing word needs at least one slot")
@@ -130,6 +127,8 @@ class GluingWord:
                 raise DomainError(f"slots {i} and {partner} do not pair mutually")
             if labels[i] != 0:
                 raise DomainError(f"glued slot {i} must carry label 0")
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -163,22 +162,33 @@ class GluingWord:
         return cls(tuple(pairing), tuple(labels))
 
 
-@dataclass(frozen=True)
-class GluedSurface:
+class GluedSurface(_Frozen):
     """What a gluing word builds: its traced boundary label cycles (each
     from its least label, the cycles sorted), its punctures and its genus."""
 
+    __slots__ = ("boundary_cycles", "puncture_count", "genus")
     boundary_cycles: tuple[tuple[int, ...], ...]
     puncture_count: int
     genus: int
 
+    def __init__(
+        self, boundary_cycles: tuple[tuple[int, ...], ...], puncture_count: int, genus: int
+    ) -> None:
+        object.__setattr__(self, "boundary_cycles", boundary_cycles)
+        object.__setattr__(self, "puncture_count", puncture_count)
+        object.__setattr__(self, "genus", genus)
 
-@dataclass(frozen=True)
-class CanonicalWord:
+
+class CanonicalWord(_Frozen):
     """Rotation- and renaming-invariant key for a gluing word."""
 
+    __slots__ = ("size", "encoded")
     size: int
     encoded: tuple[int, ...]
+
+    def __init__(self, size: int, encoded: tuple[int, ...]) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "encoded", encoded)
 
     def text(self) -> str:
         """Human-readable form: pair ids as letters, free labels as integers."""

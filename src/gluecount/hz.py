@@ -37,13 +37,11 @@ cross-multiplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formula
 from .errors import DomainError
 from .exact import _divide, _double_factorial_odd, _grown, _integer, _factorial as factorial
 from .formula import (
-    SurfaceSignature, _power, _scales, _split_sum, _weight_rows, count_closed,
+    SurfaceSignature, _Frozen, _power, _scales, _split_sum, _weight_rows, count_closed,
 )
 
 __all__ = [
@@ -169,13 +167,18 @@ def hz_toric(n: int) -> int:
     return _divide(factorial(2 * n), denominator, "hz_toric at N={}", n)
 
 
-@dataclass(frozen=True)
-class GfIdentityReport:
+class GfIdentityReport(_Frozen):
     """Outcome of gf_identity_check: exact equality or the first bad spot."""
 
+    __slots__ = ("holds", "first_discrepancy", "order")
     holds: bool
     first_discrepancy: tuple[int, int] | None
     order: int
+
+    def __init__(self, holds: bool, first_discrepancy: tuple[int, int] | None, order: int) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "first_discrepancy", first_discrepancy)
+        object.__setattr__(self, "order", order)
 
 
 def _ratio_power_coeffs(order: int) -> list[list[int]]:

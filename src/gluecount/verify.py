@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import GluecountError
 from .exact import _divide, _double_factorial_odd, _factorial as factorial
-from .formula import SurfaceSignature, count_closed
+from .formula import SurfaceSignature, _Frozen, count_closed
 from .gluing import _iter_topologies, _placed, _relabel, _topology, count_brute
 from .hz import catalan, gf_identity_check, hz_from_gluing_counts, hz_sum, hz_tanh, hz_toric
 from .recursion import CountTable, count_recursive
@@ -51,12 +50,18 @@ HZ_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Frozen):
+    __slots__ = ("name", "passed", "checked", "failure")
     name: str
     passed: bool
     checked: int
-    failure: str | None = None
+    failure: str | None
+
+    def __init__(self, name: str, passed: bool, checked: int, failure: str | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failure", failure)
 
     def line(self) -> str:
         if self.passed:
