@@ -18,70 +18,16 @@ that produce a prescribed surface, exactly:
 All arithmetic is on integers and exact; nothing here ever rounds.
 """
 
-from .errors import (
-    AllPuncturesError,
-    CacheError,
-    CacheVersionError,
-    CapExceededError,
-    ConsistencyError,
-    DomainError,
-    GluecountError,
-    ParityError,
-    SignatureError,
-)
-from .formula import SurfaceSignature, count_closed, polygon_size
-from .gluing import (
-    CanonicalWord,
-    GluedSurface,
-    GluingWord,
-    canonicalize,
-    count_brute,
-    enumerate_classes,
-    glue,
-)
-from .hz import (
-    GfIdentityReport,
-    catalan,
-    gf_identity_check,
-    hz_from_gluing_counts,
-    hz_sum,
-    hz_tanh,
-    hz_toric,
-)
-from .recursion import CountTable, count_recursive, memo_store_load, memo_store_save
+from . import errors, formula, gluing, hz, recursion
+from .errors import *
+from .formula import *
+from .gluing import *
+from .hz import *
+from .recursion import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllPuncturesError",
-    "CacheError",
-    "CacheVersionError",
-    "CanonicalWord",
-    "CapExceededError",
-    "ConsistencyError",
-    "CountTable",
-    "DomainError",
-    "GfIdentityReport",
-    "GluecountError",
-    "GluedSurface",
-    "GluingWord",
-    "ParityError",
-    "SignatureError",
-    "SurfaceSignature",
-    "canonicalize",
-    "catalan",
-    "count_brute",
-    "count_closed",
-    "count_recursive",
-    "enumerate_classes",
-    "gf_identity_check",
-    "glue",
-    "hz_from_gluing_counts",
-    "hz_sum",
-    "hz_tanh",
-    "hz_toric",
-    "memo_store_load",
-    "memo_store_save",
-    "polygon_size",
-    "__version__",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = sorted(
+    errors.__all__ + formula.__all__ + gluing.__all__ + hz.__all__ + recursion.__all__
+) + ["__version__"]

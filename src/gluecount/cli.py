@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 from .errors import (
     CacheError,
@@ -29,7 +28,7 @@ from .hz import hz_from_gluing_counts, hz_sum, hz_tanh
 from .recursion import CountTable, count_recursive, memo_store_load, memo_store_save
 from .verify import iter_bounded_signatures, run_suites
 
-__all__ = ["main", "run", "build_parser"]
+__all__ = ["main", "run"]
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
@@ -50,7 +49,7 @@ def _path_arg(text: str) -> str:
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gluecount",
         description="Exact counts of polygon edge gluings by target surface.",
@@ -104,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -229,7 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _main(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -279,10 +279,12 @@ def _canonical(
 ) -> tuple[int, ...]:
     """The least code sequence over all rotations: read from slot r, a glued
     slot takes its partner's code when the partner came earlier and the next
-    fresh code otherwise, and a free slot takes its label plus n // 2 + 1."""
+    fresh code otherwise, and a free slot takes its label plus n // 2 + 1.
+    A row read from a glued slot opens with code 0 and one read from a free
+    slot with more, so only the glued starts are tried when there are any."""
     offset = n // 2 + 1
-    best: list[int] = []
-    for r in range(n):
+    best: list[int] | None = None
+    for r in [r for r in range(n) if mu[r] >= 0] or range(n):
         row: list[int] = []
         fresh = 0
         for t in range(n):
@@ -301,7 +303,7 @@ def _canonical(
             else:
                 row.append(fresh)
                 fresh += 1
-        if not r or row < best:
+        if best is None or row < best:
             best = row
     return tuple(best)
 

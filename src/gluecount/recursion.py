@@ -80,14 +80,14 @@ symlink writes the file the link points to and keeps the link.
 from __future__ import annotations
 
 import codecs
+import errno
 import os
 import re
 import sys
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping, Sequence
-from contextlib import closing
+from contextlib import closing, suppress
 from itertools import chain
-from pathlib import Path
 from types import MappingProxyType
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
@@ -328,12 +328,12 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
     return plain
 
 
-def memo_store_save(memo: CountTable, path: str | Path) -> None:
+def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     """Write `memo` to `path` in the versioned text format (sorted, stable),
     through a temporary file in the same directory that replaces `path` in
     one step: a failed save leaves the old file as it was. A symlinked
     `path` is written through: its target is replaced, and the link kept."""
-    target = Path(path)
+    target = os.fspath(path)
     # Within a genus, codes shifted past the genus field sort as their
     # non-increasing size tuples do: the first size field, from the top,
     # where two codes differ is the first position where the tuples differ.
@@ -344,15 +344,16 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
     # The temporary file sits next to the file a symlink resolves to, so
     # the replace writes through the link; a dangling link gets its target
     # made, as a plain open(path, "w") would make it.
-    real = Path(os.path.realpath(target))
-    tmp = real.with_name(f".{real.name}.{os.urandom(8).hex()}.tmp")
+    real = os.path.realpath(target)
+    folder, name = os.path.split(real)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
     # The saved file gets the mode a plain open(path, "w") would give it: an
     # existing file keeps its mode, a new one gets 0o666 less the umask.
     try:
         handle = open(tmp, "x", encoding="utf-8")
     except OSError as exc:
         # Name the file the caller asked for, not the temporary one.
-        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+        raise OSError(exc.errno, exc.strerror, target) from exc
     try:
         with handle:
             handle.write(_HEADER + "\n")
@@ -375,23 +376,30 @@ def memo_store_save(memo: CountTable, path: str | Path) -> None:
                         f"(see sys.set_int_max_str_digits)"
                     ) from exc
                 handle.write("".join(lines))
-        try:
+        with suppress(FileNotFoundError):
             os.chmod(tmp, os.stat(target).st_mode & 0o7777)
-        except FileNotFoundError:
-            pass
         os.replace(tmp, real)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
-def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
+def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> CountTable:
     """Read a CountTable back from `path`; a missing file yields an empty table.
 
     With verify=True every entry is recomputed from scratch and compared.
     """
-    file = Path(path)
-    if not file.exists():
+    file = os.fspath(path)
+    # Missing by the rule of pathlib's exists(): a path that fails to stat
+    # for one of these reasons, or cannot be encoded, holds no table.
+    try:
+        os.stat(file)
+    except ValueError:
+        return CountTable()
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            raise
         return CountTable()
     # The file's text blocks, their lines and the sizes-text index are gone
     # once _read returns, before any recompute.
@@ -420,7 +428,7 @@ def memo_store_load(path: str | Path, verify: bool = False) -> CountTable:
     return table
 
 
-def _read(file: Path) -> dict[int, int]:
+def _read(file: str) -> dict[int, int]:
     """The entries {code: count} that the cache file `file` holds."""
     # A line's error waits until the rest of the file is decoded, so an
     # undecodable byte anywhere is reported, with its offset, before it.
@@ -433,7 +441,7 @@ def _read(file: Path) -> dict[int, int]:
     raise error
 
 
-def _blocks(file: Path) -> Iterator[str]:
+def _blocks(file: str) -> Iterator[str]:
     """The text of `file`, read _BLOCK * 32 bytes at a time through one
     UTF-8 decoder and cut into blocks. Each block but the last ends just
     after a "\\n", so no line or "\\r\\n" spans two blocks, and the blocks'
@@ -466,7 +474,7 @@ def _blocks(file: Path) -> Iterator[str]:
     yield rest
 
 
-def _parse(file: Path, lines: Iterator[str]) -> dict[int, int]:
+def _parse(file: str, lines: Iterator[str]) -> dict[int, int]:
     """The entries {code: count} that the lines of the cache file `file` hold."""
     header = next(lines, None)
     if header is None:

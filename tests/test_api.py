@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gluecount
-from gluecount import cli, formula
+from gluecount import cli, errors, formula, gluing, hz, recursion
 from gluecount.gluing import _chord_classes
 from gluecount.verify import SuiteResult
 
@@ -57,6 +57,14 @@ def test_public_names_are_pinned():
     assert gluecount.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(gluecount, name) is not None, name
+    # The package publishes exactly its modules' public names, as themselves.
+    modules = (errors, formula, gluing, hz, recursion)
+    assert sorted(name for module in modules for name in module.__all__) == PUBLIC[:-1]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gluecount, name) is getattr(module, name), name
+    assert cli.__all__ == ["main", "run"]
+    assert not hasattr(cli, "build_parser")
 
 
 def test_word_level_helpers_stay_out_of_the_package():
@@ -157,7 +165,7 @@ def test_value_classes_match_by_position_and_keep_defaults():
 def test_import_loads_no_heavy_standard_modules(src_env):
     # Every command is a fresh interpreter, so every module the package
     # imports is paid on each call. -S keeps site from preloading any.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "csv", "pathlib")
     code = (
         "import sys, gluecount, gluecount.cli, gluecount.verify; "
         f"print(*sorted(set({heavy!r}) & sys.modules.keys()))"

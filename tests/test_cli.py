@@ -173,6 +173,20 @@ def test_cache_save_into_missing_directory_names_the_cache(capsys, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_cache_errors_name_the_path_as_given(capsys, tmp_path):
+    # Not normalised: "./" stays in the message as typed.
+    (tmp_path / "memo.txt").write_bytes(b"#gluecount-cache v1\n\xff\n")
+    count = ["count", "--genus", "1", "--holes", "2", "--method", "recursive"]
+    cache = f"{tmp_path}/./memo.txt"
+    code, out, err = run(capsys, *count, "--cache", cache)
+    assert (code, out) == (2, "")
+    assert err == f"error: {cache}: not UTF-8 text: invalid start byte at byte offset 20\n"
+    cache = f"{tmp_path}/./missing/memo.txt"
+    code, out, err = run(capsys, *count, "--cache", cache)
+    assert (code, out) == (1, "")
+    assert err == f"io error: [Errno 2] No such file or directory: '{cache}'\n"
+
+
 def test_count_recursive_too_deep_is_exit_two(capsys):
     holes = ",".join(["1"] * 600)
     code, out, err = run(

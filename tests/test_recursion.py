@@ -1,5 +1,6 @@
 """Cut recursion, memo transparency, and the persistent table format."""
 
+import errno
 import itertools
 import math
 import os
@@ -321,7 +322,22 @@ def test_empty_table_serializes_to_header_only(tmp_path):
 
 
 def test_load_missing_file_gives_empty_table(tmp_path):
-    assert len(memo_store_load(tmp_path / "absent.txt")) == 0
+    # pathlib's exists() rule: a stat that fails with ENOENT, ENOTDIR, ELOOP
+    # or EBADF, or a path that cannot be encoded, means no file; any other
+    # error propagates.
+    (tmp_path / "file.txt").write_text("")
+    (tmp_path / "loop-a.txt").symlink_to("loop-b.txt")
+    (tmp_path / "loop-b.txt").symlink_to("loop-a.txt")
+    for path in (
+        tmp_path / "absent.txt",
+        tmp_path / "file.txt" / "memo.txt",
+        tmp_path / "loop-a.txt",
+        f"{tmp_path}/nul\0.txt",
+    ):
+        assert len(memo_store_load(path)) == 0, path
+    with pytest.raises(OSError) as info:
+        memo_store_load(tmp_path / ("x" * 300))
+    assert info.value.errno == errno.ENAMETOOLONG
 
 
 def test_load_rejects_unknown_version(tmp_path):
