@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     CacheError,
@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     GluecountError,
 )
-from .formula import SurfaceSignature, count_closed
+from .formula import SurfaceSignature, _closed_columns, count_closed
 from .gluing import count_brute, enumerate_classes
 from .hz import hz_from_gluing_counts, hz_sum, hz_tanh
 from .recursion import CountTable, count_recursive, memo_store_load, memo_store_save
@@ -109,21 +109,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cached_recursive(sigs: Sequence[SurfaceSignature], cache: str) -> list[int]:
+def _cached_recursive(sigs: list[SurfaceSignature], closed: Iterable[int], cache: str) -> list[int]:
     """Each signature's count by the recursion on the memo in `cache`,
     saved if it grew. Entries loaded from the file are trusted as written,
-    so every answer is checked against its closed count first, and nothing
+    so every answer is checked against its count in `closed`, taken only
+    after its recursion has refused any signature out of range, and nothing
     is printed or saved before all of them agree."""
     memo = memo_store_load(cache)
     loaded = len(memo)
     values = []
+    closed = iter(closed)
     for sig in sigs:
         value = count_recursive(sig, memo)
-        closed = count_closed(sig)
-        if value != closed:
+        if value != (expected := next(closed)):
             raise ConsistencyError(
                 f"closed and recursive disagree at g={sig.genus}, "
-                f"ns={list(sig.sorted_sizes())}: {closed} vs {value}"
+                f"ns={list(sig.sorted_sizes())}: {expected} vs {value}"
             )
         values.append(value)
     if len(memo) > loaded:
@@ -142,7 +143,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif args.cache is None:
         value = count_recursive(sig, CountTable())
     else:
-        [value] = _cached_recursive([sig], args.cache)
+        [value] = _cached_recursive([sig], map(count_closed, [sig]), args.cache)
     print(value)
     return 0
 
@@ -162,12 +163,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for flag, bound in bounds:
         if bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
-    sigs = iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n)
-    if args.cache is None:
-        rows = ((sig, count_closed(sig)) for sig in sigs)
-    else:
-        sigs = list(sigs)
-        rows = zip(sigs, _cached_recursive(sigs, args.cache))
+    sigs = list(iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n))
+    # Every genus lists the same size tuples in the same order.
+    tuples = [sig.boundary_sizes for sig in sigs if sig.genus == 0]
+    counts = [n for by_genus in zip(*_closed_columns(args.max_genus, tuples)) for n in by_genus]
+    if args.cache is not None:
+        _cached_recursive(sigs, counts, args.cache)
+    rows = zip(sigs, counts)
 
     if args.format == "csv":
         # Every field is digits and "|", which CSV never quotes.

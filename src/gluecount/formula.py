@@ -12,27 +12,23 @@ of the boundaries free; `count_closed` evaluates the number of inequivalent
 such gluings directly, as an exact integer.
 
 The integer series behind it are row tables shared by the process: the
-scales s_i (`_scales`), the product weights w[i][j] (`_weight_rows`) and,
-for each distinct size n of multiplicity c in the splitting sum, the
-coefficients of the factor F_n(t)^c (`_factor`). Row i of each depends only
-on rows below it, never on the genus asked for, so a call extends a table
-through `exact._grown` by the rows it lacks (none at import), and every
-later call reads a prefix. The scales and weights, like the tanh
-coefficients of `hz`, are kept through genus _TABLE_GENUS = 150, where the
-three hold 0.38 MB (tracemalloc, CPython 3.11). The factor tables of the
-last _FACTOR_CACHE_SIZE = 128 pairs (n, c) used are kept through genus
-_FACTOR_GENUS = 40, where 128 of them with sizes and multiplicities below
-4096 hold 0.77 MB (tracemalloc, CPython 3.11). A higher genus computes its
-extra rows once, for that call only: the scales and weights are fetched by
-the entry points `_split_sum` and `hz.hz_tanh` alone, and passed on.
+scales s_i (`_scales`) and the product weights w[i][j] (`_weight_rows`).
+Row i of each depends only on rows below it, never on the genus asked for,
+so a call extends a table through `exact._grown` by the rows it lacks (none
+at import), and every later call reads a prefix. They are kept, like the
+tanh coefficients of `hz`, through genus _TABLE_GENUS = 150, where the three
+hold 0.38 MB (tracemalloc, CPython 3.11). A higher genus computes its extra
+rows once, for that call only: only the entry points fetch them, and pass
+them on. The splitting sum's factors F_n(t)^c are built per call, or once
+per grid of signatures by `_closed_columns`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import Counter
+from collections.abc import Iterator
 
 from .errors import AllPuncturesError, SignatureError
 from .exact import _divide, _grown, _factorial as factorial
@@ -222,31 +218,18 @@ def _power(a: list[int], exponent: int, w: list[list[int]], p: list[int]) -> lis
     return p
 
 
-# The factor row tables of the module docstring.
-_FACTOR_GENUS = 40
-_FACTOR_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _factor_rows(n: int, count: int) -> list[int]:
-    """The shared row table of F_n(t)**count, grown by `_factor`."""
-    return [1]
-
-
 def _factor(n: int, count: int, genus: int, s: list[int], w: list | None) -> list[int]:
     """Scaled coefficients of t^0..t^genus of F_n(t)**count (see
-    `exact._grown` and `_split_sum`), from the scales s and, when count > 1,
-    the weight rows w, through row genus."""
+    `_split_sum`), from the scales s and, when count > 1, the weight rows w,
+    through row genus."""
+    # Exact: 2i+1 divides s_i.
+    f = [math.comb(2 * i + n, n) * (s[i] // (2 * i + 1)) for i in range(genus + 1)]
+    return _power(f, count, w, [1]) if count > 1 else f
 
-    def grow(p: list[int], top: int) -> None:
-        # Exact: 2i+1 divides s_i.
-        f = [math.comb(2 * i + n, n) * (s[i] // (2 * i + 1)) for i in range(top + 1)]
-        if count > 1:
-            _power(f, count, w, p)
-        else:
-            p.extend(f[len(p) :])
 
-    return _grown(_factor_rows(n, count), genus, grow, _FACTOR_GENUS)
+def _times(a: list[int], b: list[int], w: list[list[int]], genus: int) -> list[int]:
+    """Scaled coefficients of t^0..t^genus of a(t)*b(t), at O(genus^2)."""
+    return [sum(w[k][i] * a[i] * b[k - i] for i in range(k + 1)) for k in range(genus + 1)]
 
 
 def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
@@ -256,12 +239,11 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     The coefficient is the sum over splittings p_1+...+p_L = genus of
     prod_k [t^(p_k)] F_{n_k}. F_n is kept as its scaled coefficients
     C(2p+n, n) * s_p/(2p+1). Each distinct size's series is raised to its
-    multiplicity by `_power`, at O(genus^2) integer operations, and these
-    D >= 1 factors are the process's factor row tables (`_factor`). The
-    first D-1 factors are multiplied, truncated at t^genus, at O(genus^2)
-    per product, and only [t^genus] of their product with the last is
-    taken, as one dot product at O(genus). Listing the splittings would
-    take C(genus+L-1, L-1) terms.
+    multiplicity by `_power`, at O(genus^2) integer operations, giving
+    D >= 1 factors (`_factor`). The first D-1 factors are multiplied,
+    truncated at t^genus, at O(genus^2) per product (`_times`), and only
+    [t^genus] of their product with the last is taken, as one dot product
+    at O(genus). Listing the splittings would take C(genus+L-1, L-1) terms.
     """
     s = _scales(genus)
     # One boundary takes no product.
@@ -271,9 +253,37 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     if len(factors) == 1:
         return acc[genus], s[genus]
     for f in factors[1:-1]:
-        acc = [sum(w[k][i] * acc[i] * f[k - i] for i in range(k + 1)) for k in range(genus + 1)]
+        acc = _times(acc, f, w, genus)
     f, wg = factors[-1], w[genus]
     return sum(wg[i] * acc[i] * f[genus - i] for i in range(genus + 1)), s[genus]
+
+
+def _closed_columns(max_genus: int, size_tuples: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    """Each tuple's closed counts at genus 0..max_genus, in turn: a product
+    truncated at t^max_genus serves every lower genus as a prefix, and each
+    (size, multiplicity) factor is built once for all the tuples."""
+    s = _scales(max_genus)
+    # Single boundaries take no product.
+    w = _weight_rows(max_genus, s) if any(len(sizes) > 1 for sizes in size_tuples) else None
+    factors: dict[tuple[int, int], list[int]] = {}
+    for sizes in size_tuples:
+        acc = None
+        for key in Counter(sizes).items():
+            f = factors.get(key)
+            if f is None:
+                f = factors[key] = _factor(*key, max_genus, s, w)
+            acc = f if acc is None else _times(acc, f, w, max_genus)
+        yield [_quotient(g, sizes, acc[g], s[g]) for g in range(max_genus + 1)]
+
+
+def _quotient(genus: int, sizes: tuple[int, ...], value: int, scale: int) -> int:
+    """The closed count from its splitting sum value/scale (see `count_closed`)."""
+    holes, total, zeros = len(sizes), sum(sizes), sizes.count(0)
+    size_product = math.prod(filter(None, sizes))  # each m_k = max(n_k, 1)
+    numerator = value * size_product * factorial(total + 4 * genus + 2 * holes - 3)
+    denominator = scale * factorial(total + 2 * genus + holes - 1) * 4**genus * factorial(zeros)
+    what = "closed formula for SurfaceSignature(genus={}, boundary_sizes={})"
+    return _divide(numerator, denominator, what, genus, sizes)
 
 
 def count_closed(sig: SurfaceSignature) -> int:
@@ -294,14 +304,4 @@ def count_closed(sig: SurfaceSignature) -> int:
     one quotient of integers. It cancels; `exact._divide` checks that it
     did and raises ConsistencyError rather than truncating.
     """
-    g = sig.genus
-    sizes = sig.boundary_sizes
-    holes = len(sizes)
-    total = sum(sizes)
-    zeros = sizes.count(0)
-    size_product = math.prod(filter(None, sizes))  # each m_k = max(n_k, 1)
-
-    value, scale = _split_sum(g, sizes)
-    numerator = value * size_product * factorial(total + 4 * g + 2 * holes - 3)
-    denominator = scale * factorial(total + 2 * g + holes - 1) * 4**g * factorial(zeros)
-    return _divide(numerator, denominator, "closed formula for {}", sig)
+    return _quotient(sig.genus, sig.boundary_sizes, *_split_sum(sig.genus, sig.boundary_sizes))

@@ -281,29 +281,34 @@ def _canonical(
     slot takes its partner's code when the partner came earlier and the next
     fresh code otherwise, and a free slot takes its label plus n // 2 + 1.
     A row read from a glued slot opens with code 0 and one read from a free
-    slot with more, so only the glued starts are tried when there are any."""
+    slot with more, so only the glued starts are tried when there are any.
+    A row is dropped at its first code above the best row's."""
     offset = n // 2 + 1
-    best: list[int] | None = None
+    best: list[int] = []
     for r in [r for r in range(n) if mu[r] >= 0] or range(n):
         row: list[int] = []
         fresh = 0
+        tied = bool(best)  # the row so far equals the best row's prefix
         for t in range(n):
             i = t + r
             if i >= n:
                 i -= n
             partner = mu[i]
             if partner < 0:
-                row.append(offset + labels[i])
-                continue
-            earlier = partner - r
-            if earlier < 0:
-                earlier += n
-            if earlier < t:
-                row.append(row[earlier])
+                code = offset + labels[i]
             else:
-                row.append(fresh)
-                fresh += 1
-        if best is None or row < best:
+                earlier = partner - r + (n if partner < r else 0)
+                if earlier < t:
+                    code = row[earlier]
+                else:
+                    code = fresh
+                    fresh += 1
+            if tied:
+                if code > best[t]:
+                    break
+                tied = code == best[t]
+            row.append(code)
+        else:
             best = row
     return tuple(best)
 

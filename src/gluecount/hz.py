@@ -28,8 +28,8 @@ the coefficients its caller reads, as integers. The splitting sum and
 (x/2)/tanh(x/2) keep each rational coefficient a_m as the integer s_m * a_m,
 on the scales s_m of `formula._scales`; hz_sum and hz_tanh divide s_g back
 out once, at the end, through `exact._divide`. The scaled tanh coefficients
-C_m are a row table shared by the process, like the scales, weights and
-factors of `formula`, and grown by the same `exact._grown`: on demand,
+C_m are a row table shared by the process, like the scales and weights of
+`formula`, and grown by the same `exact._grown`: on demand,
 never at import, and kept only through formula._TABLE_GENUS.
 The generating function keeps k! times its x^k coefficient and is compared
 cross-multiplied.

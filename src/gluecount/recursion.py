@@ -332,7 +332,8 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     """Write `memo` to `path` in the versioned text format (sorted, stable),
     through a temporary file in the same directory that replaces `path` in
     one step: a failed save leaves the old file as it was. A symlinked
-    `path` is written through: its target is replaced, and the link kept."""
+    `path` is written through: its target is replaced, and the link kept. A
+    directory is refused before any file is opened."""
     target = os.fspath(path)
     # Within a genus, codes shifted past the genus field sort as their
     # non-increasing size tuples do: the first size field, from the top,
@@ -345,6 +346,8 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     # the replace writes through the link; a dangling link gets its target
     # made, as a plain open(path, "w") would make it.
     real = os.path.realpath(target)
+    if os.path.isdir(real):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     folder, name = os.path.split(real)
     tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
     # The saved file gets the mode a plain open(path, "w") would give it: an

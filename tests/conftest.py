@@ -1,7 +1,7 @@
 """Shared fixtures: the Harer-Zagier three-term recurrence for eps_g(N),
 CPython's default limit on int <-> str conversion, empty shared series
-tables and factor row tables, and an environment that imports this checkout's
-gluecount in a fresh interpreter."""
+tables, and an environment that imports this checkout's gluecount in a fresh
+interpreter."""
 
 import os
 import sys
@@ -29,22 +29,19 @@ def default_int_digit_limit():
 
 @pytest.fixture
 def empty_tables(monkeypatch):
-    """Give the shared tables of `formula` and `hz` only their row 0, and
-    drop the factor row tables of `formula._split_sum`, for the test, so
-    every row the test needs is computed, and every division behind it
-    made, by the call under test. The fixture's value empties them again;
-    the filled tables are put back after the test, and the factor tables
-    are dropped, so no row built under a test's patches outlives it."""
+    """Give the shared tables of `formula` and `hz` only their row 0 for
+    the test, so every row the test needs is computed, and every division
+    behind it made, by the call under test. The fixture's value empties them
+    again; the filled tables are put back after the test, so no row built
+    under a test's patches outlives it."""
 
     def empty():
         monkeypatch.setattr(formula, "_SCALES", [1])
         monkeypatch.setattr(formula, "_WEIGHTS", [[1]])
         monkeypatch.setattr(hz, "_HALF_RATIO", [1])
-        formula._factor_rows.cache_clear()
 
     empty()
-    yield empty
-    formula._factor_rows.cache_clear()
+    return empty
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from gluecount import (
     memo_store_save,
 )
 from gluecount.cli import main
+from gluecount.verify import iter_bounded_signatures
 
 
 def run(capsys, *argv):
@@ -267,6 +268,23 @@ def test_count_recursive_checks_cached_answer(capsys, tmp_path):
     assert cache.read_text() == "#gluecount-cache v1\ng=1;ns=2;count=999\n"
 
 
+def test_table_cache_checks_cached_answers(capsys, tmp_path):
+    # The bad entry fails the check before anything is printed or written,
+    # and the cache the table warmed in memory is not saved.
+    cache = tmp_path / "memo.txt"
+    cache.write_text("#gluecount-cache v1\ng=1;ns=2;count=999\n")
+    data = cache.read_bytes()
+    out_path = tmp_path / "table.csv"
+    code, out, err = run(
+        capsys, "table", "--max-genus", "1", "--max-holes", "1", "--max-n", "2",
+        "--cache", str(cache), "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "consistency failure: closed and recursive disagree at g=1, ns=[2]: 5 vs 999\n"
+    assert not out_path.exists()
+    assert cache.read_bytes() == data
+
+
 def test_counts_print_at_any_length(capsys, default_int_digit_limit):
     n = 8000
     code, out, _ = run(capsys, "hz", "--genus", "0", "--N", str(n))
@@ -420,6 +438,31 @@ def test_table_json(capsys):
     assert {"g": 0, "ns": [1, 1], "count": "1"} in rows
     assert {"g": 0, "ns": [2, 2], "count": "4"} in rows
     assert all(isinstance(r["count"], str) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    # 45/2/2 runs past genus 40; the last four are edge grids.
+    [(6, 5, 3), (45, 2, 2), (0, 0, 0), (2, 0, 3), (3, 4, 0), (0, 1, 1)],
+    ids=lambda bounds: "/".join(map(str, bounds)),
+)
+def test_table_rows_equal_per_row_counts(capsys, bounds):
+    # `table` takes each size tuple's counts at every genus from one product;
+    # each row must be what `count_closed` gives for that signature alone.
+    rows = [(sig, count_closed(sig)) for sig in iter_bounded_signatures(*bounds)]
+    argv = ["table", *(f"--max-{k}={v}" for k, v in zip(("genus", "holes", "n"), bounds))]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "g,ns,count\n" + "".join(
+        f"{sig.genus},{'|'.join(map(str, sig.boundary_sizes))},{value}\n" for sig, value in rows
+    )
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = [
+        {"g": sig.genus, "ns": list(sig.boundary_sizes), "count": str(value)}
+        for sig, value in rows
+    ]
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_table_out_file_and_cache(capsys, tmp_path):

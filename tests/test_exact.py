@@ -191,9 +191,9 @@ EXACT_DIVISIONS = [
 
 @pytest.mark.parametrize("target, replacement, call, message", EXACT_DIVISIONS)
 def test_inexact_division_raises(monkeypatch, empty_tables, target, replacement, call, message):
-    # Empty shared tables and factor row tables: a row an earlier call
-    # computed would skip its division. The call first runs unpatched, and
-    # fills them, so the case fails if emptying misses one.
+    # Empty shared tables: a row an earlier call computed would skip its
+    # division. The call first runs unpatched, and fills them, so the case
+    # fails if emptying misses one.
     call()
     empty_tables()
     monkeypatch.setattr(target, replacement)

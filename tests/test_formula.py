@@ -17,8 +17,7 @@ from gluecount import (
     count_recursive,
     polygon_size,
 )
-from gluecount import formula
-from gluecount.formula import _power, _scales, _split_sum, _weight_rows
+from gluecount.formula import _closed_columns, _power, _scales, _split_sum, _weight_rows
 
 
 def test_signature_rejects_no_boundaries():
@@ -177,16 +176,13 @@ def test_split_sum_matches_composition_sum(empty_tables):
                 value, scale = _split_sum(g, sizes)
                 assert scale == _scales(g)[g]
                 assert Fraction(value, scale) == _composition_sum(g, sizes), (g, sizes)
-    # Genus 0-30 from empty factor tables, then from the filled ones, and one
-    # genus past the rows they keep, which are built for that call.
-    genera = [*range(31), formula._FACTOR_GENUS + 1]
+    # Genus 0-30 and 41 from empty tables, then from the filled ones.
+    genera = [*range(31), 41]
     for sizes in DEEP_SIZES:
         empty_tables()
         expected = [_composition_sum(g, sizes) for g in genera]
         assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected, sizes
-        misses = formula._factor_rows.cache_info().misses
         assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected, sizes
-        assert formula._factor_rows.cache_info().misses == misses, sizes
 
 
 def _factor(genus, n):
@@ -226,14 +222,27 @@ def test_split_sum_groups_equal_sizes(sizes):
 @pytest.mark.parametrize("sizes", GROUPED_SIZES)
 def test_split_sum_matches_fraction_kernel(sizes, empty_tables):
     # The integer sum over its scale s_g is the Fraction kernel's value, at
-    # genus 0-30 from empty factor tables and again from the filled ones, and
-    # one genus past the rows they keep, which are built for that call.
-    genera = [*range(31), formula._FACTOR_GENUS + 1]
+    # genus 0-30 and 41 from empty tables and again from the filled ones.
+    genera = [*range(31), 41]
     expected = [fraction_kernels.split_sum(g, sizes) for g in genera]
     assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
-    misses = formula._factor_rows.cache_info().misses
     assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
-    assert formula._factor_rows.cache_info().misses == misses
+
+
+def test_closed_columns_match_count_closed():
+    # Unsorted and repeated sizes; then single boundaries alone, which take
+    # no weights, and no tuples at all.
+    genus = 12
+    for tuples in (
+        [(2, 1), (1, 2), (0, 3, 0), (3, 0, 0), (1, 1, 1), (2, 0, 2, 1, 2), (4,), (0, 1)],
+        [(3,), (1,)],
+        [],
+    ):
+        expected = [
+            [count_closed(SurfaceSignature(g, sizes)) for g in range(genus + 1)]
+            for sizes in tuples
+        ]
+        assert list(_closed_columns(genus, tuples)) == expected, tuples
 
 
 def test_scales_divide_along_products():

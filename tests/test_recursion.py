@@ -306,6 +306,27 @@ def test_save_through_a_dangling_symlink_makes_its_target(tmp_path):
     assert (tmp_path / "loop-a.txt").is_symlink()
 
 
+def test_save_onto_a_directory_opens_no_file(tmp_path, monkeypatch):
+    # Refused as a missing directory is, naming the path as the caller gave
+    # it, before the memo is written anywhere: directly, through a symlink,
+    # and as "" for the working directory.
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to("dir")
+    monkeypatch.chdir(tmp_path / "dir")
+    opened = []
+    monkeypatch.setattr(recursion, "open", lambda *args, **kw: opened.append(args), raising=False)
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    for path in (tmp_path / "dir", str(tmp_path / "link"), ""):
+        with pytest.raises(IsADirectoryError) as info:
+            memo_store_save(memo, path)
+        assert (info.value.errno, info.value.filename) == (errno.EISDIR, str(path)), path
+        assert str(info.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
+    assert opened == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "link"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_store_exact_format(tmp_path):
     memo = CountTable()
     count_recursive(SurfaceSignature(0, (1, 1)), memo)

@@ -1,10 +1,9 @@
 """The shared series tables of `formula` and `hz`: the scales s_i, the
 weight rows w[i] and the scaled tanh coefficients C_m. They grow on demand,
 only through formula._TABLE_GENUS, and no caller changes a row. Also the
-factor row tables of `formula._split_sum`, one per (size, multiplicity),
-which grow only through formula._FACTOR_GENUS, and what they hold; and the
-one reentrant lock that these, the factorials and the memo's field powers
-grow under."""
+factors of the closed formula, built once per (size, multiplicity) for a
+whole `table` grid, and the one reentrant lock that the shared tables, the
+factorials and the memo's field powers grow under."""
 
 import math
 import sys
@@ -107,10 +106,10 @@ def test_threads_growing_to_different_genera_write_the_same_rows(empty_tables):
 def test_threads_sharing_factors_count_alike(empty_tables):
     # Eight threads count overlapping signatures, whose distinct sizes share
     # factors, on a shortened switch interval; each round starts from empty
-    # tables and an empty factor cache.
+    # tables.
     sigs = [
         SurfaceSignature(g, sizes)
-        for g in (3, 9, 17, 30, formula._FACTOR_GENUS + 1)
+        for g in (3, 9, 17, 30, 41)
         for sizes in [(2, 1, 1), (1, 1, 2, 0), (2, 2, 1, 0), (0, 0, 1)]
     ]
     expected = [count_closed(sig) for sig in sigs]
@@ -141,65 +140,27 @@ def test_threads_sharing_factors_count_alike(empty_tables):
         sys.setswitchinterval(previous)
 
 
-def test_threads_growing_one_factor_write_the_same_rows(empty_tables):
-    # Eight threads grow the rows of one factor F_n^c to genera below, at and
-    # past formula._FACTOR_GENUS, each in its own order, on a shortened
-    # switch interval; each round starts from empty tables.
-    n, count = 2, 3
-    genera = (5, 18, 31, formula._FACTOR_GENUS, formula._FACTOR_GENUS + 5)
-    top = max(genera)
-    series = [
-        Fraction(math.factorial(2 * p + n), math.factorial(n) * math.factorial(2 * p + 1))
-        for p in range(top + 1)
-    ]
-    s = _definitions(top)["scales"]
-    scaled = [c * s_i for c, s_i in zip(fraction_kernels.power(series, count), s)]
-    assert all(c.denominator == 1 for c in scaled)
-    expected = [c.numerator for c in scaled]
+def test_a_table_builds_one_factor_per_size_and_multiplicity(empty_tables, capsys, monkeypatch):
+    built = []
+    factor = formula._factor
 
-    def work(start):
-        try:
-            for g in genera[start:] + genera[:start]:
-                s = _scales(g)
-                rows = formula._factor(n, count, g, s, _weight_rows(g, s))
-                results.append((g, rows[: g + 1]))
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
+    def spy(n, count, genus, s, w):
+        built.append((n, count, genus))
+        return factor(n, count, genus, s, w)
 
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            empty_tables()
-            results, errors = [], []
-            threads = [threading.Thread(target=work, args=(k % len(genera),)) for k in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            assert len(results) == 8 * len(genera)
-            for g, rows in results:
-                assert rows == expected[: g + 1], g
-            assert formula._factor_rows(n, count) == expected[: formula._FACTOR_GENUS + 1]
-    finally:
-        sys.setswitchinterval(previous)
-
-
-def test_a_table_builds_one_factor_per_size_and_multiplicity(empty_tables, capsys):
+    monkeypatch.setattr(formula, "_factor", spy)
     assert cli.main(["table", "--max-genus", "6", "--max-holes", "5", "--max-n", "3"]) == 0
     capsys.readouterr()
     # Sizes 0-3, each 1-5 times, except five punctures alone: 19 pairs, each
-    # grown through genus 6 in one row table.
-    assert formula._factor_rows.cache_info().misses == 19
+    # built once, through genus 6.
+    assert sorted(built) == sorted(
+        (n, count, 6) for n in range(4) for count in range(1, 6) if (n, count) != (0, 5)
+    )
 
 
 def test_a_genus_past_the_cap_keeps_no_rows(empty_tables, monkeypatch, hz_recurrence):
     cap, genus = 4, 12
     monkeypatch.setattr(formula, "_TABLE_GENUS", cap)
-    # Past the cap the closed formula's factor rows are built for that call.
-    monkeypatch.setattr(formula, "_FACTOR_GENUS", cap)
     for g in range(genus + 1):
         for n in (max(2 * g, 1), 2 * g + 1, 2 * g + 6):
             for route in ROUTES:
@@ -211,7 +172,6 @@ def test_a_genus_past_the_cap_keeps_no_rows(empty_tables, monkeypatch, hz_recurr
         expected["scales"], expected["weights"], expected["tanh"]
     )
     assert _tables() == _definitions(cap)
-    assert len(formula._factor_rows(1, 1)) == cap + 1
 
 
 def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
@@ -226,7 +186,7 @@ def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
     grown = formula._grown
 
     def spy(table, top, grow, limit):
-        name = names.get(id(table), "factor")
+        name = names[id(table)]
 
         def counted(rows, k):
             before = len(rows)
@@ -245,10 +205,9 @@ def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
     assert added == {"scales": past, "weights": past, "tanh": past}
     calls, added = Counter(), Counter()
     count_closed(sig)
-    # Three factors, each held through formula._FACTOR_GENUS.
-    assert calls == {"scales": 1, "weights": 1, "factor": 3}
-    factor_past = genus - formula._FACTOR_GENUS
-    assert added == {"scales": past, "weights": past, "factor": 3 * factor_past}
+    # Its three factors are built for the call, in no shared table.
+    assert calls == {"scales": 1, "weights": 1}
+    assert added == {"scales": past, "weights": past}
 
 
 def test_one_reentrant_lock_grows_every_table(empty_tables, monkeypatch, hz_recurrence):
@@ -321,20 +280,3 @@ def test_full_tables_hold_under_600_kb(empty_tables):
         tracemalloc.stop()
     assert [len(table) for table in _tables().values()] == [cap + 1] * 3
     assert held < 600_000, held
-
-
-def test_full_factor_cache_holds_under_800_kb(empty_tables):
-    # The stated worst case: every factor at the highest cached genus, with
-    # sizes and multiplicities just below 4096.
-    genus = formula._FACTOR_GENUS
-    s = _scales(genus)  # the shared tables are not counted
-    w = _weight_rows(genus, s)
-    tracemalloc.start()
-    try:
-        for k in range(formula._FACTOR_CACHE_SIZE):
-            formula._factor(4095 - k, 4095 - k, genus, s, w)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert formula._factor_rows.cache_info().currsize == formula._FACTOR_CACHE_SIZE
-    assert held < 800_000, held
