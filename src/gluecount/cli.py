@@ -163,25 +163,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for flag, bound in bounds:
         if bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
-    sigs = list(iter_bounded_signatures(args.max_genus, args.max_holes, args.max_n))
-    # Every genus lists the same size tuples in the same order.
-    tuples = [sig.boundary_sizes for sig in sigs if sig.genus == 0]
-    counts = [n for by_genus in zip(*_closed_columns(args.max_genus, tuples)) for n in by_genus]
+    # Every genus lists the same size tuples, non-increasing, in the same order.
+    tuples = [sig.boundary_sizes for sig in iter_bounded_signatures(0, args.max_holes, args.max_n)]
+    columns = list(_closed_columns(args.max_genus, tuples))
+    genera = range(args.max_genus + 1)
     if args.cache is not None:
-        _cached_recursive(sigs, counts, args.cache)
-    rows = zip(sigs, counts)
+        sigs = [SurfaceSignature(g, sizes) for g in genera for sizes in tuples]
+        _cached_recursive(sigs, (column[g] for g in genera for column in columns), args.cache)
 
     if args.format == "csv":
         # Every field is digits and "|", which CSV never quotes.
+        joined = ["|".join(map(str, sizes)) for sizes in tuples]
         lines = ["g,ns,count\n"]
-        for sig, value in rows:
-            sizes = "|".join(str(n) for n in sig.sorted_sizes())
-            lines.append(f"{sig.genus},{sizes},{value}\n")
+        for g in genera:
+            lines += [f"{g},{ns},{column[g]}\n" for ns, column in zip(joined, columns)]
         text = "".join(lines)
     else:
         payload = [
-            {"g": sig.genus, "ns": list(sig.sorted_sizes()), "count": str(value)}
-            for sig, value in rows
+            {"g": g, "ns": list(sizes), "count": str(column[g])}
+            for g in genera
+            for sizes, column in zip(tuples, columns)
         ]
         text = json.dumps(payload, indent=2) + "\n"
 

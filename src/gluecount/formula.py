@@ -19,8 +19,14 @@ at import), and every later call reads a prefix. They are kept, like the
 tanh coefficients of `hz`, through genus _TABLE_GENUS = 150, where the three
 hold 0.38 MB (tracemalloc, CPython 3.11). A higher genus computes its extra
 rows once, for that call only: only the entry points fetch them, and pass
-them on. The splitting sum's factors F_n(t)^c are built per call, or once
-per grid of signatures by `_closed_columns`.
+them on. The splitting sum's factors F_n(t)^c are built per call.
+
+`table` takes a grid of size tuples through `_closed_columns`. A tuple's
+product, truncated at the grid's highest genus, is its prefix tuple's
+product times one factor, and its first coefficients serve every lower
+genus. The terms of the quotient that depend on the sizes alone (L, S, z!
+and the product of the m_k) are taken once per tuple, by `_quotients`,
+which `count_closed` calls for its one genus.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import AllPuncturesError, SignatureError
 from .exact import _divide, _grown, _factorial as factorial
@@ -260,30 +266,49 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
 
 def _closed_columns(max_genus: int, size_tuples: list[tuple[int, ...]]) -> Iterator[list[int]]:
     """Each tuple's closed counts at genus 0..max_genus, in turn: a product
-    truncated at t^max_genus serves every lower genus as a prefix, and each
-    (size, multiplicity) factor is built once for all the tuples."""
+    truncated at t^max_genus serves every lower genus as a prefix.
+
+    A tuple's product is its prefix's times one factor, at one `_times`;
+    the prefix is the tuple without its last (size, multiplicity) group.
+    In the grid order of `verify.iter_bounded_signatures` every prefix is
+    an earlier tuple; any other prefix is built on demand. The products,
+    single factors among them, are kept for this call only.
+    """
     s = _scales(max_genus)
     # Single boundaries take no product.
     w = _weight_rows(max_genus, s) if any(len(sizes) > 1 for sizes in size_tuples) else None
-    factors: dict[tuple[int, int], list[int]] = {}
+    products: dict[tuple[tuple[int, int], ...], list[int]] = {}
+
+    def product(groups: tuple[tuple[int, int], ...]) -> list[int]:
+        acc = products.get(groups)
+        if acc is None:
+            if len(groups) == 1:
+                acc = _factor(*groups[0], max_genus, s, w)
+            else:
+                acc = _times(product(groups[:-1]), product(groups[-1:]), w, max_genus)
+            products[groups] = acc
+        return acc
+
     for sizes in size_tuples:
-        acc = None
-        for key in Counter(sizes).items():
-            f = factors.get(key)
-            if f is None:
-                f = factors[key] = _factor(*key, max_genus, s, w)
-            acc = f if acc is None else _times(acc, f, w, max_genus)
-        yield [_quotient(g, sizes, acc[g], s[g]) for g in range(max_genus + 1)]
+        yield _quotients(sizes, 0, zip(product(tuple(Counter(sizes).items())), s))
 
 
-def _quotient(genus: int, sizes: tuple[int, ...], value: int, scale: int) -> int:
-    """The closed count from its splitting sum value/scale (see `count_closed`)."""
-    holes, total, zeros = len(sizes), sum(sizes), sizes.count(0)
+def _quotients(sizes: tuple[int, ...], genus: int, sums: Iterable[tuple[int, int]]) -> list[int]:
+    """The closed counts of `sizes` at genus, genus+1, ..., one per
+    splitting sum value/scale in `sums` (see `count_closed`). The terms that
+    depend on the sizes alone are taken once for the whole column."""
+    holes, total = len(sizes), sum(sizes)
     size_product = math.prod(filter(None, sizes))  # each m_k = max(n_k, 1)
-    numerator = value * size_product * factorial(total + 4 * genus + 2 * holes - 3)
-    denominator = scale * factorial(total + 2 * genus + holes - 1) * 4**genus * factorial(zeros)
+    zeros = factorial(sizes.count(0))
     what = "closed formula for SurfaceSignature(genus={}, boundary_sizes={})"
-    return _divide(numerator, denominator, what, genus, sizes)
+    return [
+        _divide(
+            value * size_product * factorial(total + 4 * g + 2 * holes - 3),
+            scale * factorial(total + 2 * g + holes - 1) * 4**g * zeros,
+            what, g, sizes,
+        )
+        for g, (value, scale) in enumerate(sums, genus)
+    ]
 
 
 def count_closed(sig: SurfaceSignature) -> int:
@@ -304,4 +329,6 @@ def count_closed(sig: SurfaceSignature) -> int:
     one quotient of integers. It cancels; `exact._divide` checks that it
     did and raises ConsistencyError rather than truncating.
     """
-    return _quotient(sig.genus, sig.boundary_sizes, *_split_sum(sig.genus, sig.boundary_sizes))
+    sizes = sig.boundary_sizes
+    [count] = _quotients(sizes, sig.genus, [_split_sum(sig.genus, sizes)])
+    return count

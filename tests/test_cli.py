@@ -442,8 +442,9 @@ def test_table_json(capsys):
 
 @pytest.mark.parametrize(
     "bounds",
-    # 45/2/2 runs past genus 40; the last four are edge grids.
-    [(6, 5, 3), (45, 2, 2), (0, 0, 0), (2, 0, 3), (3, 4, 0), (0, 1, 1)],
+    # 45/2/2 runs past genus 40; 12/4/4, 1,573 rows, takes prefix products
+    # of up to four sizes past genus 6; the last four are edge grids.
+    [(6, 5, 3), (45, 2, 2), (12, 4, 4), (0, 0, 0), (2, 0, 3), (3, 4, 0), (0, 1, 1)],
     ids=lambda bounds: "/".join(map(str, bounds)),
 )
 def test_table_rows_equal_per_row_counts(capsys, bounds):

@@ -17,6 +17,8 @@ from gluecount import (
     count_recursive,
     polygon_size,
 )
+from gluecount.verify import iter_bounded_signatures
+from gluecount import formula
 from gluecount.formula import _closed_columns, _power, _scales, _split_sum, _weight_rows
 
 
@@ -229,12 +231,15 @@ def test_split_sum_matches_fraction_kernel(sizes, empty_tables):
     assert [Fraction(*_split_sum(g, sizes)) for g in genera] == expected
 
 
-def test_closed_columns_match_count_closed():
-    # Unsorted and repeated sizes; then single boundaries alone, which take
-    # no weights, and no tuples at all.
+def test_closed_columns_match_count_closed(monkeypatch):
+    # Unsorted and repeated sizes; a prefix that drops two boundaries, (3,)
+    # of (3, 1, 1); tuples listed before their prefixes, (4, 2, 1) before
+    # (4, 2) and (4,); then single boundaries alone, which take no weights,
+    # and no tuples at all.
     genus = 12
     for tuples in (
         [(2, 1), (1, 2), (0, 3, 0), (3, 0, 0), (1, 1, 1), (2, 0, 2, 1, 2), (4,), (0, 1)],
+        [(3,), (3, 1, 1), (4, 2, 1), (4, 2), (4,), (2, 2, 0, 1)],
         [(3,), (1,)],
         [],
     ):
@@ -243,6 +248,24 @@ def test_closed_columns_match_count_closed():
             for sizes in tuples
         ]
         assert list(_closed_columns(genus, tuples)) == expected, tuples
+
+    # In grid order each tuple's prefix comes first, so a tuple with two or
+    # more distinct sizes takes one product, and one with one size none.
+    products = []
+
+    def times(*args):
+        products.append(args)
+        return formula_times(*args)
+
+    formula_times = formula._times
+    monkeypatch.setattr(formula, "_times", times)
+    tuples = [sig.boundary_sizes for sig in iter_bounded_signatures(0, 5, 4)]
+    columns = list(_closed_columns(genus, tuples))
+    assert len(products) == sum(len(set(sizes)) > 1 for sizes in tuples) == 226
+    expected = [
+        [count_closed(SurfaceSignature(g, sizes)) for g in (0, 7, genus)] for sizes in tuples
+    ]
+    assert [[column[g] for g in (0, 7, genus)] for column in columns] == expected
 
 
 def test_scales_divide_along_products():
