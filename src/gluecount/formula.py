@@ -205,10 +205,10 @@ def _scales(genus: int) -> list[int]:
     return _grown(_SCALES, genus, _grow_scales, _TABLE_GENUS)
 
 
-def _power(a: list[int], exponent: int, w: list[list[int]], p: list[int]) -> list[int]:
-    """Extend p, the first coefficients of a(t)**exponent, through t^K for
-    K = len(a) - 1, and return it; on an integer scale whose product weights
-    are w (see `_weight_rows`), with a[0] == p[0] == 1.
+def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
+    """The coefficients of a(t)**exponent through t^K for K = len(a) - 1,
+    on an integer scale whose product weights are w (see `_weight_rows`),
+    with a[0] == 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with p = a**e,
     p_0 = 1 and i*p_i = sum_{j=1..i} ((e+1)*j - i) * a_j * p_(i-j), so row
@@ -217,7 +217,8 @@ def _power(a: list[int], exponent: int, w: list[list[int]], p: list[int]) -> lis
     scaled coefficients are integers, so each step's division by i is exact
     and goes through `_divide`.
     """
-    for i in range(len(p), len(a)):
+    p = [1]
+    for i in range(1, len(a)):
         wi = w[i]
         acc = sum(((exponent + 1) * j - i) * wi[j] * a[j] * p[i - j] for j in range(1, i + 1))
         p.append(_divide(acc, i, "Miller's power step at t^{}, exponent {}", i, exponent))
@@ -230,7 +231,7 @@ def _factor(n: int, count: int, genus: int, s: list[int], w: list | None) -> lis
     through row genus."""
     # Exact: 2i+1 divides s_i.
     f = [math.comb(2 * i + n, n) * (s[i] // (2 * i + 1)) for i in range(genus + 1)]
-    return _power(f, count, w, [1]) if count > 1 else f
+    return _power(f, count, w) if count > 1 else f
 
 
 def _times(a: list[int], b: list[int], w: list[list[int]], genus: int) -> list[int]:

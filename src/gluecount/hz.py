@@ -133,7 +133,7 @@ def hz_tanh(genus: int, n: int) -> int:
         return 0
     s = _scales(genus)
     w = _weight_rows(genus, s)
-    c = _power(_half_ratio_coeffs(genus, s, w)[: genus + 1], n + 1, w, [1])[genus]
+    c = _power(_half_ratio_coeffs(genus, s, w)[: genus + 1], n + 1, w)[genus]
     denominator = factorial(n + 1) * factorial(n - 2 * genus) * s[genus]
     return _divide(factorial(2 * n) * c, denominator, "hz_tanh at g={}, N={}", genus, n)
 

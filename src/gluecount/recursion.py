@@ -52,22 +52,24 @@ with entry lines sorted by (g, ns). The file must be UTF-8: any other byte
 sequence is refused with CacheError naming its byte offset, before any
 error of a line. Unknown versions are refused; malformed lines, and keys
 that do not fit a code, are reported with their line number. The saver
-formats and writes 1024 lines at a time. The loader streams the file: it
-reads 32 KiB at a time through one incremental UTF-8 decoder, cuts the
-text just after the last line feed of each read, and counts lines across
-the blocks. When it refuses a line, it decodes the rest of the file first,
-so that an undecodable byte further on is still the error raised. Neither
-holds every line at once: a save peaks at about four times the file's size
-above the memo, a load at up to three times it above the table it
-returns (tracemalloc: for the 18,642-entry, 0.56 MiB file of a g <= 3,
-L <= 4, n <= 5 memo, 2.2 MiB for a save and 1.2 MiB for a load; for the
-3.1 MiB file of the g = 14 memo of (1,), 8.2 MiB for a load). The loader
-codes each distinct sizes text once: from the code of its tail (the text
-after its first comma) when an earlier line holds that tail, as it does
-for 97 % of the texts in a saved file, and by splitting and checking it in
-full otherwise. A genus-0 entry is keyed by that same code, so the index of
+formats and writes 1024 lines at a time. The loader opens the file once; a
+path that fails to open as missing (by pathlib's exists() rule) holds an
+empty table. Each read takes 32 KiB and the rest of its last line, so a
+block holds whole lines and whole characters and decodes in one step;
+lines, and the byte offset named, are counted across the blocks. When it
+refuses a line, it decodes the rest of the file first, so that an
+undecodable byte further on is still the error raised. Neither holds every
+line at once: a save peaks at about four times the file's size above the
+memo, a load at up to three times it above the table it returns
+(tracemalloc: for the 18,642-entry, 0.56 MiB file of a g <= 3, L <= 4,
+n <= 5 memo, 2.2 MiB for a save and 1.2 MiB for a load; for the 3.1 MiB
+file of the g = 14 memo of (1,), 8.2 MiB for a load). The loader codes each
+distinct sizes text once: from the code of its tail (the text after its
+first comma) when an earlier line holds that tail, as it does for 97 % of
+the texts in a saved file, and by splitting and checking it in full
+otherwise. A genus-0 entry is keyed by that same code, so the index of
 sizes texts holds no second copy of the codes it shares with the table.
-The 31,142 entries of a g <= 3, L <= 5, n <= 4 memo load in 60-100 ms on a
+The 31,142 entries of a g <= 3, L <= 5, n <= 4 memo load in 54-72 ms on a
 2-vCPU Xeon with CPython 3.11.
 `memo_store_load(path, verify=True)` re-derives every entry with a scratch
 table (never seeded from the file) once the file's text and its index of
@@ -79,14 +81,14 @@ symlink writes the file the link points to and keeps the link.
 
 from __future__ import annotations
 
-import codecs
 import errno
 import os
 import re
 import sys
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping, Sequence
-from contextlib import closing, suppress
+from contextlib import suppress
+from io import BufferedReader
 from itertools import chain
 from types import MappingProxyType
 
@@ -394,10 +396,10 @@ def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> Count
     With verify=True every entry is recomputed from scratch and compared.
     """
     file = os.fspath(path)
-    # Missing by the rule of pathlib's exists(): a path that fails to stat
+    # Missing by the rule of pathlib's exists(): a path that fails to open
     # for one of these reasons, or cannot be encoded, holds no table.
     try:
-        os.stat(file)
+        handle = open(file, "rb")
     except ValueError:
         return CountTable()
     except OSError as exc:
@@ -406,7 +408,8 @@ def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> Count
         return CountTable()
     # The file's text blocks, their lines and the sizes-text index are gone
     # once _read returns, before any recompute.
-    entries = _read(file)
+    with handle:
+        entries = _read(file, handle)
     if verify:
         scratch: dict[int, int] = {}
         for code in entries:
@@ -431,50 +434,38 @@ def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> Count
     return table
 
 
-def _read(file: str) -> dict[int, int]:
-    """The entries {code: count} that the cache file `file` holds."""
+def _read(file: str, handle: BufferedReader) -> dict[int, int]:
+    """The entries {code: count} that `handle`, open on the cache file
+    `file`, holds."""
     # A line's error waits until the rest of the file is decoded, so an
     # undecodable byte anywhere is reported, with its offset, before it.
-    with closing(_blocks(file)) as blocks:
-        try:
-            return _parse(file, chain.from_iterable(map(str.splitlines, blocks)))
-        except CacheError as exc:
-            error = exc
-        deque(blocks, maxlen=0)
+    blocks = _blocks(file, handle)
+    try:
+        return _parse(file, chain.from_iterable(map(str.splitlines, blocks)))
+    except CacheError as exc:
+        error = exc
+    deque(blocks, maxlen=0)
     raise error
 
 
-def _blocks(file: str) -> Iterator[str]:
-    """The text of `file`, read _BLOCK * 32 bytes at a time through one
-    UTF-8 decoder and cut into blocks. Each block but the last ends just
-    after a "\\n", so no line or "\\r\\n" spans two blocks, and the blocks'
-    lines are the lines of the file's text. An undecodable byte raises
-    CacheError naming its offset in the file."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    read = 0
-    rest = ""  # the text read since the last "\n"
-    with open(file, "rb") as handle:
-        while True:
-            data = handle.read(_BLOCK * 32)
-            # The file offset of the decoder's input: it holds back the bytes
-            # of a character that the last read cut.
-            start = read - len(decoder.getstate()[0])
-            read += len(data)
-            try:
-                text = decoder.decode(data, final=not data)
-            except UnicodeDecodeError as exc:
-                raise CacheError(
-                    f"{file}: not UTF-8 text: {exc.reason} at byte offset {start + exc.start}"
-                ) from None
-            if not data:
-                break
-            cut = text.rfind("\n") + 1
-            if cut:
-                block, rest = rest + text[:cut], text[cut:]
-                yield block
-            else:
-                rest += text
-    yield rest
+def _blocks(file: str, handle: BufferedReader) -> Iterator[str]:
+    """The text of the cache file `file` from `handle`, a block of about
+    _BLOCK * 32 bytes at a time. Each read runs on to the end of its line,
+    so a block ends just after a "\\n" or at the end of the file: it holds
+    whole characters, no "\\r\\n" spans two blocks, and the blocks' lines
+    are the lines of the file's text. An undecodable byte raises CacheError
+    naming its offset in the file, counted from the blocks read before: a
+    pipe, such as /dev/stdin, has no position to ask the handle for."""
+    offset = 0
+    while data := handle.read(_BLOCK * 32) + handle.readline():
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise CacheError(
+                f"{file}: not UTF-8 text: {exc.reason} at byte offset {offset + exc.start}"
+            ) from None
+        offset += len(data)
+        yield text
 
 
 def _parse(file: str, lines: Iterator[str]) -> dict[int, int]:

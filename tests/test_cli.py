@@ -256,6 +256,30 @@ def test_undecodable_cache_is_exit_two(argv, src_env, tmp_path):
     assert list(tmp_path.iterdir()) == [cache]
 
 
+@pytest.mark.parametrize(
+    "data, code, out, err",
+    [
+        (b"#gluecount-cache v1\ng=1;ns=2;count=5\n", 0, "5\n", ""),
+        (
+            b"#gluecount-cache v1\ng=1;ns=2;count=5\xff\n", 2, "",
+            "error: /dev/stdin: not UTF-8 text: invalid start byte at byte offset 36\n",
+        ),
+    ],
+    ids=["utf-8", "undecodable"],
+)
+def test_cache_read_from_a_pipe(data, code, out, err, src_env):
+    # A pipe has no file position, so the offset of an undecodable byte
+    # must be counted from the bytes read.
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gluecount", "count", "--genus", "1", "--holes", "2",
+            "--method", "recursive", "--cache", "/dev/stdin",
+        ],
+        input=data, capture_output=True, env=src_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
 def test_count_recursive_checks_cached_answer(capsys, tmp_path):
     cache = tmp_path / "memo.txt"
     cache.write_text("#gluecount-cache v1\ng=1;ns=2;count=999\n")

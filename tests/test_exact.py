@@ -122,7 +122,7 @@ EXACT_DIVISIONS = [
     pytest.param(
         # The scaled x^2 coefficient of the power is 1 where eps_1(2) = 1
         # needs 3; its scale is s_1 = 12.
-        "gluecount.hz._power", lambda a, exponent, w, p: [1] * len(a),
+        "gluecount.hz._power", lambda a, exponent, w: [1] * len(a),
         lambda: hz_tanh(1, 2),
         "hz_tanh at g=1, N=2: 24/72 is not an integer",
         id="hz_tanh",
@@ -131,13 +131,13 @@ EXACT_DIVISIONS = [
         # (1 + t + t^2)^2 with unit weights: the t^2 step sums to 6, skewed
         # to 7, over i = 2.
         "gluecount.formula._divide", _skewed_divide((2, 2)),
-        lambda: _power([1, 1, 1], 2, [[1], [1, 1], [1, 1, 1]], [1]),
+        lambda: _power([1, 1, 1], 2, [[1], [1, 1], [1, 1, 1]]),
         "Miller's power step at t^2, exponent 2: 7/2 is not an integer",
         id="power-step",
     ),
     pytest.param(
         # The same step inside the closed formula: F_1(t)^2 through t^2 is
-        # the factor of (1, 1) at genus 2, whose rows the process keeps.
+        # the factor of (1, 1) at genus 2.
         "gluecount.formula._divide", _skewed_divide((2, 2)),
         lambda: count_closed(SurfaceSignature(2, (1, 1))),
         "Miller's power step at t^2, exponent 2: 4321/2 is not an integer",

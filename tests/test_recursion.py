@@ -361,6 +361,19 @@ def test_load_missing_file_gives_empty_table(tmp_path):
     assert info.value.errno == errno.ENAMETOOLONG
 
 
+def test_load_file_gone_at_the_open_gives_empty_table(tmp_path, monkeypatch):
+    # The missing-file rule holds at the open: a file removed after any
+    # earlier look at the path loads as an empty table, as an absent one does.
+    path = tmp_path / "memo.txt"
+    path.write_text("#gluecount-cache v1\ng=1;ns=2;count=5\n")
+
+    def gone(file, mode):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), file)
+
+    monkeypatch.setattr(recursion, "open", gone, raising=False)
+    assert len(memo_store_load(path)) == 0
+
+
 def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "future.txt"
     path.write_text("#gluecount-cache v2\ng=0;ns=1,1;count=1\n")

@@ -25,6 +25,7 @@ from gluecount import (
 from gluecount import cli, exact, formula, hz, recursion
 from gluecount.formula import _power, _scales, _weight_rows
 from gluecount.hz import _half_ratio_coeffs
+from gluecount.verify import _hz_recurrence
 
 ROUTES = (hz_sum, hz_tanh, hz_from_gluing_counts)
 
@@ -66,7 +67,7 @@ def test_every_route_leaves_the_tables_as_defined(empty_tables, hz_recurrence):
             count_closed(SurfaceSignature(g, sizes))
         s = _scales(g)
         w = _weight_rows(g, s)
-        _power(_half_ratio_coeffs(g, s, w)[: g + 1], 3, w, [1])
+        _power(_half_ratio_coeffs(g, s, w)[: g + 1], 3, w)
     assert gf_identity_check(2 * genus + 1).holds
     assert _tables() == _definitions(genus)
 
@@ -172,6 +173,18 @@ def test_a_genus_past_the_cap_keeps_no_rows(empty_tables, monkeypatch, hz_recurr
         expected["scales"], expected["weights"], expected["tanh"]
     )
     assert _tables() == _definitions(cap)
+
+
+def test_routes_match_the_recurrence_past_the_real_cap():
+    # Past the cap each call builds its rows in a copy of the tables: the
+    # three routes against the recurrence there, not at a cap patched down.
+    cap = formula._TABLE_GENUS
+    genera = (cap + 1, cap + 5, cap + 10)
+    eps = _hz_recurrence(2 * genera[-1] + 6)
+    for g in genera:
+        for n in (2 * g, 2 * g + 1, 2 * g + 6):
+            for route in ROUTES:
+                assert route(g, n) == eps[g][n], (route.__name__, g, n)
 
 
 def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
