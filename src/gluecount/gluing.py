@@ -148,17 +148,19 @@ class GluingWord(_Frozen):
         pairing = [-1] * n
         labels = [0] * n
         next_label = 1
-        for tok in tokens:
-            slots = slots_by_token[tok]
-            if len(slots) > 2:
-                raise DomainError(f"letter {tok!r} appears {len(slots)} times (max 2)")
-            if len(slots) == 1 and labels[slots[0]] == 0:
+        # The letters in order of first appearance.
+        for slots in slots_by_token.values():
+            if len(slots) == 1:
                 labels[slots[0]] = next_label
                 next_label += 1
             elif len(slots) == 2:
                 a, b = slots
                 pairing[a] = b
                 pairing[b] = a
+            else:
+                raise DomainError(
+                    f"letter {tokens[slots[0]]!r} appears {len(slots)} times (max 2)"
+                )
         return cls(tuple(pairing), tuple(labels))
 
 

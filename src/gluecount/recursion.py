@@ -52,18 +52,20 @@ with entry lines sorted by (g, ns). The file must be UTF-8: any other byte
 sequence is refused with CacheError naming its byte offset, before any
 error of a line. Unknown versions are refused; malformed lines, and keys
 that do not fit a code, are reported with their line number. The saver
-formats and writes 1024 lines at a time. The loader opens the file once; a
+formats and writes 1024 lines at a time, each line's sizes decoded from its
+code: it keeps no index of sizes texts. The loader opens the file once; a
 path that fails to open as missing (by pathlib's exists() rule) holds an
 empty table. Each read takes 32 KiB and the rest of its last line, so a
 block holds whole lines and whole characters and decodes in one step;
 lines, and the byte offset named, are counted across the blocks. When it
 refuses a line, it decodes the rest of the file first, so that an
 undecodable byte further on is still the error raised. Neither holds every
-line at once: a save peaks at about four times the file's size above the
-memo, a load at up to three times it above the table it returns
-(tracemalloc: for the 18,642-entry, 0.56 MiB file of a g <= 3, L <= 4,
-n <= 5 memo, 2.2 MiB for a save and 1.2 MiB for a load; for the 3.1 MiB
-file of the g = 14 memo of (1,), 8.2 MiB for a load). The loader codes each
+line at once: above the memo, a save holds its sorted codes and one block
+of lines, and a load peaks at up to three times the file's size above the
+table it returns (tracemalloc: for the 18,642-entry, 0.56 MiB file of a
+g <= 3, L <= 4, n <= 5 memo, 0.34 MiB for a save and 1.2 MiB for a load;
+for the 3.1 MiB file of the g = 14 memo of (1,), 1.3 MiB for a save and
+8.2 MiB for a load). The loader codes each
 distinct sizes text once: from the code of its tail (the text after its
 first comma) when an earlier line holds that tail, as it does for 97 % of
 the texts in a saved file, and by splitting and checking it in full
@@ -150,20 +152,6 @@ def _sizes(part: int) -> tuple[int, ...]:
         part ^= times << size * _BITS
         sizes += (size,) * times
     return sizes
-
-
-def _text(part: int, texts: dict[int, str]) -> str:
-    """`_sizes(part)` as the comma-separated text of the cache format.
-    `texts` maps parts to their texts, 0 to the empty one; the text of what
-    is left after the largest size is read from it, or made and added."""
-    size = (part.bit_length() - 1) // _BITS
-    times = part >> size * _BITS
-    rest = part ^ times << size * _BITS
-    tail = texts.get(rest)
-    if tail is None:
-        tail = texts[rest] = _text(rest, texts)
-    head = f"{size}," * times
-    return head + tail if tail else head[:-1]
 
 
 class CountTable:
@@ -335,7 +323,8 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     through a temporary file in the same directory that replaces `path` in
     one step: a failed save leaves the old file as it was. A symlinked
     `path` is written through: its target is replaced, and the link kept. A
-    directory is refused before any file is opened."""
+    directory, or any other existing target that is not a regular file
+    (such as a pipe), is refused before any file is opened."""
     target = os.fspath(path)
     # Within a genus, codes shifted past the genus field sort as their
     # non-increasing size tuples do: the first size field, from the top,
@@ -350,6 +339,9 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     real = os.path.realpath(target)
     if os.path.isdir(real):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+    # A pipe or a device, such as /dev/stdin, would be replaced by a file.
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(errno.EINVAL, "not a regular file", target)
     folder, name = os.path.split(real)
     tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
     # The saved file gets the mode a plain open(path, "w") would give it: an
@@ -362,17 +354,13 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     try:
         with handle:
             handle.write(_HEADER + "\n")
-            texts = {0: ""}
             for start in range(0, len(ordered), _BLOCK):
                 lines = []
                 # A count over the int-to-str limit fails to format: the first, in file order.
                 try:
                     for code in ordered[start : start + _BLOCK]:
-                        part = code >> _BITS
-                        text = texts.get(part)
-                        if text is None:
-                            text = texts[part] = _text(part, texts)
-                        lines.append(f"g={code & _MASK};ns={text};count={codes[code]}\n")
+                        sizes = ",".join(map(str, _sizes(code >> _BITS)))
+                        lines.append(f"g={code & _MASK};ns={sizes};count={codes[code]}\n")
                 except ValueError as exc:
                     raise CacheError(
                         f"{target}: cannot save entry g={code & _MASK}, "

@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
+import errno
 import json
 import math
 import os
@@ -278,6 +279,21 @@ def test_cache_read_from_a_pipe(data, code, out, err, src_env):
         input=data, capture_output=True, env=src_env, timeout=60,
     )
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
+def test_cache_saved_onto_a_pipe_is_refused(src_env):
+    # The count grows the empty memo read from the pipe, whose save is
+    # refused: one io error line, and no count on stdout.
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gluecount", "count", "--genus", "2", "--holes", "1",
+            "--method", "recursive", "--cache", "/dev/stdin",
+        ],
+        input=b"#gluecount-cache v1\n", capture_output=True, env=src_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        1, "", f"io error: [Errno {errno.EINVAL}] not a regular file: '/dev/stdin'\n"
+    )
 
 
 def test_count_recursive_checks_cached_answer(capsys, tmp_path):

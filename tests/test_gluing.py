@@ -113,6 +113,13 @@ def test_from_letters():
     assert word("a x a y") == w
     with pytest.raises(DomainError, match="appears 3 times"):
         word("a,a,a,x")
+    # The first letter, by first appearance, that appears too often is named.
+    with pytest.raises(DomainError, match="letter 'b' appears 3 times"):
+        word("b,a,a,a,b,b")
+    # Free letters are labelled in order of appearance, around a pair.
+    w = word("x,a,y,a,z")
+    assert w.pairing == (-1, 3, -1, 1, -1)
+    assert w.labels == (1, 0, 2, 0, 3)
     with pytest.raises(DomainError, match="empty"):
         word("  ")
 
