@@ -31,10 +31,22 @@ from .verify import iter_bounded_signatures, run_suites
 __all__ = ["main", "run"]
 
 
+def _int_arg(text: str) -> int:
+    """int(text) with argparse's own message for a bad value, refusing the
+    `_` that int() reads as a digit separator: it takes `1_0` for ten, where
+    `1,0` was almost surely meant."""
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
+        parts = tuple(_int_arg(p) for p in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return parts
 
@@ -57,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count gluings for one signature")
-    p_count.add_argument("--genus", type=int, required=True)
+    p_count.add_argument("--genus", type=_int_arg, required=True)
     p_count.add_argument(
         "--holes", type=_sizes_arg, required=True,
         help="comma-separated boundary sizes, e.g. 1,0,0",
@@ -71,22 +83,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=_cmd_count)
 
     p_hz = sub.add_parser("hz", help="closed-surface gluing numbers")
-    p_hz.add_argument("--genus", type=int, required=True)
-    p_hz.add_argument("--N", type=int, required=True, help="half the polygon size")
+    p_hz.add_argument("--genus", type=_int_arg, required=True)
+    p_hz.add_argument("--N", type=_int_arg, required=True, help="half the polygon size")
     p_hz.add_argument("--method", choices=("sum", "series", "gluing"), default="sum")
     p_hz.set_defaults(func=_cmd_hz)
 
     p_table = sub.add_parser("table", help="emit all counts within bounds")
-    p_table.add_argument("--max-genus", type=int, default=0)
-    p_table.add_argument("--max-holes", type=int, default=0)
-    p_table.add_argument("--max-n", type=int, default=0)
+    p_table.add_argument("--max-genus", type=_int_arg, default=0)
+    p_table.add_argument("--max-holes", type=_int_arg, default=0)
+    p_table.add_argument("--max-n", type=_int_arg, default=0)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", type=_path_arg, help="output path (default: stdout)")
     p_table.add_argument("--cache", type=_path_arg, help="warm this memo file while tabulating")
     p_table.set_defaults(func=_cmd_table)
 
     p_enum = sub.add_parser("enumerate", help="dump gluing-word classes")
-    p_enum.add_argument("--N", type=int, required=True, help="polygon size")
+    p_enum.add_argument("--N", type=_int_arg, required=True, help="polygon size")
     p_enum.add_argument(
         "--labels", type=_labels_arg, default=(),
         help="comma-separated distinct free labels (default: none)",

@@ -196,13 +196,14 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
     so time and memory grow with the number of such partitions, and no bound
     is set in advance. On a 2-vCPU Xeon with CPython 3.11, from an empty
-    table, g=0 with 20 boundaries of size 1 takes 0.005 s (626 entries);
-    in six runs each, with 40 it takes 0.29-0.49 s (37k entries), and g=6
-    with five boundaries of size 4 0.21-0.32 s (22.5k entries). g=0 with 100
+    table, in three runs each, g=0 with 20 boundaries of size 1 takes
+    0.003 s (626 entries), with 40 0.32-0.33 s (37k entries), and g=6 with
+    five boundaries of size 4 0.24-0.26 s (22.5k entries). g=0 with 100
     boundaries of size 1 is out of practical reach. A key takes 2 bytes per
     size up to the largest size it holds, so boundaries of hundreds of
     edges cost more memory and time per entry: g=2 with one boundary of
-    size 800 takes 1.2-1.7 s and 76 MB (55k entries).
+    size 800 takes 1.27-1.34 s and a 76 MB peak resident set for the
+    process (55k entries).
     """
     entries = memo._codes if memo is not None else {}
     genus = sig.genus

@@ -4,9 +4,11 @@ import errno
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from cache_text import cache_table
@@ -296,6 +298,62 @@ def test_cache_saved_onto_a_pipe_is_refused(src_env):
     )
 
 
+# Bytes a mutation writes: the cache format's own, a CR, a tab, a NUL, a
+# non-ASCII digit and bytes that are not UTF-8 (a lone continuation byte,
+# a lead byte cut short, and bytes no UTF-8 text holds).
+_FUZZ_BYTES = b"0123456789g=;,ns-count#v \r\t\x00\x80\xc3\xfe\xff" + "٣".encode()
+
+
+def _mutant(rng, data):
+    """`data` after one to three random byte flips, insertions, deletions,
+    truncations or duplicated lines."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        kind, at = rng.randrange(5), rng.randrange(len(data) + 1)
+        if kind == 0:
+            if at < len(data):
+                data[at] = rng.choice(_FUZZ_BYTES)
+        elif kind == 1:
+            data[at:at] = bytes(rng.choices(_FUZZ_BYTES, k=rng.randint(1, 3)))
+        elif kind == 2:
+            del data[at : at + rng.randint(1, 4)]
+        elif kind == 3:
+            del data[at:]
+        else:
+            lines = data.splitlines(keepends=True) or [b""]
+            line = rng.randrange(len(lines))
+            lines.insert(line, lines[line])
+            data = bytearray().join(lines)
+    return bytes(data)
+
+
+def test_mutated_caches_never_print_a_wrong_count(capsys, tmp_path):
+    """A cached query on a corrupted memo prints the true count or nothing.
+
+    The memo is loaded with verify=False, as the CLI does, so a changed
+    count is trusted until the answer is checked against the closed formula.
+    The verify=True half waits for a bound on the states a recompute may
+    visit: today the 42-byte file `#gluecount-cache v1` plus
+    `g=20;ns=2,2,2;count=1` runs past 60 s under verify=True, so no mutant
+    is loaded that way here.
+    """
+    argv = ["count", "--genus", "2", "--holes", "2,1,0", "--method", "recursive"]
+    true = f"{count_closed(SurfaceSignature(2, (2, 1, 0)))}\n"
+    cache = tmp_path / "memo.txt"
+    assert run(capsys, *argv, "--cache", str(cache)) == (0, true, "")
+    saved = cache.read_bytes()
+    rng = random.Random(35)
+    codes = Counter()
+    for _ in range(250):
+        data = _mutant(rng, saved)
+        cache.write_bytes(data)
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) in ((0, true), (1, ""), (2, "")), (data, err)
+        codes[code] += 1
+    # A count trusted from the file and refused by the check exits 1.
+    assert codes.keys() == {0, 1, 2}, codes
+
+
 def test_count_recursive_checks_cached_answer(capsys, tmp_path):
     cache = tmp_path / "memo.txt"
     cache.write_text("#gluecount-cache v1\ng=1;ns=2;count=999\n")
@@ -427,6 +485,46 @@ def test_bad_usage_is_exit_two(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "unrecognized arguments: --cap 12" in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [
+        (["count", "--genus", "0", "--holes", "1_0"], "--holes",
+         "expected comma-separated integers, got '1_0'"),
+        (["count", "--genus", "1_0", "--holes", "1"], "--genus", "invalid int value: '1_0'"),
+        (["hz", "--genus", "1_0", "--N", "30"], "--genus", "invalid int value: '1_0'"),
+        (["hz", "--genus", "1", "--N", "3_0"], "--N", "invalid int value: '3_0'"),
+        (["table", "--max-genus", "1_0"], "--max-genus", "invalid int value: '1_0'"),
+        (["table", "--max-holes", "1_0"], "--max-holes", "invalid int value: '1_0'"),
+        (["table", "--max-n", "1_0"], "--max-n", "invalid int value: '1_0'"),
+        (["enumerate", "--N", "1_0"], "--N", "invalid int value: '1_0'"),
+        (["enumerate", "--N", "4", "--labels", "1_0,2"], "--labels",
+         "expected comma-separated integers, got '1_0,2'"),
+    ],
+    ids=["holes", "count-genus", "hz-genus", "hz-N", "max-genus", "max-holes", "max-n",
+         "enumerate-N", "labels"],
+)
+def test_an_underscore_in_an_integer_is_a_usage_error(capsys, argv, flag, message):
+    # int() reads `1_0` as ten, so `--holes 1_0` printed the count of one
+    # boundary of size 10, where `1,0` was almost surely meant.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"gluecount {argv[0]}: error: argument {flag}: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["count", "--genus", " 2 ", "--holes", "1"], "21\n"),
+        (["count", "--genus", "+2", "--holes", " 1"], "21\n"),
+        (["count", "--genus", "٢", "--holes", "١,0"], "483\n"),
+        (["hz", "--genus", "1", "--N", "３"], "10\n"),
+    ],
+    ids=["spaces", "signs", "arabic-indic-digits", "fullwidth-digit"],
+)
+def test_other_int_spellings_still_count(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_table_csv(capsys):

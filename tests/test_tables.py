@@ -12,6 +12,8 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 import fraction_kernels
 from gluecount import (
     SurfaceSignature,
@@ -23,7 +25,7 @@ from gluecount import (
     hz_tanh,
 )
 from gluecount import cli, exact, formula, hz, recursion
-from gluecount.formula import _power, _scales, _weight_rows
+from gluecount.formula import _power, _scales, _split_sum, _weight_rows
 from gluecount.hz import _half_ratio_coeffs
 from gluecount.verify import _hz_recurrence
 
@@ -185,6 +187,17 @@ def test_routes_match_the_recurrence_past_the_real_cap():
         for n in (2 * g, 2 * g + 1, 2 * g + 6):
             for route in ROUTES:
                 assert route(g, n) == eps[g][n], (route.__name__, g, n)
+
+
+@pytest.mark.parametrize(
+    "genus, sizes", [(151, (3, 2, 1)), (175, (3, 3, 2, 2, 1, 1))], ids=["g151", "g175"]
+)
+def test_truncated_products_past_the_cap_match_the_fraction_kernel(genus, sizes):
+    # Past the cap the scales and weights are rows of a per-call copy. Three
+    # distinct sizes take `_power`, a `_times` and the last dot product on
+    # them; the Fraction kernel shares no code with any of the three.
+    assert genus > formula._TABLE_GENUS
+    assert Fraction(*_split_sum(genus, sizes)) == fraction_kernels.split_sum(genus, sizes)
 
 
 def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
