@@ -73,12 +73,23 @@ otherwise. A genus-0 entry is keyed by that same code, so the index of
 sizes texts holds no second copy of the codes it shares with the table.
 The 31,142 entries of a g <= 3, L <= 5, n <= 4 memo load in 54-72 ms on a
 2-vCPU Xeon with CPython 3.11.
-`memo_store_load(path, verify=True)` re-derives every entry with a scratch
-table (never seeded from the file) once the file's text and its index of
-sizes texts are freed, so on that memo it peaks no higher than a plain
-load. It raises ConsistencyError naming the least (g, ns) that disagrees,
-or CacheError naming an entry it cannot recompute. A save through a
-symlink writes the file the link points to and keeps the link.
+`memo_store_load(path, verify=True)` checks, once the file's text and its
+index of sizes texts are freed, that the entries are a fixed point of the
+recursion: each equals one kernel step over the others, a disk counting 1.
+By induction on 2g + L such a file holds only true counts. The check adds
+no entry, so the parse sets the peak, as in a plain load (tracemalloc:
+1.2 MiB above the table for the 18,642-entry file, 8.2 MiB for the g = 14
+memo; a recompute into a scratch table peaked at 2.0 and 8.7 MiB). A file
+that is not a fixed point is re-derived into a scratch table, never
+seeded from the file, which raises ConsistencyError naming the
+least (g, ns) that disagrees, or CacheError naming an entry it cannot
+recompute. A save through a symlink writes the file the link points to
+and keeps the link.
+
+State budget: one top-level call of the kernel stores at most
+_STATE_BUDGET new entries, the counterpart of `gluing._WORD_BUDGET`; the
+next raises DomainError, and the entries stored stay valid. g = 16 with one
+boundary of size 1 (201,590 entries) fits it, g = 20 with (2, 2, 2) does not.
 """
 
 from __future__ import annotations
@@ -113,6 +124,8 @@ _BITS = 16
 _FIELD = 1 << _BITS  # every field of a code stays below this
 _MASK = _FIELD - 1
 _SIZE_LIMIT = 1 << 12  # sizes stay below this, so a code stays below 8 KiB
+# The most entries one top-level call of the kernel may add to a memo.
+_STATE_BUDGET = 300_000
 
 # _POWERS[s] = P[s] = 2^(16(s+1)), grown through `exact._grown` up to the
 # largest size reached (at most _SIZE_LIMIT entries, about 16 MiB).
@@ -194,16 +207,19 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     DomainError is the same and the entries the table keeps stay valid.
 
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
-    so time and memory grow with the number of such partitions, and no bound
-    is set in advance. On a 2-vCPU Xeon with CPython 3.11, from an empty
-    table, in three runs each, g=0 with 20 boundaries of size 1 takes
-    0.003 s (626 entries), with 40 0.32-0.33 s (37k entries), and g=6 with
-    five boundaries of size 4 0.24-0.26 s (22.5k entries). g=0 with 100
-    boundaries of size 1 is out of practical reach. A key takes 2 bytes per
-    size up to the largest size it holds, so boundaries of hundreds of
-    edges cost more memory and time per entry: g=2 with one boundary of
-    size 800 takes 1.27-1.34 s and a 76 MB peak resident set for the
-    process (55k entries).
+    so time and memory grow with the number of such partitions. On a
+    2-vCPU Xeon with CPython 3.11, from an empty table, in three runs each,
+    g=0 with 20 boundaries of size 1 takes 0.003 s (626 entries), with 40
+    0.32-0.33 s (37k entries), and g=6 with five boundaries of size 4
+    0.24-0.26 s (22.5k entries). A call that would add more than
+    _STATE_BUDGET (300,000) entries raises DomainError when it reaches the
+    next one, and the entries the table keeps stay valid: g=16 with one
+    boundary of size 1 (201,590 entries) counts in 2.5 s, while g=20 with
+    three boundaries of size 2, and g=0 with 100 boundaries of size 1, are
+    refused. A key takes 2 bytes per size up to the largest size it holds,
+    so boundaries of hundreds of edges cost more memory and time per entry:
+    g=2 with one boundary of size 800 takes 1.27-1.34 s and a 76 MB peak
+    resident set for the process (55k entries).
     """
     entries = memo._codes if memo is not None else {}
     genus = sig.genus
@@ -229,13 +245,13 @@ def _reach(genus: int, sizes: tuple[int, ...]) -> None:
 
 
 def _compute(genus: int, holes: int, code: int, entries: dict[int, int]) -> int:
-    """Run the kernel from the top. Its 2g + L levels must fit in half of
-    Python's recursion limit, or DomainError is raised before any work; a
-    RecursionError, should the caller's own stack be deep, becomes the same
-    DomainError."""
+    """Run the kernel from the top, adding at most _STATE_BUDGET entries to
+    `entries`. Its 2g + L levels must fit in half of Python's recursion
+    limit, or DomainError is raised before any work; a RecursionError,
+    should the caller's own stack be deep, becomes the same DomainError."""
     if 2 * (2 * genus + holes) <= sys.getrecursionlimit():
         try:
-            return _count(genus, code, entries)
+            return _count(genus, code, entries, len(entries) + _STATE_BUDGET)
         except RecursionError:
             pass
     raise DomainError(f"recursion too deep for g={genus}, L={holes}")
@@ -254,11 +270,15 @@ class _Sizes:
         return format(_sizes(self.code >> _BITS), spec)
 
 
-def _count(genus: int, code: int, entries: dict[int, int]) -> int:
+def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
     """The plain count for the state `code` of genus `genus`, computed and
     stored; the caller has found no memo entry for it. A child the memo
     misses is computed by a call to this function, so each level of the
-    recursion is one frame."""
+    recursion is one frame. A disk counts 1 and is neither looked up nor
+    stored; any other state that finds `limit` entries in the memo raises
+    DomainError before it reads a child. `entries` is read through its
+    `get` and written once, at the end: the fixed-point check of
+    memo_store_load passes a view of a loaded file that takes no entry."""
     # The (size u, multiplicity c_u, weight w_u) of each distinct size,
     # largest first, read off the code's fields: w_u = c_u u, and 1 for the
     # punctures, which enter every step as a group (see the module docstring).
@@ -273,6 +293,8 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
         groups.append((u, cu, cu * u or 1))
     if genus == 0 and holes == 1:
         return 1
+    if len(entries) >= limit:
+        raise DomainError(f"recursion too large: more than {_STATE_BUDGET} new states")
     powers = _POWERS
     get = entries.get
 
@@ -284,7 +306,7 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
             child = without_u - powers[u] + powers[2 * u + 2]
             plain = get(child)
             if plain is None:
-                plain = _count(genus, child, entries)
+                plain = _count(genus, child, entries, limit)
             # 2 C(c_u, 2) u^2, or 1 for two punctures.
             total += (cu * (cu - 1) * u * u if u else 1) * plain
         # u > v, so only v can be the punctures; when u is, no v follows.
@@ -293,7 +315,7 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
             child = without_u - powers[v] + powers[u + v + 2]
             plain = get(child)
             if plain is None:
-                plain = _count(genus, child, entries)
+                plain = _count(genus, child, entries, limit)
             inner += wv * plain
         total += 2 * wu * inner
 
@@ -306,7 +328,7 @@ def _count(genus: int, code: int, entries: dict[int, int]) -> int:
                 child = without_u + powers[x] + powers[u + 2 - x]
                 plain = get(child)
                 if plain is None:
-                    plain = _count(lower, child, entries)
+                    plain = _count(lower, child, entries, limit)
                 acc += plain
             # x and u + 2 - x cut off the same pair of sizes, so each term
             # counts twice, but the last one once when u is even: then
@@ -382,7 +404,16 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
 def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> CountTable:
     """Read a CountTable back from `path`; a missing file yields an empty table.
 
-    With verify=True every entry is recomputed from scratch and compared.
+    With verify=True the entries are checked as a fixed point of the
+    recursion (see `_fixed_point`), which holds no table but the one
+    returned. A file that fails that check is re-derived entry by entry
+    into a scratch table, never seeded from the file, and compared: that
+    raises ConsistencyError naming the least (g, ns) that disagrees, or
+    CacheError naming the first entry that cannot be recomputed, its
+    polygon too large, its recursion too deep or over the state budget.
+    A file the check accepts holds only true counts, each in the range and
+    depth that the recompute takes: the recompute would return the same
+    table, unless one entry's recursion passed the state budget.
     """
     file = os.fspath(path)
     # Missing by the rule of pathlib's exists(): a path that fails to open
@@ -396,10 +427,10 @@ def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> Count
             raise
         return CountTable()
     # The file's text blocks, their lines and the sizes-text index are gone
-    # once _read returns, before any recompute.
+    # once _read returns, before the check.
     with handle:
         entries = _read(file, handle)
-    if verify:
+    if verify and not _fixed_point(entries):
         scratch: dict[int, int] = {}
         for code in entries:
             if code not in scratch:
@@ -421,6 +452,62 @@ def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> Count
     table = CountTable()
     table._codes = entries
     return table
+
+
+class _Closed:
+    """The entries of a loaded file as the kernel sees them in the
+    fixed-point check: found as stored, with a store that keeps an entry
+    the file holds and raises KeyError for any other."""
+
+    __slots__ = ("get", "_entries")
+
+    def __init__(self, entries: dict[int, int]) -> None:
+        self._entries = entries
+        self.get = entries.get
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __setitem__(self, code: int, count: int) -> None:
+        if code not in self._entries:
+            raise KeyError(code)
+
+
+def _fixed_point(entries: dict[int, int]) -> bool:
+    """Whether every entry equals one kernel step over `entries`, the
+    entries of a loaded file, with each child of the step in the file or a
+    disk; the kernel runs once per entry and stores nothing.
+
+    Such a file holds true counts, by induction on 2g + L: a disk counts 1,
+    and an entry whose children hold true counts equals its true count. It
+    also passes the recompute: every non-disk state has a child that keeps
+    the polygon size N, merging its largest size with another or, with one
+    boundary, cutting a handle, and its code arithmetic cannot overflow a
+    field, for the new size exceeds every size the state holds. So a file
+    that passes holds, below each entry, a genus-0 pair (a, b) with
+    a + b + 2 = N, and its largest size s is at least (N - 2) / 2. The
+    check runs only when 2s + 2 < 4096, so every N is below 4096, as the
+    recompute requires; then no state holds more than N/2 + 1 boundaries,
+    no field of a step overflows, and the step reads true children. It runs
+    only when 2(s + 2) is within the recursion limit too, so the depth
+    2g + L <= N/2 + 1 of every entry passes the recompute's guard. Any other
+    outcome, a count that differs, an inexact division, a child missing
+    from the file or a size past the powers grown, returns False.
+    """
+    if not entries:
+        return True
+    top = (max(entries).bit_length() - 1) // _BITS - 1  # the largest size held
+    if 2 * top + 2 >= _SIZE_LIMIT or 2 * (top + 2) > sys.getrecursionlimit():
+        return False
+    _grown(_POWERS, 2 * top + 2, _grow_powers, _SIZE_LIMIT - 1)
+    # The view never grows, so the state budget is never reached.
+    closed, limit = _Closed(entries), len(entries) + 1
+    try:
+        return all(
+            _count(code & _MASK, code, closed, limit) == count for code, count in entries.items()
+        )
+    except (ConsistencyError, LookupError, RecursionError):
+        return False
 
 
 def _read(file: str, handle: BufferedReader) -> dict[int, int]:

@@ -15,11 +15,15 @@ from cache_text import cache_table
 
 from gluecount import (
     CacheError,
+    ConsistencyError,
+    CountTable,
     SurfaceSignature,
     count_closed,
+    count_recursive,
     hz_tanh,
     memo_store_load,
     memo_store_save,
+    recursion,
 )
 from gluecount.cli import main
 from gluecount.verify import iter_bounded_signatures
@@ -200,6 +204,19 @@ def test_count_recursive_too_deep_is_exit_two(capsys):
     assert err == "error: recursion too deep for g=0, L=600\n"
 
 
+def test_count_recursive_over_the_state_budget_is_exit_two(capsys, tmp_path, monkeypatch):
+    # The memo that grew up to the refusal is not saved.
+    monkeypatch.setattr(recursion, "_STATE_BUDGET", 1000)
+    cache = tmp_path / "memo.txt"
+    code, out, err = run(
+        capsys, "count", "--genus", "20", "--holes", "2,2,2", "--method", "recursive",
+        "--cache", str(cache),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: recursion too large: more than 1000 new states\n"
+    assert not cache.exists()
+
+
 def test_count_recursive_out_of_range_is_exit_two(capsys):
     code, out, err = run(
         capsys, "count", "--genus", "65536", "--holes", "1", "--method", "recursive"
@@ -332,10 +349,8 @@ def test_mutated_caches_never_print_a_wrong_count(capsys, tmp_path):
 
     The memo is loaded with verify=False, as the CLI does, so a changed
     count is trusted until the answer is checked against the closed formula.
-    The verify=True half waits for a bound on the states a recompute may
-    visit: today the 42-byte file `#gluecount-cache v1` plus
-    `g=20;ns=2,2,2;count=1` runs past 60 s under verify=True, so no mutant
-    is loaded that way here.
+    test_mutated_caches_never_verify_a_wrong_count loads the same mutants
+    with verify=True.
     """
     argv = ["count", "--genus", "2", "--holes", "2,1,0", "--method", "recursive"]
     true = f"{count_closed(SurfaceSignature(2, (2, 1, 0)))}\n"
@@ -352,6 +367,40 @@ def test_mutated_caches_never_print_a_wrong_count(capsys, tmp_path):
         codes[code] += 1
     # A count trusted from the file and refused by the check exits 1.
     assert codes.keys() == {0, 1, 2}, codes
+
+
+def test_mutated_caches_never_verify_a_wrong_count(tmp_path, monkeypatch):
+    """A verified load of a corrupted memo refuses it or holds true counts.
+
+    The mutants are those of test_mutated_caches_never_print_a_wrong_count;
+    none of them is accepted, so the saved memo itself is loaded too. A
+    file that names a far larger signature, such as the 42-byte
+    `#gluecount-cache v1` plus `g=20;ns=2,2,2;count=1`, is refused by the
+    recompute's state budget, lowered here so that each load takes
+    milliseconds.
+    """
+    monkeypatch.setattr(recursion, "_STATE_BUDGET", 2000)
+    memo = CountTable()
+    count_recursive(SurfaceSignature(2, (2, 1, 0)), memo)
+    cache = tmp_path / "memo.txt"
+    memo_store_save(memo, cache)
+    saved = cache.read_bytes()
+    rng = random.Random(35)
+    outcomes = Counter()
+    far = b"#gluecount-cache v1\ng=20;ns=2,2,2;count=1\n"
+    for data in [saved, far] + [_mutant(rng, saved) for _ in range(250)]:
+        cache.write_bytes(data)
+        try:
+            table = memo_store_load(cache, verify=True)
+        except (CacheError, ConsistencyError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        for (genus, sizes), count in table.entries.items():
+            assert count == count_closed(SurfaceSignature(genus, sizes)), data
+        outcomes["accepted"] += 1
+    assert outcomes.keys() == {
+        "accepted", "CacheError", "CacheVersionError", "ConsistencyError"
+    }, outcomes
 
 
 def test_count_recursive_checks_cached_answer(capsys, tmp_path):

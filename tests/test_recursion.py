@@ -479,8 +479,8 @@ def test_load_verify_rejects_corrupt_entry(tmp_path):
 
 
 def test_poisoned_memo_is_caught_by_verify(tmp_path):
-    # verify recomputes from scratch, so a wrong entry cannot hide behind
-    # other correct ones.
+    # The wrong entry is no one step over the others, so verify recomputes
+    # from scratch, and it cannot hide behind the other, correct ones.
     memo = CountTable()
     count_recursive(SurfaceSignature(1, (2, 1)), memo)
     path = tmp_path / "poisoned.txt"
@@ -525,6 +525,123 @@ def test_verify_checks_genus_zero_one_boundary_entries(tmp_path):
     with pytest.raises(ConsistencyError) as info:
         memo_store_load(path, verify=True)
     assert str(info.value) == f"{path}: entry g=0, ns=(3,) holds 2, recomputed 1"
+
+
+def test_verify_of_a_saved_memo_recomputes_nothing(tmp_path, monkeypatch):
+    # Every entry of a saved memo is one kernel step over the others, so the
+    # fixed-point check accepts it and no scratch table is built.
+    memo = CountTable()
+    count_recursive(SurfaceSignature(3, (2, 1)), memo)
+    path = tmp_path / "memo.txt"
+    memo_store_save(memo, path)
+    calls = []
+    compute = recursion._compute
+
+    def spy(*args):
+        calls.append(args[:2])
+        return compute(*args)
+
+    monkeypatch.setattr(recursion, "_compute", spy)
+    assert memo_store_load(path, verify=True) == memo
+    assert calls == []
+    # A file that is not a fixed point still goes to the recompute.
+    path.write_text(path.read_text().replace(f"count={memo.entries[3, (2, 1)]}", "count=1"))
+    with pytest.raises(ConsistencyError, match=r"entry g=3, ns=\(2, 1\) holds 1, recomputed "):
+        memo_store_load(path, verify=True)
+    assert calls
+
+
+def test_verify_counts_only_a_disk_as_one(tmp_path):
+    # (1, (5,)) is missing from the file, and its parent holds the count
+    # that a step reading 1 for it gives: the check must not take that.
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (2, 1)), memo)
+    true, child = memo.entries[1, (2, 1)], memo.entries[1, (5,)]
+    # The merge of 2 and 1 enters the step of (1, (2, 1)) with the weight
+    # 2 * 2 * 1 / (2 * 3), all other children held.
+    forged = true - 2 * (child - 1) // 3
+    assert (forged, true) == (38, 84)
+    path = tmp_path / "forged.txt"
+    memo_store_save(memo, path)
+    text = path.read_text()
+    text = text.replace(f"g=1;ns=5;count={child}\n", "")
+    text = text.replace(f"g=1;ns=2,1;count={true}\n", f"g=1;ns=2,1;count={forged}\n")
+    path.write_text(text)
+    assert len(memo_store_load(path)) == len(memo) - 1
+    with pytest.raises(ConsistencyError) as info:
+        memo_store_load(path, verify=True)
+    assert str(info.value) == f"{path}: entry g=1, ns=(2, 1) holds {forged}, recomputed {true}"
+
+
+def test_verify_accepts_a_true_entry_without_its_children(tmp_path):
+    true = count_closed(SurfaceSignature(1, (2, 1)))
+    path = tmp_path / "alone.txt"
+    path.write_text(f"#gluecount-cache v1\ng=1;ns=2,1;count={true}\n")
+    assert memo_store_load(path, verify=True).entries == {(1, (2, 1)): true}
+
+
+def test_verify_of_a_deep_memo_follows_the_recursion_limit(tmp_path, monkeypatch):
+    # A saved memo is a fixed point however deep its entries, but under a
+    # limit of 41 the recompute refuses g=10 with one boundary (21 levels):
+    # so does the verified load.
+    memo = CountTable()
+    count_recursive(SurfaceSignature(10, (1,)), memo)
+    path = tmp_path / "deep.txt"
+    memo_store_save(memo, path)
+    assert memo_store_load(path, verify=True) == memo
+    monkeypatch.setattr(recursion.sys, "getrecursionlimit", lambda: 41)
+    with pytest.raises(CacheError) as info:
+        memo_store_load(path, verify=True)
+    assert str(info.value) == (
+        f"{path}: entry g=10, ns=(1,) cannot be recomputed: recursion too deep for g=10, L=1"
+    )
+
+
+def test_verify_refuses_a_true_pair_past_the_key_range(tmp_path):
+    # (2047, 2047) is one step from a disk of 4096 edges: its count is a
+    # fixed point, but its polygon is past what the recompute takes.
+    path = tmp_path / "wide.txt"
+    path.write_text(f"#gluecount-cache v1\ng=0;ns=2047,2047;count={2047**2}\n")
+    with pytest.raises(CacheError) as info:
+        memo_store_load(path, verify=True)
+    assert str(info.value) == (
+        f"{path}: entry g=0, ns=(2047, 2047) cannot be recomputed: g=0, L=2 is out of "
+        "range for the recursion: its polygon has 4096 edges, and the memo keys allow "
+        "at most 4095"
+    )
+
+
+def test_state_budget_refuses_a_large_recursion(tmp_path, monkeypatch):
+    monkeypatch.setattr(recursion, "_STATE_BUDGET", 30)
+    memo = CountTable()
+    # 23 new entries, then 27: the budget counts per call, so both fit.
+    count_recursive(SurfaceSignature(2, (2, 1)), memo)
+    count_recursive(SurfaceSignature(2, (2, 2)), memo)
+    assert len(memo) == 50
+    # g=4 with one boundary of size 1 needs 62.
+    with pytest.raises(DomainError) as info:
+        count_recursive(SurfaceSignature(4, (1,)), CountTable())
+    assert str(info.value) == "recursion too large: more than 30 new states"
+    with pytest.raises(DomainError):
+        count_recursive(SurfaceSignature(5, (2, 1)), memo)
+    # The entries kept stay valid: 30 more, each one true.
+    assert len(memo) == 80
+    for (genus, sizes), count in memo.entries.items():
+        assert count == count_closed(SurfaceSignature(genus, sizes))
+    # A verified load cannot recompute the 42-byte file of g=20 with three
+    # boundaries of size 2.
+    path = tmp_path / "far.txt"
+    path.write_text("#gluecount-cache v1\ng=20;ns=2,2,2;count=1\n")
+    assert path.stat().st_size == 42
+    monkeypatch.setattr(recursion, "_STATE_BUDGET", 1000)
+    start = time.perf_counter()
+    with pytest.raises(CacheError) as info:
+        memo_store_load(path, verify=True)
+    assert time.perf_counter() - start < 2
+    assert str(info.value) == (
+        f"{path}: entry g=20, ns=(2, 2, 2) cannot be recomputed: "
+        "recursion too large: more than 1000 new states"
+    )
 
 
 POWER = [1 << 16 * (size + 1) for size in range(64)]
@@ -869,7 +986,8 @@ def test_cache_io_holds_one_block_of_lines(tmp_path, monkeypatch):
     # distinct sizes tuple until its end peaked at 4.3 times; one that
     # formats each line's sizes afresh holds only the sorted codes and a
     # block, 1.6 times. Splitting a block at a time, a load stays below 3.5 times, and
-    # verify holds no more than the table when it starts to recompute.
+    # verify holds no more than the table when it starts its fixed-point
+    # check (2.7 and -0.03 times the file, as where the recompute started).
     memo = CountTable()
     for genus in range(6):
         for holes in range(1, 3):
@@ -890,17 +1008,17 @@ def test_cache_io_holds_one_block_of_lines(tmp_path, monkeypatch):
     # at 4.1 times.
     assert peak - held < 3.5 * size, (peak - held) / size
 
-    # Tracing stops where the recompute starts, which it would slow 30-fold.
+    # Tracing stops where the fixed-point check starts, which it would slow
+    # 30-fold.
     at_start = []
-    compute = recursion._compute
+    fixed_point = recursion._fixed_point
 
-    def first_compute(*args):
-        if tracemalloc.is_tracing():
-            at_start.append(tracemalloc.get_traced_memory())
-            tracemalloc.stop()
-        return compute(*args)
+    def traced_fixed_point(entries):
+        at_start.append(tracemalloc.get_traced_memory())
+        tracemalloc.stop()
+        return fixed_point(entries)
 
-    monkeypatch.setattr(recursion, "_compute", first_compute)
+    monkeypatch.setattr(recursion, "_fixed_point", traced_fixed_point)
     assert _traced(lambda: memo_store_load(path, verify=True))[0] == table
     [(current, peak)] = at_start
     assert peak - held < 5 * size
