@@ -16,10 +16,10 @@ scales s_i (`_scales`) and the product weights w[i][j] (`_weight_rows`).
 Row i of each depends only on rows below it, never on the genus asked for,
 so a call extends a table through `exact._grown` by the rows it lacks (none
 at import), and every later call reads a prefix. They are kept, like the
-tanh coefficients of `hz`, through genus _TABLE_GENUS = 150, where the three
-hold 0.38 MB (tracemalloc, CPython 3.11). A higher genus computes its extra
-rows once, for that call only: only the entry points fetch them, and pass
-them on. The splitting sum's factors F_n(t)^c are built per call.
+tanh coefficients of `hz`, through genus _TABLE_GENUS = 150. A higher genus
+computes its extra rows once, for that call only: only the entry points
+fetch them, and pass them on. The splitting sum's factors F_n(t)^c are
+built per call.
 
 `table` takes a grid of size tuples through `_closed_columns`. A tuple's
 product, truncated at the grid's highest genus, is its prefix tuple's
@@ -264,6 +264,9 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     truncated at t^genus, at O(genus^2) per product (`_times`), and only
     [t^genus] of their product with the last is taken, as one dot product
     at O(genus). Listing the splittings would take C(genus+L-1, L-1) terms.
+    The scaled coefficients grow to O(genus log N) bits for a polygon of N
+    edges, O(genus log genus) for fixed sizes, so each operation costs more
+    as genus grows and the time grows faster than genus^2.
     """
     s = _scales(genus)
     # One boundary takes no product.

@@ -43,53 +43,19 @@ no genus exceeds g and no size occurs more than L + g times. count_recursive
 refuses a signature with N >= 4096 before any work: every field then stays
 below 2^16 and a code below 8 KiB.
 
-Persistence: a CountTable can be saved to / loaded from a small text format,
+Persistence: `memo_store_save` and `memo_store_load` keep a CountTable in a
+versioned UTF-8 text format,
 
     #gluecount-cache v1
     g=<int>;ns=<comma-separated sizes, non-increasing>;count=<decimal integer>
 
-with entry lines sorted by (g, ns). The file must be UTF-8: any other byte
-sequence is refused with CacheError naming its byte offset, before any
-error of a line. Unknown versions are refused; malformed lines, and keys
-that do not fit a code, are reported with their line number. The saver
-formats and writes 1024 lines at a time, each line's sizes decoded from its
-code: it keeps no index of sizes texts. The loader opens the file once; a
-path that fails to open as missing (by pathlib's exists() rule) holds an
-empty table. Each read takes 32 KiB and the rest of its last line, so a
-block holds whole lines and whole characters and decodes in one step;
-lines, and the byte offset named, are counted across the blocks. When it
-refuses a line, it decodes the rest of the file first, so that an
-undecodable byte further on is still the error raised. Neither holds every
-line at once: above the memo, a save holds its sorted codes and one block
-of lines, and a load peaks at up to three times the file's size above the
-table it returns (tracemalloc: for the 18,642-entry, 0.56 MiB file of a
-g <= 3, L <= 4, n <= 5 memo, 0.34 MiB for a save and 1.2 MiB for a load;
-for the 3.1 MiB file of the g = 14 memo of (1,), 1.3 MiB for a save and
-8.2 MiB for a load). The loader codes each
-distinct sizes text once: from the code of its tail (the text after its
-first comma) when an earlier line holds that tail, as it does for 97 % of
-the texts in a saved file, and by splitting and checking it in full
-otherwise. A genus-0 entry is keyed by that same code, so the index of
-sizes texts holds no second copy of the codes it shares with the table.
-The 31,142 entries of a g <= 3, L <= 5, n <= 4 memo load in 54-72 ms on a
-2-vCPU Xeon with CPython 3.11.
-`memo_store_load(path, verify=True)` checks, once the file's text and its
-index of sizes texts are freed, that the entries are a fixed point of the
-recursion: each equals one kernel step over the others, a disk counting 1.
-By induction on 2g + L such a file holds only true counts. The check adds
-no entry, so the parse sets the peak, as in a plain load (tracemalloc:
-1.2 MiB above the table for the 18,642-entry file, 8.2 MiB for the g = 14
-memo; a recompute into a scratch table peaked at 2.0 and 8.7 MiB). A file
-that is not a fixed point is re-derived into a scratch table, never
-seeded from the file, which raises ConsistencyError naming the
-least (g, ns) that disagrees, or CacheError naming an entry it cannot
-recompute. A save through a symlink writes the file the link points to
-and keeps the link.
+with entry lines sorted by (g, ns). Each states its own contract: what it
+writes or reads, and what it refuses. `_blocks` and `_parse` say how a load
+reads the text, and `_fixed_point` what `verify=True` checks.
 
 State budget: one top-level call of the kernel stores at most
-_STATE_BUDGET new entries, the counterpart of `gluing._WORD_BUDGET`; the
-next raises DomainError, and the entries stored stay valid. g = 16 with one
-boundary of size 1 (201,590 entries) fits it, g = 20 with (2, 2, 2) does not.
+_STATE_BUDGET new entries, the counterpart of `gluing._WORD_BUDGET` (see
+`count_recursive`).
 """
 
 from __future__ import annotations
@@ -197,8 +163,8 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     """Count gluings for `sig` by the cut recursion.
 
     Passing the same CountTable across calls shares all intermediate results.
-    Only this function and memo_store_load fill a table, and a load trusts
-    the file: use memo_store_load(path, verify=True) when provenance is in doubt.
+    A loaded table is trusted as written: use memo_store_load(path,
+    verify=True) when provenance is in doubt.
     A signature whose polygon has 4096 edges or more raises DomainError
     before any work. The recursion nests 2g + L levels, one frame each; a
     signature with 2g + L above half of Python's recursion limit (500 of
@@ -207,19 +173,16 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     DomainError is the same and the entries the table keeps stay valid.
 
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
-    so time and memory grow with the number of such partitions. On a
-    2-vCPU Xeon with CPython 3.11, from an empty table, in three runs each,
-    g=0 with 20 boundaries of size 1 takes 0.003 s (626 entries), with 40
-    0.32-0.33 s (37k entries), and g=6 with five boundaries of size 4
-    0.24-0.26 s (22.5k entries). A call that would add more than
+    so time and memory grow with the number of such partitions: from an
+    empty table, g=0 with 20 boundaries of size 1 adds 626 entries, with 40
+    37,337, g=6 with five boundaries of size 4 22,522, and g=16 with one
+    boundary of size 1 201,590. A call that would add more than
     _STATE_BUDGET (300,000) entries raises DomainError when it reaches the
-    next one, and the entries the table keeps stay valid: g=16 with one
-    boundary of size 1 (201,590 entries) counts in 2.5 s, while g=20 with
-    three boundaries of size 2, and g=0 with 100 boundaries of size 1, are
+    next one, and the entries the table keeps stay valid: g=20 with three
+    boundaries of size 2, and g=0 with 100 boundaries of size 1, are
     refused. A key takes 2 bytes per size up to the largest size it holds,
-    so boundaries of hundreds of edges cost more memory and time per entry:
-    g=2 with one boundary of size 800 takes 1.27-1.34 s and a 76 MB peak
-    resident set for the process (55k entries).
+    so boundaries of hundreds of edges cost more memory and time per entry
+    (g=2 with one boundary of size 800 adds 54,674 entries).
     """
     entries = memo._codes if memo is not None else {}
     genus = sig.genus
@@ -347,7 +310,11 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     one step: a failed save leaves the old file as it was. A symlinked
     `path` is written through: its target is replaced, and the link kept. A
     directory, or any other existing target that is not a regular file
-    (such as a pipe), is refused before any file is opened."""
+    (such as a pipe), is refused before any file is opened. A count longer
+    than the int-to-str conversion limit raises CacheError naming its
+    entry. Lines are formatted and written _BLOCK at a time, each line's
+    sizes decoded from its code, so above the memo a save holds only the
+    sorted codes and one block of lines."""
     target = os.fspath(path)
     # Within a genus, codes shifted past the genus field sort as their
     # non-increasing size tuples do: the first size field, from the top,
@@ -402,18 +369,29 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
 
 
 def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> CountTable:
-    """Read a CountTable back from `path`; a missing file yields an empty table.
+    """Read a CountTable back from `path`. A path that fails to open as
+    missing, by the rule of pathlib's exists(), yields an empty table.
+
+    The file must be UTF-8: an undecodable byte raises CacheError naming
+    its byte offset, ahead of any error of a line. An unknown header raises
+    CacheVersionError. A malformed line, sizes out of order, a duplicate
+    key, or a key that does not fit a code (a genus of 65536 or more, a
+    size of 4096 or more, or a size repeated 65536 times or more) raises
+    CacheError naming the line. The text is read in blocks of whole lines
+    (`_blocks`) and never held whole. Entries are trusted as written
+    unless verify=True.
 
     With verify=True the entries are checked as a fixed point of the
     recursion (see `_fixed_point`), which holds no table but the one
-    returned. A file that fails that check is re-derived entry by entry
-    into a scratch table, never seeded from the file, and compared: that
-    raises ConsistencyError naming the least (g, ns) that disagrees, or
-    CacheError naming the first entry that cannot be recomputed, its
-    polygon too large, its recursion too deep or over the state budget.
-    A file the check accepts holds only true counts, each in the range and
-    depth that the recompute takes: the recompute would return the same
-    table, unless one entry's recursion passed the state budget.
+    returned. A file that fails that check is recomputed entry by entry by
+    `count_recursive` into a scratch table, never seeded from the file, and
+    compared: that raises ConsistencyError naming the least (g, ns) that
+    disagrees, or CacheError naming the first entry that cannot be
+    recomputed, its polygon too large, its recursion too deep or over the
+    state budget. A file the check accepts holds only true counts, each in
+    the range and depth that the recompute takes: the recompute would
+    return the same table, unless one entry's recursion passed the state
+    budget.
     """
     file = os.fspath(path)
     # Missing by the rule of pathlib's exists(): a path that fails to open
@@ -431,23 +409,23 @@ def memo_store_load(path: str | os.PathLike[str], verify: bool = False) -> Count
     with handle:
         entries = _read(file, handle)
     if verify and not _fixed_point(entries):
-        scratch: dict[int, int] = {}
+        scratch = CountTable()
+        # The kernel does not store a disk, so each entry's own count is kept.
+        recomputed = scratch._codes
         for code in entries:
-            if code not in scratch:
-                genus, sizes = code & _MASK, _sizes(code >> _BITS)
-                try:
-                    _reach(genus, sizes)
-                    scratch[code] = _compute(genus, len(sizes), code, scratch)
-                except DomainError as exc:
-                    raise CacheError(
-                        f"{file}: entry g={genus}, ns={sizes} cannot be recomputed: {exc}"
-                    ) from None
-        wrong = [code for code, stored in entries.items() if scratch[code] != stored]
+            genus, sizes = code & _MASK, _sizes(code >> _BITS)
+            try:
+                recomputed[code] = count_recursive(SurfaceSignature(genus, sizes), scratch)
+            except DomainError as exc:
+                raise CacheError(
+                    f"{file}: entry g={genus}, ns={sizes} cannot be recomputed: {exc}"
+                ) from None
+        wrong = [code for code, stored in entries.items() if recomputed[code] != stored]
         if wrong:
             code = min(wrong, key=lambda code: (code & _MASK, code >> _BITS))
             raise ConsistencyError(
                 f"{file}: entry g={code & _MASK}, ns={_sizes(code >> _BITS)} "
-                f"holds {entries[code]}, recomputed {scratch[code]}"
+                f"holds {entries[code]}, recomputed {recomputed[code]}"
             )
     table = CountTable()
     table._codes = entries

@@ -216,3 +216,26 @@ def test_readme_command_lines_print_what_is_shown(capsys, monkeypatch, tmp_path)
         assert re.fullmatch(pattern, capsys.readouterr().out), command
         ran.append(command.split()[0])
     assert ran == ["count", "count", "count", "hz", "hz", "table", "enumerate"]
+
+
+def test_readme_states_the_bounds_the_code_enforces():
+    # Each refusal bound where the README gives it, in prose and in the
+    # quoted messages: changing a constant fails here until the README follows.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    states, words = recursion._STATE_BUDGET, gluing._WORD_BUDGET
+    stated = [
+        f"at most {states:,} entries",
+        f"more than {states} new states",
+        f"the recursion's {states:,}-state budget",
+        f"passes the {states:,}-state budget",
+        f"more than {words:,} diagrams",
+        f"more than {words:,} chord diagrams to walk",
+        f"more than {words:,} words to canonicalize",
+        f"more than {words} words to canonicalize",
+        f"polygon has {recursion._SIZE_LIMIT} edges or more, the largest size",
+        f"polygon has {recursion._SIZE_LIMIT} edges or more, whose recursion",
+        f"whose sizes reach {recursion._SIZE_LIMIT}",
+        f"genus is {recursion._FIELD} or more",
+        f"repeats a size {recursion._FIELD} times or more",
+    ]
+    assert [phrase for phrase in stated if phrase not in text] == []
