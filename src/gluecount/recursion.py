@@ -35,13 +35,15 @@ powers:
     cut u into x, y:   code - 1 - P[u] + P[x] + P[y]
 
 so a memo hit is one integer sum and one dict probe. On a miss the kernel
-reads the state's (size, multiplicity) pairs straight off the fields,
-largest first, and builds no sizes tuple; it decodes the sizes only to
-name them when a division fails. Every step keeps the polygon
-size N = n_1 + ... + n_L + 4g + 2L - 2 fixed, so no size reached exceeds N,
-no genus exceeds g and no size occurs more than L + g times. count_recursive
-refuses a signature with N >= 4096 before any work: every field then stays
-below 2^16 and a code below 8 KiB.
+reads the state's (size, multiplicity, P[size]) groups straight off the
+fields, largest first, and builds no sizes tuple; it decodes the sizes
+only to name them when a division fails. A save, likewise, writes each
+line's sizes text straight from the fields, with no sizes tuple: the text
+of each distinct size, made once per save, repeated by its multiplicity.
+Every step keeps the polygon size N = n_1 + ... + n_L + 4g + 2L - 2 fixed,
+so no size reached exceeds N, no genus exceeds g and no size occurs more
+than L + g times. count_recursive refuses a signature with N >= 4096
+before any work: every field then stays below 2^16 and a code below 8 KiB.
 
 Persistence: `memo_store_save` and `memo_store_load` keep a CountTable in a
 versioned UTF-8 text format,
@@ -133,6 +135,20 @@ def _sizes(part: int) -> tuple[int, ...]:
     return sizes
 
 
+def _sizes_text(part: int, texts: Sequence[str]) -> str:
+    """The sizes of `_sizes(part)` comma-separated, as a cache line writes
+    them, made straight from the fields: `texts[size]`, the text of `size`
+    and a comma, is taken once per distinct size and repeated by its
+    multiplicity."""
+    text = ""
+    while part:
+        size = (part.bit_length() - 1) // _BITS
+        times = part >> size * _BITS
+        part ^= times << size * _BITS
+        text += texts[size] * times
+    return text[:-1]
+
+
 class CountTable:
     """Memoized plain counts, one per signature, keyed by its code; only
     `count_recursive` and `memo_store_load` fill a table."""
@@ -220,17 +236,18 @@ def _compute(genus: int, holes: int, code: int, entries: dict[int, int]) -> int:
     raise DomainError(f"recursion too deep for g={genus}, L={holes}")
 
 
-class _Sizes:
-    """Formats as the sizes, non-increasing, that a code holds; they are
-    decoded only when a division fails and its message is made."""
+class _StepName(str):
+    """The name of a kernel step, `_divide`'s `what`: formatted from the
+    genus and the code, whose sizes are decoded only when a division fails
+    and its message is made."""
 
-    __slots__ = ("code",)
+    __slots__ = ()
 
-    def __init__(self, code: int) -> None:
-        self.code = code
+    def format(self, genus: int, code: int) -> str:  # type: ignore[override]
+        return super().format(genus, _sizes(code >> _BITS))
 
-    def __format__(self, spec: str) -> str:
-        return format(_sizes(self.code >> _BITS), spec)
+
+_STEP = _StepName("cut recursion at g={}, ns={}")
 
 
 def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
@@ -242,9 +259,11 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
     DomainError before it reads a child. `entries` is read through its
     `get` and written once, at the end: the fixed-point check of
     memo_store_load passes a view of a loaded file that takes no entry."""
-    # The (size u, multiplicity c_u, weight w_u) of each distinct size,
-    # largest first, read off the code's fields: w_u = c_u u, and 1 for the
-    # punctures, which enter every step as a group (see the module docstring).
+    # The (size u, multiplicity c_u, weight w_u, power P[u]) of each
+    # distinct size, largest first, read off the code's fields: w_u = c_u u,
+    # and 1 for the punctures, which enter every step as a group (see the
+    # module docstring).
+    powers = _POWERS
     part = code >> _BITS
     holes = 0
     groups = []
@@ -253,20 +272,20 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
         cu = part >> u * _BITS
         part -= cu << u * _BITS
         holes += cu
-        groups.append((u, cu, cu * u or 1))
+        groups.append((u, cu, cu * u or 1, powers[u]))
     if genus == 0 and holes == 1:
         return 1
     if len(entries) >= limit:
         raise DomainError(f"recursion too large: more than {_STATE_BUDGET} new states")
-    powers = _POWERS
     get = entries.get
 
     # total = 2 * (the merge sum) + (the cut sum).
     total = 0
-    for a, (u, cu, wu) in enumerate(groups):
-        without_u = code - powers[u]
+    for a, (u, cu, wu, pu) in enumerate(groups):
+        without_u = code - pu
+        u2 = u + 2
         if cu > 1:
-            child = without_u - powers[u] + powers[2 * u + 2]
+            child = without_u - pu + powers[u + u2]
             plain = get(child)
             if plain is None:
                 plain = _count(genus, child, entries, limit)
@@ -274,8 +293,8 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
             total += (cu * (cu - 1) * u * u if u else 1) * plain
         # u > v, so only v can be the punctures; when u is, no v follows.
         inner = 0
-        for v, _, wv in groups[a + 1 :]:
-            child = without_u - powers[v] + powers[u + v + 2]
+        for v, _, wv, pv in groups[a + 1 :]:
+            child = without_u - pv + powers[u2 + v]
             plain = get(child)
             if plain is None:
                 plain = _count(genus, child, entries, limit)
@@ -284,11 +303,12 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
 
     if genus:
         lower = genus - 1
-        for u, _, wu in groups:
-            without_u = code - 1 - powers[u]
+        for u, _, wu, pu in groups:
+            without_u = code - 1 - pu
+            u2 = u + 2
             acc = 0
             for x in range(1, u // 2 + 2):
-                child = without_u + powers[x] + powers[u + 2 - x]
+                child = without_u + powers[x] + powers[u2 - x]
                 plain = get(child)
                 if plain is None:
                     plain = _count(lower, child, entries, limit)
@@ -298,9 +318,7 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
             # x = u + 2 - x.
             total += wu * (2 * acc - (0 if u % 2 else plain))
 
-    entries[code] = plain = _divide(
-        total, 2 * (holes + 2 * genus - 1), "cut recursion at g={}, ns={}", genus, _Sizes(code)
-    )
+    entries[code] = plain = _divide(total, 2 * (holes + 2 * genus - 1), _STEP, genus, code)
     return plain
 
 
@@ -313,8 +331,9 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     (such as a pipe), is refused before any file is opened. A count longer
     than the int-to-str conversion limit raises CacheError naming its
     entry. Lines are formatted and written _BLOCK at a time, each line's
-    sizes decoded from its code, so above the memo a save holds only the
-    sorted codes and one block of lines."""
+    sizes text made from its code's fields by `_sizes_text`, so above the
+    memo a save holds only the sorted codes, the text of each size up to
+    the largest, and one block of lines."""
     target = os.fspath(path)
     # Within a genus, codes shifted past the genus field sort as their
     # non-increasing size tuples do: the first size field, from the top,
@@ -322,6 +341,8 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
     # So the entries sort by code, then stably by genus.
     codes = memo._codes
     ordered = sorted(codes)
+    # The text of each size up to the largest held, made once per save.
+    texts = [f"{size}," for size in range((ordered[-1].bit_length() - 1) // _BITS if codes else 0)]
     ordered.sort(key=_MASK.__and__)
     # The temporary file sits next to the file a symlink resolves to, so
     # the replace writes through the link; a dangling link gets its target
@@ -349,7 +370,7 @@ def memo_store_save(memo: CountTable, path: str | os.PathLike[str]) -> None:
                 # A count over the int-to-str limit fails to format: the first, in file order.
                 try:
                     for code in ordered[start : start + _BLOCK]:
-                        sizes = ",".join(map(str, _sizes(code >> _BITS)))
+                        sizes = _sizes_text(code >> _BITS, texts)
                         lines.append(f"g={code & _MASK};ns={sizes};count={codes[code]}\n")
                 except ValueError as exc:
                     raise CacheError(

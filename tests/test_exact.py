@@ -27,6 +27,7 @@ from gluecount import (
 )
 from gluecount.exact import _divide, _double_factorial_odd, _factorial
 from gluecount.formula import _power
+from gluecount.recursion import _sizes_code
 from gluecount.verify import _hz_recurrence, _sphere_reference, _torus_reference
 
 
@@ -162,12 +163,22 @@ EXACT_DIVISIONS = [
     pytest.param(
         # (1, 0) merges to (3,), a disc, which needs no division: the one
         # division is the state's own, of 2 by 2 * (L + 2g - 1) = 2. Its
-        # format arguments hold a _Sizes, which _skewed_divide cannot match.
+        # format arguments are the genus and the state's code; the sizes
+        # are decoded from the code only when the message is made.
         "gluecount.recursion._divide",
         lambda numerator, *rest: _divide(numerator + 1, *rest),
         lambda: count_recursive(SurfaceSignature(0, (1, 0))),
         "cut recursion at g=0, ns=(1, 0): 3/2 is not an integer",
         id="recursion-zeros",
+    ),
+    pytest.param(
+        # The genus-1 step of (10, 0), whose cuts reach genus 0 and whose
+        # count is 11725, skewed by its (genus, code) format arguments:
+        # 6 * 11725 + 1 over 2 * (L + 2g - 1) = 6.
+        "gluecount.recursion._divide", _skewed_divide((1, 1 + _sizes_code((10, 0)))),
+        lambda: count_recursive(SurfaceSignature(1, (10, 0))),
+        "cut recursion at g=1, ns=(10, 0): 70351/6 is not an integer",
+        id="recursion-cut-two-digits",
     ),
     pytest.param(
         "gluecount.verify._divide", _skewed_divide((1, 3)), lambda: _hz_recurrence(5),

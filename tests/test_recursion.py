@@ -349,6 +349,26 @@ def test_store_exact_format(tmp_path):
     assert path.read_text() == "#gluecount-cache v1\ng=0;ns=1,1;count=1\n"
 
 
+def test_saved_sizes_text_is_the_joined_sizes(tmp_path):
+    # The saver writes each line's sizes straight from its code's fields;
+    # here they hold two-digit sizes, repeated sizes and punctures, and each
+    # must read as the plain join of the sizes the table keys it by.
+    memo = CountTable()
+    count_recursive(SurfaceSignature(1, (12, 3, 3, 0, 0)), memo)
+    path = tmp_path / "memo.txt"
+    memo_store_save(memo, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    keys = sorted(memo.entries)
+    assert header == "#gluecount-cache v1" and len(lines) == len(keys) == 264
+    for line, (genus, sizes) in zip(lines, keys):
+        genus_text, sizes_text, _ = line.split(";")
+        assert genus_text == f"g={genus}"
+        assert sizes_text == "ns=" + ",".join(map(str, sizes))
+    assert any(
+        sizes[0] >= 10 and sizes[-1] == 0 and len(set(sizes)) < len(sizes) for _, sizes in keys
+    )
+
+
 def test_empty_table_serializes_to_header_only(tmp_path):
     path = tmp_path / "empty.txt"
     memo_store_save(CountTable(), path)
