@@ -25,7 +25,7 @@ from .errors import (
 from .formula import SurfaceSignature, _closed_columns, count_closed
 from .gluing import count_brute, enumerate_classes
 from .hz import hz_from_gluing_counts, hz_sum, hz_tanh
-from .recursion import CountTable, count_recursive, memo_store_load, memo_store_save
+from .recursion import count_recursive, memo_store_load, memo_store_save
 from .verify import iter_bounded_signatures, run_suites
 
 __all__ = ["main", "run"]
@@ -153,7 +153,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif args.method == "brute":
         value = count_brute(sig)
     elif args.cache is None:
-        value = count_recursive(sig, CountTable())
+        value = count_recursive(sig)
     else:
         [value] = _cached_recursive([sig], map(count_closed, [sig]), args.cache)
     print(value)

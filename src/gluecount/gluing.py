@@ -321,23 +321,6 @@ def canonicalize(word: GluingWord) -> CanonicalWord:
     return CanonicalWord(word.size, _canonical(word.size, word.pairing, word.labels))
 
 
-def _check_shape(n: int, labels: tuple[int, ...]) -> None:
-    if n < 1:
-        raise DomainError(f"polygon size must be >= 1, got {n}")
-    free = len(labels)
-    if free > n:
-        raise DomainError(f"{free} free labels cannot fit {n} slots")
-    if (n - free) % 2:
-        raise ParityError(
-            f"{n} slots minus {free} free labels leaves an odd number to pair"
-        )
-    if len(set(labels)) != free:
-        raise DomainError("free labels must be pairwise distinct")
-    for lab in labels:
-        if lab < 1:
-            raise DomainError(f"free labels must be positive, got {lab}")
-
-
 def _matchings(mu: list[int], open_slots: tuple[int, ...]) -> Iterator[list[int]]:
     """Every pairing of the open slots, written into `mu` and yielded as a
     copy: the first open slot pairs with each of the others in turn."""
@@ -408,8 +391,18 @@ def enumerate_classes(
     labels = tuple(free_labels)
     for label in labels:
         _integer("free label", label)
-    _check_shape(size, labels)
+    if size < 1:
+        raise DomainError(f"polygon size must be >= 1, got {size}")
     free = len(labels)
+    if free > size:
+        raise DomainError(f"{free} free labels cannot fit {size} slots")
+    if (size - free) % 2:
+        raise ParityError(f"{size} slots minus {free} free labels leaves an odd number to pair")
+    if len(set(labels)) != free:
+        raise DomainError("free labels must be pairwise distinct")
+    for lab in labels:
+        if lab < 1:
+            raise DomainError(f"free labels must be positive, got {lab}")
     factors = itertools.chain(range(size - free + 1, size), range(1, size - free, 2))
     if _over_budget(factors):
         raise CapExceededError(

@@ -75,7 +75,7 @@ from types import MappingProxyType
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
 from .exact import _divide, _grown
-from .formula import SurfaceSignature
+from .formula import SurfaceSignature, polygon_size
 
 __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"]
 
@@ -187,6 +187,9 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     the default 1000) raises DomainError before any work too. Should a
     caller's own deep stack make the recursion overflow anyway, the
     DomainError is the same and the entries the table keeps stay valid.
+    The polygon size is checked before the memo is probed, and the depth
+    and the state budget only on a miss, so a table that holds the count
+    answers it.
 
     The table gains one entry per (genus, sorted sizes) reachable from `sig`,
     so time and memory grow with the number of such partitions: from an
@@ -203,37 +206,24 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     entries = memo._codes if memo is not None else {}
     genus = sig.genus
     sizes = sig.sorted_sizes()
-    _reach(genus, sizes)
-    code = genus + _sizes_code(sizes)
-    hit = entries.get(code)
-    if hit is not None:
-        return hit
-    return _compute(genus, len(sizes), code, entries)
-
-
-def _reach(genus: int, sizes: tuple[int, ...]) -> None:
-    """Refuse a signature whose polygon size N, the largest size its
-    recursion reaches, does not fit a code; extend _POWERS up to N."""
-    edges = sum(sizes) + 4 * genus + 2 * len(sizes) - 2
+    # N, the largest size the recursion reaches, must fit a code.
+    edges = polygon_size(sig)
     if edges >= _SIZE_LIMIT:
         raise DomainError(
             f"g={genus}, L={len(sizes)} is out of range for the recursion: its polygon "
             f"has {edges} edges, and the memo keys allow at most {_SIZE_LIMIT - 1}"
         )
     _grown(_POWERS, edges, _grow_powers, _SIZE_LIMIT - 1)
-
-
-def _compute(genus: int, holes: int, code: int, entries: dict[int, int]) -> int:
-    """Run the kernel from the top, adding at most _STATE_BUDGET entries to
-    `entries`. Its 2g + L levels must fit in half of Python's recursion
-    limit, or DomainError is raised before any work; a RecursionError,
-    should the caller's own stack be deep, becomes the same DomainError."""
-    if 2 * (2 * genus + holes) <= sys.getrecursionlimit():
+    code = genus + _sizes_code(sizes)
+    hit = entries.get(code)
+    if hit is not None:
+        return hit
+    if 2 * (2 * genus + len(sizes)) <= sys.getrecursionlimit():
         try:
             return _count(genus, code, entries, len(entries) + _STATE_BUDGET)
         except RecursionError:
             pass
-    raise DomainError(f"recursion too deep for g={genus}, L={holes}")
+    raise DomainError(f"recursion too deep for g={genus}, L={len(sizes)}")
 
 
 class _StepName(str):
@@ -489,9 +479,10 @@ def _fixed_point(entries: dict[int, int]) -> bool:
     recompute requires; then no state holds more than N/2 + 1 boundaries,
     no field of a step overflows, and the step reads true children. It runs
     only when 2(s + 2) is within the recursion limit too, so the depth
-    2g + L <= N/2 + 1 of every entry passes the recompute's guard. Any other
-    outcome, a count that differs, an inexact division, a child missing
-    from the file or a size past the powers grown, returns False.
+    2g + L <= N/2 + 1 of every entry passes `count_recursive`'s depth
+    guard. Any other outcome, a count that differs, an inexact division, a
+    child missing from the file or a size past the powers grown, returns
+    False.
     """
     if not entries:
         return True

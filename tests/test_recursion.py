@@ -202,6 +202,30 @@ def test_recursion_error_from_a_deep_caller_is_a_domain_error():
         nested(sys.getrecursionlimit() - 300)
 
 
+def test_a_held_count_answers_past_the_depth_guard_but_not_the_polygon_size(
+    tmp_path, monkeypatch
+):
+    # The polygon size is checked before the memo is probed, the depth only
+    # on a miss: g=250 with one boundary is 501 levels, over the guard, yet
+    # a table that holds its count answers it without running the kernel.
+    monkeypatch.setattr(recursion, "_count", _fail)
+    deep = SurfaceSignature(250, (1,))
+    path = tmp_path / "deep.txt"
+    path.write_text(f"#gluecount-cache v1\ng=250;ns=1;count={count_closed(deep)}\n")
+    assert count_recursive(deep, memo_store_load(path)) == count_closed(deep)
+    with pytest.raises(DomainError, match=r"^recursion too deep for g=250, L=1$"):
+        count_recursive(deep, CountTable())
+    # g=1100 with one boundary has a polygon of 4401 edges: refused though
+    # the table holds a count for it.
+    path.write_text("#gluecount-cache v1\ng=1100;ns=1;count=7\n")
+    with pytest.raises(DomainError) as info:
+        count_recursive(SurfaceSignature(1100, (1,)), memo_store_load(path))
+    assert str(info.value) == (
+        "g=1100, L=1 is out of range for the recursion: its polygon has 4401 edges, "
+        "and the memo keys allow at most 4095"
+    )
+
+
 def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "memo.txt"
     memo_store_save(CountTable(), path)
@@ -555,13 +579,13 @@ def test_verify_of_a_saved_memo_recomputes_nothing(tmp_path, monkeypatch):
     path = tmp_path / "memo.txt"
     memo_store_save(memo, path)
     calls = []
-    compute = recursion._compute
+    recompute = recursion.count_recursive
 
     def spy(*args):
-        calls.append(args[:2])
-        return compute(*args)
+        calls.append(args[0])
+        return recompute(*args)
 
-    monkeypatch.setattr(recursion, "_compute", spy)
+    monkeypatch.setattr(recursion, "count_recursive", spy)
     assert memo_store_load(path, verify=True) == memo
     assert calls == []
     # A file that is not a fixed point still goes to the recompute.
