@@ -21,7 +21,7 @@ def _grown(table: list, top: int, grow: Callable[[list, int], None], cap: int) -
     """The shared row table `table`, or a copy, holding rows 0..top at
     least; the caller reads rows up to top only, and changes none. The
     factorials here, the memo's field powers of `recursion` and the series
-    tables of `formula` and `hz` all grow here, under one lock.
+    tables of `formula` all grow here, under one lock.
 
     `grow(table, k)` appends rows to `table` through row k, each row final
     when appended, so a reader that sees row k there needs no lock. Rows

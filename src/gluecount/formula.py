@@ -11,15 +11,17 @@ edges admits gluings that pair off some of its edges and leave the n_i edges
 of the boundaries free; `count_closed` evaluates the number of inequivalent
 such gluings directly, as an exact integer.
 
-The integer series behind it are row tables shared by the process: the
-scales s_i (`_scales`) and the product weights w[i][j] (`_weight_rows`).
-Row i of each depends only on rows below it, never on the genus asked for,
-so a call extends a table through `exact._grown` by the rows it lacks (none
-at import), and every later call reads a prefix. They are kept, like the
-tanh coefficients of `hz`, through genus _TABLE_GENUS = 150. A higher genus
-computes its extra rows once, for that call only: only the entry points
-fetch them, and pass them on. The splitting sum's factors F_n(t)^c are
-built per call.
+The integer series behind it and behind `hz.hz_tanh` are three row tables
+shared by the process, all kept here: the scales s_i (`_scales`), the
+product weights w[i][j] (`_weight_rows`) and the scaled tanh coefficients
+C_m (`_half_ratio_coeffs`). Row i of each depends only on rows below it,
+never on the genus asked for, so a call extends a table through
+`exact._grown` by the rows it lacks (none at import), and every later call
+reads a prefix. A row is checked once, when it is made: each of its
+divisions goes through `exact._divide`. The tables are kept through genus
+_TABLE_GENUS = 150. A higher genus computes its extra rows once, for that
+call only: only the entry points fetch them, and pass them on. The
+splitting sum's factors F_n(t)^c are built per call.
 
 `table` takes a grid of size tuples through `_closed_columns`. A tuple's
 product, truncated at the grid's highest genus, is its prefix tuple's
@@ -153,10 +155,12 @@ def polygon_size(sig: SurfaceSignature) -> int:
 _TABLE_GENUS = 150
 _SCALES = [1]
 _WEIGHTS = [[1]]
+_HALF_RATIO = [1]
 
 
 def _grow_scales(s: list[int], genus: int) -> None:
-    """Append rows len(s)..genus of the scales s."""
+    """Append rows len(s)..genus of the scales s, checking through `_divide`
+    that 2i+1 divides each new s_i, as `_factor` needs."""
     start = len(s)
     # s_i / s_(i-1) is 4 times the odd primes q for which (q-1)/2 divides i;
     # the primes come from a sieve of the odd numbers up to 2*genus+1.
@@ -169,8 +173,9 @@ def _grow_scales(s: list[int], genus: int) -> None:
             d = (q - 1) // 2
             for i in range(-(-start // d) * d - start, genus + 1 - start, d):
                 steps[i] *= q
-    for step in steps:
+    for i, step in enumerate(steps, start):
         s.append(s[-1] * step)
+        _divide(s[i], 2 * i + 1, "scale s_{} over 2i+1", i)
 
 
 def _weight_rows(genus: int, s: list[int]) -> list[list[int]]:
@@ -185,7 +190,8 @@ def _weight_rows(genus: int, s: list[int]) -> list[list[int]]:
     def grow(w: list[list[int]], top: int) -> None:
         for i in range(len(w), top + 1):
             # w[i][j] = w[i][i-j]: divide for j <= i/2 and mirror.
-            half = [s[i] // (s[j] * s[i - j]) for j in range(i // 2 + 1)]
+            half = [_divide(s[i], s[j] * s[i - j], "weight w[{}][{}]", i, j)
+                    for j in range(i // 2 + 1)]
             w.append(half + half[(i - 1) // 2 :: -1])
 
     return _grown(_WEIGHTS, genus, grow, _TABLE_GENUS)
@@ -203,6 +209,37 @@ def _scales(genus: int) -> list[int]:
     2*genus+1, and O(i*genus) bits.
     """
     return _grown(_SCALES, genus, _grow_scales, _TABLE_GENUS)
+
+
+def _half_ratio_coeffs(genus: int, s: list[int], w: list[list[int]]) -> list[int]:
+    """C_m = s_m * c_m for m <= genus (see `exact._grown`), where c_m is
+    the coefficient of x^(2m) in (x/2)/tanh(x/2), from the scales s and
+    weights w through row genus.
+
+    The series is even, so it is kept as a series in x^2. c_m is
+    B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and
+    Legendre's formula), so every C_m is an integer and C_0 = 1. It is
+    cosh(x/2) divided by sinh(x/2)/(x/2), whose coefficients 1/(4^k (2k)!)
+    and 1/(4^k (2k+1)!) are cleared by 4^m (2m+1)!, so the x=0 pole never
+    appears, and
+
+        4^m (2m+1)! C_m = s_m (2m+1)
+            - sum_{k=1..m} w[m][k] s_k 4^(m-k) (2m+1)!/(2k+1)! C_(m-k).
+
+    A failed division names the genus of this call.
+    """
+
+    def grow(out: list[int], top: int) -> None:
+        for m in range(len(out), top + 1):
+            acc = s[m] * (2 * m + 1)
+            weight = 1  # 4^(m-k) (2m+1)!/(2k+1)!, for k = m down to 1
+            for k in range(m, 0, -1):
+                acc -= weight * w[m][k] * s[k] * out[m - k]
+                weight *= 8 * k * (2 * k + 1)
+            denominator = 4**m * factorial(2 * m + 1)
+            out.append(_divide(acc, denominator, "tanh coefficient {} at g={}", m, genus))
+
+    return _grown(_HALF_RATIO, genus, grow, _TABLE_GENUS)
 
 
 def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
@@ -235,7 +272,7 @@ def _factor(n: int, count: int, genus: int, s: list[int], w: list | None) -> lis
     """Scaled coefficients of t^0..t^genus of F_n(t)**count (see
     `_split_sum`), from the scales s and, when count > 1, the weight rows w,
     through row genus."""
-    # Exact: 2i+1 divides s_i.
+    # Exact: `_grow_scales` checked that 2i+1 divides each s_i.
     f = [math.comb(2 * i + n, n) * (s[i] // (2 * i + 1)) for i in range(genus + 1)]
     return _power(f, count, w) if count > 1 else f
 

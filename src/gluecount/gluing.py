@@ -55,7 +55,6 @@ import functools
 import itertools
 import math
 import operator
-import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
@@ -83,8 +82,6 @@ __all__ = [
 # N = 10 with 8 labels (181,440 words), N = 15 with 1 label (135,135) and 14
 # glued slots (135,135 diagrams) fit; N = 12 with 10 labels and 16 do not.
 _WORD_BUDGET = 200_000
-
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
 
 
 class GluingWord(_Frozen):
@@ -138,7 +135,7 @@ class GluingWord(_Frozen):
     def from_letters(cls, text: str) -> "GluingWord":
         """Parse a word like "a,x,a,y": letters seen twice pair up, letters
         seen once are free and get labels 1, 2, ... in order of appearance."""
-        tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
+        tokens = text.replace(",", " ").split()
         if not tokens:
             raise DomainError("empty gluing word")
         slots_by_token: dict[str, list[int]] = {}

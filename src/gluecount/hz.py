@@ -28,20 +28,19 @@ the coefficients its caller reads, as integers. The splitting sum and
 (x/2)/tanh(x/2) keep each rational coefficient a_m as the integer s_m * a_m,
 on the scales s_m of `formula._scales`; hz_sum and hz_tanh divide s_g back
 out once, at the end, through `exact._divide`. The scaled tanh coefficients
-C_m are a row table shared by the process, like the scales and weights of
-`formula`, and grown by the same `exact._grown`: on demand,
-never at import, and kept only through formula._TABLE_GENUS.
+C_m are the third of `formula`'s shared row tables, whose docstring states
+how the three grow, how far they are kept and where each row is checked.
 The generating function keeps k! times its x^k coefficient and is compared
 cross-multiplied.
 """
 
 from __future__ import annotations
 
-from . import formula
 from .errors import DomainError
-from .exact import _divide, _double_factorial_odd, _grown, _integer, _factorial as factorial
+from .exact import _divide, _double_factorial_odd, _integer, _factorial as factorial
 from .formula import (
-    SurfaceSignature, _Frozen, _power, _scales, _split_sum, _weight_rows, count_closed,
+    SurfaceSignature, _Frozen, _half_ratio_coeffs, _power, _scales, _split_sum, _weight_rows,
+    count_closed,
 )
 
 __all__ = [
@@ -83,41 +82,6 @@ def hz_sum(genus: int, n: int) -> int:
     value, scale = _split_sum(genus, (0,) * parts)
     denominator = scale * factorial(parts) * factorial(n) * 4**genus
     return _divide(value * factorial(2 * n), denominator, "hz_sum at g={}, N={}", genus, n)
-
-
-# The shared table of C_m of the module docstring (see `exact._grown`).
-_HALF_RATIO = [1]
-
-
-def _half_ratio_coeffs(genus: int, s: list[int], w: list[list[int]]) -> list[int]:
-    """C_m = s_m * c_m for m <= genus (see `exact._grown`), where c_m is
-    the coefficient of x^(2m) in (x/2)/tanh(x/2), from the scales s and
-    weights w of `formula` through row genus.
-
-    The series is even, so it is kept as a series in x^2. c_m is
-    B_(2m)/(2m)!, whose denominator divides s_m (von Staudt-Clausen and
-    Legendre's formula), so every C_m is an integer and C_0 = 1. It is
-    cosh(x/2) divided by sinh(x/2)/(x/2), whose coefficients 1/(4^k (2k)!)
-    and 1/(4^k (2k+1)!) are cleared by 4^m (2m+1)!, so the x=0 pole never
-    appears, and
-
-        4^m (2m+1)! C_m = s_m (2m+1)
-            - sum_{k=1..m} w[m][k] s_k 4^(m-k) (2m+1)!/(2k+1)! C_(m-k).
-
-    A failed division names the genus of this call.
-    """
-
-    def grow(out: list[int], top: int) -> None:
-        for m in range(len(out), top + 1):
-            acc = s[m] * (2 * m + 1)
-            weight = 1  # 4^(m-k) (2m+1)!/(2k+1)!, for k = m down to 1
-            for k in range(m, 0, -1):
-                acc -= weight * w[m][k] * s[k] * out[m - k]
-                weight *= 8 * k * (2 * k + 1)
-            denominator = 4**m * factorial(2 * m + 1)
-            out.append(_divide(acc, denominator, "tanh coefficient {} at g={}", m, genus))
-
-    return _grown(_HALF_RATIO, genus, grow, formula._TABLE_GENUS)
 
 
 def hz_tanh(genus: int, n: int) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gluecount
-from gluecount import formula, hz
+from gluecount import formula
 from gluecount.verify import _hz_recurrence
 
 
@@ -29,7 +29,7 @@ def default_int_digit_limit():
 
 @pytest.fixture
 def empty_tables(monkeypatch):
-    """Give the shared tables of `formula` and `hz` only their row 0 for
+    """Give the shared tables of `formula` only their row 0 for
     the test, so every row the test needs is computed, and every division
     behind it made, by the call under test. The fixture's value empties them
     again; the filled tables are put back after the test, so no row built
@@ -38,7 +38,7 @@ def empty_tables(monkeypatch):
     def empty():
         monkeypatch.setattr(formula, "_SCALES", [1])
         monkeypatch.setattr(formula, "_WEIGHTS", [[1]])
-        monkeypatch.setattr(hz, "_HALF_RATIO", [1])
+        monkeypatch.setattr(formula, "_HALF_RATIO", [1])
 
     empty()
     return empty

@@ -26,7 +26,7 @@ from gluecount import (
     hz_toric,
 )
 from gluecount.exact import _divide, _double_factorial_odd, _factorial
-from gluecount.formula import _power
+from gluecount.formula import _power, _scales, _weight_rows
 from gluecount.recursion import _sizes_code
 from gluecount.verify import _hz_recurrence, _sphere_reference, _torus_reference
 
@@ -146,9 +146,25 @@ EXACT_DIVISIONS = [
     ),
     pytest.param(
         # C_1 = (12 * 3 - 12) / (4 * 3!) = 1 at g=1, skewed to 25/24.
-        "gluecount.hz._divide", _skewed_divide((1, 1)), lambda: hz_tanh(1, 2),
+        "gluecount.formula._divide", _skewed_divide((1, 1)), lambda: hz_tanh(1, 2),
         "tanh coefficient 1 at g=1: 25/24 is not an integer",
         id="tanh-coefficient",
+    ),
+    pytest.param(
+        # w[2][1] = s_2 / s_1^2 = 720/144, skewed to 721/144. A weight's
+        # format arguments are (i, j) with j <= i/2, so the (2, 2) and
+        # (1, 1) skews above never reach a weight.
+        "gluecount.formula._divide", _skewed_divide((2, 1)),
+        lambda: _weight_rows(2, _scales(2)),
+        "weight w[2][1]: 721/144 is not an integer",
+        id="weight-row",
+    ),
+    pytest.param(
+        # The check that 2i+1 divides each new scale: s_1 = 12 over 3,
+        # skewed to 13/3. A scale's format arguments are (i,).
+        "gluecount.formula._divide", _skewed_divide((1,)), lambda: _scales(1),
+        "scale s_1 over 2i+1: 13/3 is not an integer",
+        id="scale-row",
     ),
     pytest.param(
         "gluecount.hz.factorial", _skewed_factorial(1, 7), lambda: catalan(1),

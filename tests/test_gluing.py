@@ -111,6 +111,10 @@ def test_from_letters():
     assert w.pairing == (2, -1, 0, -1)
     assert w.labels == (0, 1, 0, 2)
     assert word("a x a y") == w
+    # Commas and whitespace, in runs and of any kind, separate letters.
+    for text in ["a\tx\ta\ty", "a\nx\na\ny", "a\u00a0x\u00a0a\u00a0y",
+                 "a\u2003x\u2003a\u2003y", "a\u001cx\u001ca\u001cy", ",,a,,x,,,a,y,,"]:
+        assert word(text) == w, repr(text)
     with pytest.raises(DomainError, match="appears 3 times"):
         word("a,a,a,x")
     # The first letter, by first appearance, that appears too often is named.

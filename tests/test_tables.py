@@ -1,4 +1,4 @@
-"""The shared series tables of `formula` and `hz`: the scales s_i, the
+"""The shared series tables of `formula`: the scales s_i, the
 weight rows w[i] and the scaled tanh coefficients C_m. They grow on demand,
 only through formula._TABLE_GENUS, and no caller changes a row. Also the
 factors of the closed formula, built once per (size, multiplicity) for a
@@ -24,7 +24,7 @@ from gluecount import (
     hz_sum,
     hz_tanh,
 )
-from gluecount import cli, exact, formula, hz, recursion
+from gluecount import cli, exact, formula, recursion
 from gluecount.formula import _power, _scales, _split_sum, _weight_rows
 from gluecount.hz import _half_ratio_coeffs
 from gluecount.verify import _hz_recurrence
@@ -36,7 +36,7 @@ def _tables():
     return {
         "scales": formula._SCALES,
         "weights": formula._WEIGHTS,
-        "tanh": hz._HALF_RATIO,
+        "tanh": formula._HALF_RATIO,
     }
 
 
@@ -223,7 +223,6 @@ def test_a_call_past_the_cap_extends_each_table_once(empty_tables, monkeypatch):
         return grown(table, top, counted, limit)
 
     monkeypatch.setattr(formula, "_grown", spy)
-    monkeypatch.setattr(hz, "_grown", spy)
     calls, added = Counter(), Counter()
     hz_tanh(genus, 360)
     past = genus - cap

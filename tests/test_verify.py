@@ -13,6 +13,7 @@ from gluecount.hz import GfIdentityReport
 from gluecount.verify import (
     _index,
     _trace,
+    run_suites,
     suite_brute_oracle,
     suite_closed_vs_recursive,
     suite_gf_identity,
@@ -128,6 +129,29 @@ def test_structural_reports_failed_walk(monkeypatch):
         "walk or classify failed for mu=[-1, 3, 4, 1, 2, -1]: "
         "corner walk revisited a corner"
     )
+
+
+def test_structural_reports_walks_that_miss_a_free_slot(monkeypatch):
+    # The same pairing's walks name its paired slot 1 for its free slot 5:
+    # the suite fails there, uncounted, after the same 288 checks.
+    def slot_one_for_five(n, mu):
+        genus, punctures, cycles = _topology(n, mu)
+        if n == 6 and list(mu) == [-1, 3, 4, 1, 2, -1]:
+            cycles = [tuple(1 if slot == 5 else slot for slot in cycle) for cycle in cycles]
+        return genus, punctures, cycles
+
+    monkeypatch.setattr("gluecount.verify._topology", slot_one_for_five)
+    result = suite_structural(9)
+    assert (result.passed, result.checked) == (False, 288)
+    assert result.failure == (
+        "boundary walks do not partition the free slots for mu=[-1, 3, 4, 1, 2, -1]"
+    )
+
+
+def test_run_suites_refuses_an_unknown_level():
+    with pytest.raises(ValueError) as info:
+        run_suites("x")
+    assert str(info.value) == "unknown verify level 'x'"
 
 
 def label_cycles(slot_cycles, labels):
