@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
 
 from .errors import (
     CacheError,
+    CapExceededError,
     ConsistencyError,
     DomainError,
     GluecountError,
@@ -29,6 +31,9 @@ from .recursion import count_recursive, memo_store_load, memo_store_save
 from .verify import iter_bounded_signatures, run_suites
 
 __all__ = ["main", "run"]
+
+# The most rows one `table` grid may hold.
+_ROW_BUDGET = 1_000_000
 
 
 def _int_arg(text: str) -> int:
@@ -166,6 +171,20 @@ def _cmd_hz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _over_row_budget(max_genus: int, max_holes: int, max_n: int) -> bool:
+    """Whether the `table` grid of these bounds has more than _ROW_BUDGET
+    rows. Up to L sizes in 0..n, not all zero, make C(n+1+L, L) - 1 - L
+    tuples at each genus; with n >= 1 that count grows with every L, so the
+    check stops at the first L whose rows pass the budget, after at most
+    1,414 steps however large the bounds."""
+    if not max_n:
+        return False  # every tuple is all punctures
+    return any(
+        (max_genus + 1) * (math.comb(max_n + 1 + holes, holes) - 1 - holes) > _ROW_BUDGET
+        for holes in range(1, max_holes + 1)
+    )
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     bounds = (
         ("--max-genus", args.max_genus),
@@ -175,10 +194,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for flag, bound in bounds:
         if bound < 0:
             raise DomainError(f"{flag} must be >= 0, got {bound}")
+    if _over_row_budget(args.max_genus, args.max_holes, args.max_n):
+        raise CapExceededError(
+            f"--max-genus {args.max_genus}, --max-holes {args.max_holes} and --max-n "
+            f"{args.max_n} give more than {_ROW_BUDGET} table rows"
+        )
     # Every genus lists the same size tuples, non-increasing, in the same order.
     tuples = [sig.boundary_sizes for sig in iter_bounded_signatures(0, args.max_holes, args.max_n)]
     columns = list(_closed_columns(args.max_genus, tuples))
-    genera = range(args.max_genus + 1)
+    # An empty grid has no row at any genus.
+    genera = range(args.max_genus + 1 if tuples else 0)
     if args.cache is not None:
         sigs = [SurfaceSignature(g, sizes) for g in genera for sizes in tuples]
         _cached_recursive(sigs, (column[g] for g in genera for column in columns), args.cache)

@@ -34,7 +34,7 @@ class ParityError(DomainError):
 
 
 class CapExceededError(DomainError):
-    """A brute-force enumeration would exceed its work budget."""
+    """A brute-force enumeration, or a `table` grid, would exceed its work budget."""
 
 
 class CacheError(GluecountError, ValueError):

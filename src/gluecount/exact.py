@@ -1,5 +1,6 @@
 """Private exact integer helpers: the one factorial, the odd double factorial,
-the one exact division and `_grown`, the one growth path of every shared table.
+the one exact division and `_grown`, the one growth path of the shared
+tables, the factorials and `formula`'s series tables.
 
 Everything here returns plain Python ints (arbitrary precision); no value is
 ever rounded. Every division in the package that must cancel goes through
@@ -20,8 +21,8 @@ _TABLES_LOCK = threading.RLock()
 def _grown(table: list, top: int, grow: Callable[[list, int], None], cap: int) -> list:
     """The shared row table `table`, or a copy, holding rows 0..top at
     least; the caller reads rows up to top only, and changes none. The
-    factorials here, the memo's field powers of `recursion` and the series
-    tables of `formula` all grow here, under one lock.
+    factorials here and the series tables of `formula` grow here, under
+    one lock.
 
     `grow(table, k)` appends rows to `table` through row k, each row final
     when appended, so a reader that sees row k there needs no lock. Rows

@@ -329,8 +329,11 @@ def _closed_columns(max_genus: int, size_tuples: list[tuple[int, ...]]) -> Itera
     the prefix is the tuple without its last (size, multiplicity) group.
     In the grid order of `verify.iter_bounded_signatures` every prefix is
     an earlier tuple; any other prefix is built on demand. The products,
-    single factors among them, are kept for this call only.
+    single factors among them, are kept for this call only. An empty grid
+    fetches no row.
     """
+    if not size_tuples:
+        return
     s = _scales(max_genus)
     # Single boundaries take no product.
     w = _weight_rows(max_genus, s) if any(len(sizes) > 1 for sizes in size_tuples) else None

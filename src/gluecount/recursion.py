@@ -34,7 +34,9 @@ powers:
     merge u, v:        code - P[u] - P[v] + P[u+v+2]
     cut u into x, y:   code - 1 - P[u] + P[x] + P[y]
 
-so a memo hit is one integer sum and one dict probe. On a miss the kernel
+so a memo hit is one integer sum and one dict probe. No table of the P[s]
+outlives a call: `count_recursive` builds P[0..N] for its own polygon on a
+memo miss and the kernel passes it down its recursion. On a miss the kernel
 reads the state's (size, multiplicity, P[size]) groups straight off the
 fields, largest first, and builds no sizes tuple; it decodes the sizes
 only to name them when a division fails. A save, likewise, writes each
@@ -74,7 +76,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from .errors import CacheError, CacheVersionError, ConsistencyError, DomainError
-from .exact import _divide, _grown
+from .exact import _divide
 from .formula import SurfaceSignature, polygon_size
 
 __all__ = ["CountTable", "count_recursive", "memo_store_load", "memo_store_save"]
@@ -95,14 +97,10 @@ _SIZE_LIMIT = 1 << 12  # sizes stay below this, so a code stays below 8 KiB
 # The most entries one top-level call of the kernel may add to a memo.
 _STATE_BUDGET = 300_000
 
-# _POWERS[s] = P[s] = 2^(16(s+1)), grown through `exact._grown` up to the
-# largest size reached (at most _SIZE_LIMIT entries, about 16 MiB).
-_POWERS = [_FIELD]
 
-
-def _grow_powers(powers: list[int], top: int) -> None:
-    for _ in range(len(powers), top + 1):
-        powers.append(powers[-1] << _BITS)
+def _powers(top: int) -> list[int]:
+    """P[0..top], P[s] = 2^(16(s+1)), the weight of one boundary of size s."""
+    return [_FIELD << _BITS * size for size in range(top + 1)]
 
 
 def _sizes_code(sizes: Sequence[int]) -> int:
@@ -119,8 +117,7 @@ def _sizes_code(sizes: Sequence[int]) -> int:
         size, times = Counter(sizes).most_common(1)[0]
         if times > _MASK:
             raise DomainError(f"size {size} occurs {times} times, more than {_MASK}")
-    powers = _grown(_POWERS, sizes[0], _grow_powers, _SIZE_LIMIT - 1)
-    return sum(map(powers.__getitem__, sizes))
+    return sum([_FIELD << _BITS * size for size in sizes])
 
 
 def _sizes(part: int) -> tuple[int, ...]:
@@ -205,22 +202,21 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
     """
     entries = memo._codes if memo is not None else {}
     genus = sig.genus
-    sizes = sig.sorted_sizes()
     # N, the largest size the recursion reaches, must fit a code.
     edges = polygon_size(sig)
     if edges >= _SIZE_LIMIT:
         raise DomainError(
-            f"g={genus}, L={len(sizes)} is out of range for the recursion: its polygon "
+            f"g={genus}, L={sig.holes} is out of range for the recursion: its polygon "
             f"has {edges} edges, and the memo keys allow at most {_SIZE_LIMIT - 1}"
         )
-    _grown(_POWERS, edges, _grow_powers, _SIZE_LIMIT - 1)
+    sizes = sig.sorted_sizes()
     code = genus + _sizes_code(sizes)
     hit = entries.get(code)
     if hit is not None:
         return hit
     if 2 * (2 * genus + len(sizes)) <= sys.getrecursionlimit():
         try:
-            return _count(genus, code, entries, len(entries) + _STATE_BUDGET)
+            return _count(genus, code, entries, len(entries) + _STATE_BUDGET, _powers(edges))
         except RecursionError:
             pass
     raise DomainError(f"recursion too deep for g={genus}, L={len(sizes)}")
@@ -240,20 +236,20 @@ class _StepName(str):
 _STEP = _StepName("cut recursion at g={}, ns={}")
 
 
-def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
+def _count(genus: int, code: int, entries: dict[int, int], limit: int, powers: list[int]) -> int:
     """The plain count for the state `code` of genus `genus`, computed and
-    stored; the caller has found no memo entry for it. A child the memo
-    misses is computed by a call to this function, so each level of the
-    recursion is one frame. A disk counts 1 and is neither looked up nor
-    stored; any other state that finds `limit` entries in the memo raises
-    DomainError before it reads a child. `entries` is read through its
-    `get` and written once, at the end: the fixed-point check of
-    memo_store_load passes a view of a loaded file that takes no entry."""
+    stored; the caller has found no memo entry for it. `powers` holds P[s]
+    for every size s the recursion reaches. A child the memo misses is
+    computed by a call to this function, so each level of the recursion is
+    one frame. A disk counts 1 and is neither looked up nor stored; any
+    other state that finds `limit` entries in the memo raises DomainError
+    before it reads a child. `entries` is read through its `get` and written
+    once, at the end: the fixed-point check of memo_store_load passes a view
+    of a loaded file that takes no entry."""
     # The (size u, multiplicity c_u, weight w_u, power P[u]) of each
     # distinct size, largest first, read off the code's fields: w_u = c_u u,
     # and 1 for the punctures, which enter every step as a group (see the
     # module docstring).
-    powers = _POWERS
     part = code >> _BITS
     holes = 0
     groups = []
@@ -278,7 +274,7 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
             child = without_u - pu + powers[u + u2]
             plain = get(child)
             if plain is None:
-                plain = _count(genus, child, entries, limit)
+                plain = _count(genus, child, entries, limit, powers)
             # 2 C(c_u, 2) u^2, or 1 for two punctures.
             total += (cu * (cu - 1) * u * u if u else 1) * plain
         # u > v, so only v can be the punctures; when u is, no v follows.
@@ -287,7 +283,7 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
             child = without_u - pv + powers[u2 + v]
             plain = get(child)
             if plain is None:
-                plain = _count(genus, child, entries, limit)
+                plain = _count(genus, child, entries, limit, powers)
             inner += wv * plain
         total += 2 * wu * inner
 
@@ -301,7 +297,7 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int) -> int:
                 child = without_u + powers[x] + powers[u2 - x]
                 plain = get(child)
                 if plain is None:
-                    plain = _count(lower, child, entries, limit)
+                    plain = _count(lower, child, entries, limit, powers)
                 acc += plain
             # x and u + 2 - x cut off the same pair of sizes, so each term
             # counts twice, but the last one once when u is even: then
@@ -481,7 +477,7 @@ def _fixed_point(entries: dict[int, int]) -> bool:
     only when 2(s + 2) is within the recursion limit too, so the depth
     2g + L <= N/2 + 1 of every entry passes `count_recursive`'s depth
     guard. Any other outcome, a count that differs, an inexact division, a
-    child missing from the file or a size past the powers grown, returns
+    child missing from the file or a size past the powers built, returns
     False.
     """
     if not entries:
@@ -489,12 +485,12 @@ def _fixed_point(entries: dict[int, int]) -> bool:
     top = (max(entries).bit_length() - 1) // _BITS - 1  # the largest size held
     if 2 * top + 2 >= _SIZE_LIMIT or 2 * (top + 2) > sys.getrecursionlimit():
         return False
-    _grown(_POWERS, 2 * top + 2, _grow_powers, _SIZE_LIMIT - 1)
     # The view never grows, so the state budget is never reached.
-    closed, limit = _Closed(entries), len(entries) + 1
+    closed, limit, powers = _Closed(entries), len(entries) + 1, _powers(2 * top + 2)
     try:
         return all(
-            _count(code & _MASK, code, closed, limit) == count for code, count in entries.items()
+            _count(code & _MASK, code, closed, limit, powers) == count
+            for code, count in entries.items()
         )
     except (ConsistencyError, LookupError, RecursionError):
         return False
@@ -554,7 +550,6 @@ def _parse(file: str, lines: Iterator[str]) -> dict[int, int]:
     # for the empty tokens that the pattern lets through, then split and
     # checked in full, which names what is wrong.
     parts: dict[str, int] = {}
-    powers = _POWERS
     match_line = _LINE_RE.fullmatch
     for lineno, line in enumerate(lines, start=2):
         match = match_line(line)
@@ -567,11 +562,11 @@ def _parse(file: str, lines: Iterator[str]) -> dict[int, int]:
         if part is None:
             head, _, tail = sizes_text.partition(",")
             rest = parts.get(tail)
-            # A head of one to four digits converts without error, and
-            # _POWERS never grows past _SIZE_LIMIT entries, so a head it
-            # covers is in range; any other head goes the full way.
-            if rest is not None and 0 < len(head) < 5 and (size := int(head)) < len(powers):
-                code = rest + powers[size]
+            # A head of one to four digits converts without error; one
+            # below _SIZE_LIMIT is in range, and any other head goes the
+            # full way.
+            if rest is not None and 0 < len(head) < 5 and (size := int(head)) < _SIZE_LIMIT:
+                code = rest + (_FIELD << _BITS * size)
                 if code.bit_length() <= _BITS * (size + 2):  # code < P[size + 1]
                     part = parts[sizes_text] = code
             if part is None and (

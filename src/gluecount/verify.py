@@ -249,21 +249,20 @@ def _torus_printed(sizes: tuple[int, ...]) -> int:
     n = list(sizes)
     squares = sum(v * v for v in n)
     if len(n) == 1:
-        return n[0] * (n[0] + 1) * (n[0] + 2) * (n[0] + 3) // 24
-    if len(n) == 2:
-        poly = squares + 3 * s + 4
-        return n[0] * n[1] * (s + 4) * (s + 5) * poly // 24
-    if len(n) == 3:
-        poly = squares + 3 * s + 6
-        return n[0] * n[1] * n[2] * (s + 5) * (s + 6) * (s + 7) * poly // 24
-    if len(n) == 4:
-        poly = squares + 3 * s + 8
-        return (
+        numerator = n[0] * (n[0] + 1) * (n[0] + 2) * (n[0] + 3)
+    elif len(n) == 2:
+        numerator = n[0] * n[1] * (s + 4) * (s + 5) * (squares + 3 * s + 4)
+    elif len(n) == 3:
+        numerator = n[0] * n[1] * n[2] * (s + 5) * (s + 6) * (s + 7) * (squares + 3 * s + 6)
+    elif len(n) == 4:
+        numerator = (
             n[0] * n[1] * n[2] * n[3]
             * (s + 6) * (s + 7) * (s + 8) * (s + 9)
-            * poly // 24
+            * (squares + 3 * s + 8)
         )
-    raise ValueError("printed torus forms cover 1..4 boundaries")
+    else:
+        raise ValueError("printed torus forms cover 1..4 boundaries")
+    return _divide(numerator, 24, "printed torus form at ns={}", sizes)
 
 
 def suite_specializations(max_catalan: int = 12) -> SuiteResult:

@@ -222,7 +222,7 @@ def test_readme_states_the_bounds_the_code_enforces():
     # Each refusal bound where the README gives it, in prose and in the
     # quoted messages: changing a constant fails here until the README follows.
     text = " ".join(README.read_text(encoding="utf-8").split())
-    states, words = recursion._STATE_BUDGET, gluing._WORD_BUDGET
+    states, words, rows = recursion._STATE_BUDGET, gluing._WORD_BUDGET, cli._ROW_BUDGET
     stated = [
         f"at most {states:,} entries",
         f"more than {states} new states",
@@ -232,6 +232,8 @@ def test_readme_states_the_bounds_the_code_enforces():
         f"more than {words:,} chord diagrams to walk",
         f"more than {words:,} words to canonicalize",
         f"more than {words} words to canonicalize",
+        f"A grid of more than {rows:,} rows",
+        f"more than {rows} table rows",
         f"polygon has {recursion._SIZE_LIMIT} edges or more, the largest size",
         f"polygon has {recursion._SIZE_LIMIT} edges or more, whose recursion",
         f"whose sizes reach {recursion._SIZE_LIMIT}",

@@ -25,6 +25,7 @@ from gluecount import (
     memo_store_save,
     recursion,
 )
+from gluecount import cli, formula
 from gluecount.cli import main
 from gluecount.verify import iter_bounded_signatures
 
@@ -605,6 +606,78 @@ def test_table_rejects_negative_bounds(capsys, tmp_path, flag):
     code, out, err = run(capsys, *argv, "--cache", str(cache))
     assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -1\n")
     assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-genus", "1000000000", "--max-holes", "0"],
+        ["--max-genus", "1000000000", "--max-n", "0", "--max-holes", "2"],
+    ],
+    ids=["no-holes", "all-punctures"],
+)
+def test_table_empty_grid_computes_no_series(capsys, monkeypatch, argv):
+    # No size tuple, so no scale row is fetched, at any --max-genus.
+    def fail(top):
+        raise AssertionError("a scale row was fetched")
+
+    monkeypatch.setattr(formula, "_scales", fail)
+    assert run(capsys, "table", *argv) == (0, "g,ns,count\n", "")
+    assert run(capsys, "table", *argv, "--format", "json") == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0, 1, 1), (3, 2, 2), (2, 3, 4), (1, 4, 3), (0, 5, 1)],
+    ids=lambda bounds: "/".join(map(str, bounds)),
+)
+def test_table_row_budget_counts_the_grid(monkeypatch, bounds):
+    # The budget check's count, (G+1)(C(n+1+L, L) - 1 - L), is the grid's.
+    rows = sum(1 for _ in iter_bounded_signatures(*bounds))
+    monkeypatch.setattr(cli, "_ROW_BUDGET", rows)
+    assert not cli._over_row_budget(*bounds)
+    monkeypatch.setattr(cli, "_ROW_BUDGET", rows - 1)
+    assert cli._over_row_budget(*bounds)
+
+
+def _no_columns(max_genus, size_tuples):
+    raise ConsistencyError("the grid was computed")
+
+
+def test_table_at_the_row_budget_runs(capsys, monkeypatch):
+    # 1,000 genera of the sizes 1..1000: exactly 1,000,000 rows.
+    monkeypatch.setattr(cli, "_closed_columns", _no_columns)
+    code, out, err = run(
+        capsys, "table", "--max-genus", "999", "--max-holes", "1", "--max-n", "1000"
+    )
+    assert (code, out, err) == (1, "", "consistency failure: the grid was computed\n")
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    # 1,001,000 rows, one genus over; 1,410,820 rows; and bounds whose count
+    # is never made, for the check stops at the first hole count over.
+    [(1000, 1, 1000), (3, 10, 10), (10**9, 10**9, 10**9), (0, 10**9, 1)],
+    ids=["one-genus-over", "3/10/10", "huge", "huge-holes"],
+)
+def test_table_over_the_row_budget_is_refused(capsys, monkeypatch, tmp_path, bounds):
+    monkeypatch.setattr(cli, "_closed_columns", _no_columns)
+    out_path, cache = tmp_path / "table.csv", tmp_path / "memo.txt"
+    # A malformed cache would fail its load: the refusal comes first.
+    cache.write_text("not a cache\n")
+    genus, holes, n = bounds
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "table", "--max-genus", str(genus), "--max-holes", str(holes), "--max-n", str(n),
+        "--out", str(out_path), "--cache", str(cache),
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, "",
+        f"error: --max-genus {genus}, --max-holes {holes} and --max-n {n} give more than "
+        "1000000 table rows\n",
+    )
+    assert not out_path.exists()
+    assert cache.read_text() == "not a cache\n"
 
 
 def test_table_multi_hole_rows_join_sizes(capsys):

@@ -28,7 +28,7 @@ from gluecount import (
 from gluecount.exact import _divide, _double_factorial_odd, _factorial
 from gluecount.formula import _power, _scales, _weight_rows
 from gluecount.recursion import _sizes_code
-from gluecount.verify import _hz_recurrence, _sphere_reference, _torus_reference
+from gluecount.verify import _hz_recurrence, _sphere_reference, _torus_printed, _torus_reference
 
 
 def test_factorial_small_values():
@@ -212,6 +212,12 @@ EXACT_DIVISIONS = [
         lambda: _torus_reference((1,)),
         "torus reference at ns=(1,): 144/1008 is not an integer",
         id="torus-reference",
+    ),
+    pytest.param(
+        # 2 * 1 * 7 * 8 * (5 + 9 + 4) = 2016 over 24, skewed to 2017/24.
+        "gluecount.verify._divide", _skewed_divide(((2, 1),)), lambda: _torus_printed((2, 1)),
+        "printed torus form at ns=(2, 1): 2017/24 is not an integer",
+        id="torus-printed",
     ),
 ]
 

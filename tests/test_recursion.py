@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -741,17 +742,44 @@ def _fail(*args):
 )
 def test_count_recursive_refuses_keys_out_of_range(monkeypatch, genus, sizes):
     monkeypatch.setattr(recursion, "_count", _fail)
+    sig = SurfaceSignature(genus, sizes)
     start = time.perf_counter()
-    with pytest.raises(DomainError, match=f"g={genus}, L={len(sizes)} is out of range"):
-        count_recursive(SurfaceSignature(genus, sizes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"g={genus}, L={len(sizes)} is out of range"):
+            count_recursive(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 1
-    assert recursion._POWERS[-1].bit_length() <= 16 * 2**12 + 1
+    # The refusal comes before any work: it sorts no sizes and builds no
+    # field powers.
+    assert peak < 2**20, peak
 
 
 def test_count_recursive_range_is_inclusive():
     # A polygon of 4092 + 1 + 2 = 4095 edges.
     sig = SurfaceSignature(0, (4092, 1))
     assert count_recursive(sig) == count_closed(sig)
+
+
+def test_a_query_holds_no_field_powers_once_answered(src_env):
+    # The powers P[0..4095] of a 4095-edge polygon take about 16 MiB while
+    # its recursion runs, and no table of them outlives the call. A fresh
+    # interpreter, so that no earlier query has left anything behind.
+    script = (
+        "import gc, tracemalloc\n"
+        "from gluecount import SurfaceSignature, count_recursive\n"
+        "tracemalloc.start()\n"
+        "count_recursive(SurfaceSignature(0, (4092, 1)))\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 2**20, proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 weight rows w[i] and the scaled tanh coefficients C_m. They grow on demand,
 only through formula._TABLE_GENUS, and no caller changes a row. Also the
 factors of the closed formula, built once per (size, multiplicity) for a
-whole `table` grid, and the one reentrant lock that the shared tables, the
-factorials and the memo's field powers grow under."""
+whole `table` grid, and the one reentrant lock that the shared tables and
+the factorials grow under."""
 
 import math
 import sys
@@ -24,7 +24,7 @@ from gluecount import (
     hz_sum,
     hz_tanh,
 )
-from gluecount import cli, exact, formula, recursion
+from gluecount import cli, exact, formula
 from gluecount.formula import _power, _scales, _split_sum, _weight_rows
 from gluecount.hz import _half_ratio_coeffs
 from gluecount.verify import _hz_recurrence
@@ -243,7 +243,6 @@ def test_one_reentrant_lock_grows_every_table(empty_tables, monkeypatch, hz_recu
     def fresh():
         empty_tables()
         monkeypatch.setattr(exact, "_FACTORIALS", [1])
-        monkeypatch.setattr(recursion, "_POWERS", [recursion._FIELD])
 
     def run(plans):
         results, errors = {}, []
