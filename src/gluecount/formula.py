@@ -254,9 +254,9 @@ def _power(a: list[int], exponent: int, w: list[list[int]]) -> list[int]:
     scaled coefficients are integers, so each step's division by i is exact
     and goes through `_divide`.
     """
-    # This module's inner sums (here, in `_times` and in `_split_sum`'s last
-    # dot product) are plain loops: at g <= 12 a generator in sum() took
-    # about a third of this function's time.
+    # This module's inner sums (here, in `_times` and in
+    # `_half_ratio_coeffs`) are plain loops: at g <= 12 a generator in sum()
+    # took about a third of this function's time.
     p = [1]
     e1 = exponent + 1
     for i in range(1, len(a)):
@@ -277,10 +277,10 @@ def _factor(n: int, count: int, genus: int, s: list[int], w: list | None) -> lis
     return _power(f, count, w) if count > 1 else f
 
 
-def _times(a: list[int], b: list[int], w: list[list[int]], genus: int) -> list[int]:
-    """Scaled coefficients of t^0..t^genus of a(t)*b(t), at O(genus^2)."""
+def _times(a: list[int], b: list[int], w: list[list[int]], genus: int, low: int = 0) -> list[int]:
+    """Scaled coefficients of t^low..t^genus of a(t)*b(t), at O(genus) each."""
     out = []
-    for k in range(genus + 1):
+    for k in range(low, genus + 1):
         wk = w[k]
         acc = 0
         for i in range(k + 1):
@@ -299,8 +299,8 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
     multiplicity by `_power`, at O(genus^2) integer operations, giving
     D >= 1 factors (`_factor`). The first D-1 factors are multiplied,
     truncated at t^genus, at O(genus^2) per product (`_times`), and only
-    [t^genus] of their product with the last is taken, as one dot product
-    at O(genus). Listing the splittings would take C(genus+L-1, L-1) terms.
+    [t^genus] of their product with the last is taken, at O(genus), by the
+    same `_times`. Listing the splittings would take C(genus+L-1, L-1) terms.
     The scaled coefficients grow to O(genus log N) bits for a polygon of N
     edges, O(genus log genus) for fixed sizes, so each operation costs more
     as genus grows and the time grows faster than genus^2.
@@ -314,10 +314,7 @@ def _split_sum(genus: int, sizes: tuple[int, ...]) -> tuple[int, int]:
         return acc[genus], s[genus]
     for f in factors[1:-1]:
         acc = _times(acc, f, w, genus)
-    f, wg = factors[-1], w[genus]
-    value = 0
-    for i in range(genus + 1):
-        value += wg[i] * acc[i] * f[genus - i]
+    [value] = _times(acc, factors[-1], w, genus, genus)
     return value, s[genus]
 
 

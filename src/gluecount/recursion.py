@@ -36,12 +36,13 @@ powers:
 
 so a memo hit is one integer sum and one dict probe. No table of the P[s]
 outlives a call: `count_recursive` builds P[0..N] for its own polygon on a
-memo miss and the kernel passes it down its recursion. On a miss the kernel
-reads the state's (size, multiplicity, P[size]) groups straight off the
-fields, largest first, and builds no sizes tuple; it decodes the sizes
-only to name them when a division fails. A save, likewise, writes each
-line's sizes text straight from the fields, with no sizes tuple: the text
-of each distinct size, made once per save, repeated by its multiplicity.
+memo miss and the kernel passes it down its recursion. A state is its code
+alone: on a miss the kernel reads its genus and its (size, multiplicity,
+P[size]) groups straight off the fields, largest first, and builds no
+sizes tuple; it decodes the sizes only to name them when a division fails.
+A save, likewise, writes each line's sizes text straight from the fields,
+with no sizes tuple: the text of each distinct size, made once per save,
+repeated by its multiplicity.
 Every step keeps the polygon size N = n_1 + ... + n_L + 4g + 2L - 2 fixed,
 so no size reached exceeds N, no genus exceeds g and no size occurs more
 than L + g times. count_recursive refuses a signature with N >= 4096
@@ -216,7 +217,7 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
         return hit
     if 2 * (2 * genus + len(sizes)) <= sys.getrecursionlimit():
         try:
-            return _count(genus, code, entries, len(entries) + _STATE_BUDGET, _powers(edges))
+            return _count(code, entries, len(entries) + _STATE_BUDGET, _powers(edges))
         except RecursionError:
             pass
     raise DomainError(f"recursion too deep for g={genus}, L={len(sizes)}")
@@ -224,32 +225,34 @@ def count_recursive(sig: SurfaceSignature, memo: CountTable | None = None) -> in
 
 class _StepName(str):
     """The name of a kernel step, `_divide`'s `what`: formatted from the
-    genus and the code, whose sizes are decoded only when a division fails
-    and its message is made."""
+    state's code, whose genus and sizes are decoded only when a division
+    fails and its message is made."""
 
     __slots__ = ()
 
-    def format(self, genus: int, code: int) -> str:  # type: ignore[override]
-        return super().format(genus, _sizes(code >> _BITS))
+    def format(self, code: int) -> str:  # type: ignore[override]
+        return super().format(code & _MASK, _sizes(code >> _BITS))
 
 
 _STEP = _StepName("cut recursion at g={}, ns={}")
 
 
-def _count(genus: int, code: int, entries: dict[int, int], limit: int, powers: list[int]) -> int:
-    """The plain count for the state `code` of genus `genus`, computed and
-    stored; the caller has found no memo entry for it. `powers` holds P[s]
-    for every size s the recursion reaches. A child the memo misses is
-    computed by a call to this function, so each level of the recursion is
-    one frame. A disk counts 1 and is neither looked up nor stored; any
-    other state that finds `limit` entries in the memo raises DomainError
-    before it reads a child. `entries` is read through its `get` and written
-    once, at the end: the fixed-point check of memo_store_load passes a view
-    of a loaded file that takes no entry."""
-    # The (size u, multiplicity c_u, weight w_u, power P[u]) of each
-    # distinct size, largest first, read off the code's fields: w_u = c_u u,
-    # and 1 for the punctures, which enter every step as a group (see the
-    # module docstring).
+def _count(code: int, entries: dict[int, int], limit: int, powers: list[int]) -> int:
+    """The plain count for the state `code`, computed and stored; the caller
+    has found no memo entry for it. The code alone names the state: its
+    genus is read off field 0. `powers` holds P[s] for every size s the
+    recursion reaches. A child the memo misses is computed by a call to
+    this function, so each level of the recursion is one frame. A disk
+    counts 1 and is neither looked up nor stored; any other state that
+    finds `limit` entries in the memo raises DomainError before it reads a
+    child. `entries` is read through its `get` and written once, at the
+    end: the fixed-point check of memo_store_load passes a view of a loaded
+    file that takes no entry."""
+    # The genus, then the (size u, multiplicity c_u, weight w_u, power P[u])
+    # of each distinct size, largest first, read off the code's fields:
+    # w_u = c_u u, and 1 for the punctures, which enter every step as a
+    # group (see the module docstring).
+    genus = code & _MASK
     part = code >> _BITS
     holes = 0
     groups = []
@@ -274,7 +277,7 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int, powers: l
             child = without_u - pu + powers[u + u2]
             plain = get(child)
             if plain is None:
-                plain = _count(genus, child, entries, limit, powers)
+                plain = _count(child, entries, limit, powers)
             # 2 C(c_u, 2) u^2, or 1 for two punctures.
             total += (cu * (cu - 1) * u * u if u else 1) * plain
         # u > v, so only v can be the punctures; when u is, no v follows.
@@ -283,12 +286,11 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int, powers: l
             child = without_u - pv + powers[u2 + v]
             plain = get(child)
             if plain is None:
-                plain = _count(genus, child, entries, limit, powers)
+                plain = _count(child, entries, limit, powers)
             inner += wv * plain
         total += 2 * wu * inner
 
     if genus:
-        lower = genus - 1
         for u, _, wu, pu in groups:
             without_u = code - 1 - pu
             u2 = u + 2
@@ -297,14 +299,14 @@ def _count(genus: int, code: int, entries: dict[int, int], limit: int, powers: l
                 child = without_u + powers[x] + powers[u2 - x]
                 plain = get(child)
                 if plain is None:
-                    plain = _count(lower, child, entries, limit, powers)
+                    plain = _count(child, entries, limit, powers)
                 acc += plain
             # x and u + 2 - x cut off the same pair of sizes, so each term
             # counts twice, but the last one once when u is even: then
             # x = u + 2 - x.
             total += wu * (2 * acc - (0 if u % 2 else plain))
 
-    entries[code] = plain = _divide(total, 2 * (holes + 2 * genus - 1), _STEP, genus, code)
+    entries[code] = plain = _divide(total, 2 * (holes + 2 * genus - 1), _STEP, code)
     return plain
 
 
@@ -488,10 +490,7 @@ def _fixed_point(entries: dict[int, int]) -> bool:
     # The view never grows, so the state budget is never reached.
     closed, limit, powers = _Closed(entries), len(entries) + 1, _powers(2 * top + 2)
     try:
-        return all(
-            _count(code & _MASK, code, closed, limit, powers) == count
-            for code, count in entries.items()
-        )
+        return all(_count(code, closed, limit, powers) == count for code, count in entries.items())
     except (ConsistencyError, LookupError, RecursionError):
         return False
 

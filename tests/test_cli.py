@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
 import errno
+import hashlib
 import json
 import math
 import os
@@ -624,6 +625,52 @@ def test_table_empty_grid_computes_no_series(capsys, monkeypatch, argv):
     monkeypatch.setattr(formula, "_scales", fail)
     assert run(capsys, "table", *argv) == (0, "g,ns,count\n", "")
     assert run(capsys, "table", *argv, "--format", "json") == (0, "[]\n", "")
+
+
+def test_table_empty_grid_leaves_the_cache_unread(capsys, tmp_path):
+    # A grid with no row needs no count, so a malformed cache is neither
+    # read nor written: the header alone, exit 0.
+    cache = tmp_path / "bad.txt"
+    cache.write_bytes(b"garbage\n")
+    os.utime(cache, ns=(10**18, 10**18))
+    argv = ["table", "--max-genus", "1000000000", "--max-holes", "0", "--cache", str(cache)]
+    assert run(capsys, *argv) == (0, "g,ns,count\n", "")
+    assert run(capsys, *argv, "--format", "json") == (0, "[]\n", "")
+    assert cache.read_bytes() == b"garbage\n"
+    assert cache.stat().st_mtime_ns == 10**18
+
+
+class _Writes:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "5d6a2700cb87b9bd5eab950927c4149d2e7af93732fa3f6c2d32e7980f907a99"),
+        ("json", "280ba2d4e9fe2a54b8cceb2dbdd9ea57a05d0fb7baf9dbd536c94095628ac87b"),
+    ],
+)
+def test_table_is_written_as_it_is_formatted(monkeypatch, fmt, digest):
+    # The 20/5/6 table of CI's digests, 16,506 rows, comes out in many
+    # writes, none holding the whole text, and joins to the same bytes.
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["table", "--max-genus", "20", "--max-holes", "5", "--max-n", "6", "--format", fmt]
+    assert main(argv) == 0
+    text = "".join(stdout.writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert max(map(len, stdout.writes)) <= len(text) / 4
 
 
 @pytest.mark.parametrize(

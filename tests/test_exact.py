@@ -179,8 +179,8 @@ EXACT_DIVISIONS = [
     pytest.param(
         # (1, 0) merges to (3,), a disc, which needs no division: the one
         # division is the state's own, of 2 by 2 * (L + 2g - 1) = 2. Its
-        # format arguments are the genus and the state's code; the sizes
-        # are decoded from the code only when the message is made.
+        # one format argument is the state's code; the genus and sizes are
+        # decoded from the code only when the message is made.
         "gluecount.recursion._divide",
         lambda numerator, *rest: _divide(numerator + 1, *rest),
         lambda: count_recursive(SurfaceSignature(0, (1, 0))),
@@ -189,9 +189,9 @@ EXACT_DIVISIONS = [
     ),
     pytest.param(
         # The genus-1 step of (10, 0), whose cuts reach genus 0 and whose
-        # count is 11725, skewed by its (genus, code) format arguments:
+        # count is 11725, skewed by its one format argument, its code:
         # 6 * 11725 + 1 over 2 * (L + 2g - 1) = 6.
-        "gluecount.recursion._divide", _skewed_divide((1, 1 + _sizes_code((10, 0)))),
+        "gluecount.recursion._divide", _skewed_divide((1 + _sizes_code((10, 0)),)),
         lambda: count_recursive(SurfaceSignature(1, (10, 0))),
         "cut recursion at g=1, ns=(10, 0): 70351/6 is not an integer",
         id="recursion-cut-two-digits",

@@ -194,8 +194,8 @@ def test_routes_match_the_recurrence_past_the_real_cap():
 )
 def test_truncated_products_past_the_cap_match_the_fraction_kernel(genus, sizes):
     # Past the cap the scales and weights are rows of a per-call copy. Three
-    # distinct sizes take `_power`, a `_times` and the last dot product on
-    # them; the Fraction kernel shares no code with any of the three.
+    # distinct sizes take `_power`, a full `_times` and the last `_times`,
+    # of t^genus alone, on them; the Fraction kernel shares no code with either.
     assert genus > formula._TABLE_GENUS
     assert Fraction(*_split_sum(genus, sizes)) == fraction_kernels.split_sum(genus, sizes)
 
