@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -239,6 +240,24 @@ def test_count_recursive_cache_out_of_range_is_exit_two(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err.endswith("line 2: genus 65536 is out of range: it must be below 65536\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_cache_out_of_range_is_exit_two(capsys, tmp_path, fmt):
+    # Size 4096 is the grid's last row: the refusal still comes before any
+    # output, and the memo grown up to it is not saved.
+    out_path, cache = tmp_path / "t.txt", tmp_path / "c.txt"
+    code, out, err = run(
+        capsys, "table", "--max-genus", "0", "--max-holes", "1", "--max-n", "4096",
+        "--cache", str(cache), "--out", str(out_path), "--format", fmt,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: g=0, L=1 is out of range for the recursion: its polygon "
+        "has 4096 edges, and the memo keys allow at most 4095\n"
+    )
+    assert not out_path.exists()
+    assert not cache.exists()
 
 
 def test_count_recursive_rejects_corrupt_cache(capsys, tmp_path):
@@ -671,6 +690,37 @@ def test_table_is_written_as_it_is_formatted(monkeypatch, fmt, digest):
     text = "".join(stdout.writes)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert max(map(len, stdout.writes)) <= len(text) / 4
+
+
+class _Counts:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_json_peaks_like_csv(monkeypatch):
+    # JSON rows are formatted as they are written, as CSV's are, with no
+    # object per row: the 20/5/6 table peaks within 1.25x of CSV's. JSON
+    # runs first, so any shared series row the grid grows counts against it.
+    argv = ["table", "--max-genus", "20", "--max-holes", "5", "--max-n", "6", "--format"]
+    peaks = {}
+    for fmt in ("json", "csv"):
+        monkeypatch.setattr(sys, "stdout", _Counts())
+        tracemalloc.start()
+        try:
+            assert main([*argv, fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] <= 1.25 * peaks["csv"], peaks
 
 
 @pytest.mark.parametrize(
